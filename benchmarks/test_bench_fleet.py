@@ -1,17 +1,18 @@
 """P2 -- fleet throughput: batch mode vs the per-object event loop.
 
-The columnar refactor's perf targets, measured end to end:
+The two paths' perf targets, measured end to end:
 
 - at the paper's own 19-host scale the batch fleet path
   (:class:`~repro.core.fleetscale.FleetScaleCampaign`, what
   ``repro run --hosts N`` drives) must be at least **10x** faster per
-  simulated day than the object-backend discrete-event campaign, and
+  simulated day than the faithful per-object discrete-event campaign
+  (the default build), and
 - scaling must stay near-linear: the wall cost *per host-day* at 100k
   hosts may not exceed the 1k-host cost (batch dispatch amortizes numpy
   overhead, so per-host cost should fall with scale, not rise), and a
   100k-host simulated day must complete in seconds, not minutes.
 
-The object baseline is timed over a steady window (fleet fully
+The per-object baseline is timed over a steady window (fleet fully
 installed, mid-March) via ``continue_run``; the batch figures time
 ``step_days`` after a warm-up day so one-off build costs (cohort
 layout, weather spin-up) are excluded from the steady-state rate.
@@ -33,7 +34,7 @@ from repro.core.fleetscale import FleetScaleCampaign
 from repro.sim.clock import DAY
 
 SEED = 7
-#: Minimum batch-vs-object speedup at the paper's 19-host scale.
+#: Minimum batch-vs-faithful speedup at the paper's 19-host scale.
 SPEEDUP_FLOOR = 10.0
 #: Wall-clock ceiling for one simulated day at 100k hosts.
 LARGE_FLEET_DAY_BUDGET_S = 10.0
@@ -45,9 +46,9 @@ OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_fleet.json")
 
 
 def _object_baseline():
-    """Steady-state wall cost per sim-day of the object-backend campaign."""
+    """Steady-state wall cost per sim-day of the faithful campaign."""
     config = ExperimentConfig(seed=SEED)
-    campaign = CampaignBuilder(config).with_fleet_backend("object").build()
+    campaign = CampaignBuilder(config).build()
     # Mid-March: every install/modification plan has fired, so the
     # window measures the fleet the paper actually ran, at full size.
     steady_start = dt.datetime(2010, 3, 15, 12, 0)
@@ -109,7 +110,7 @@ def _emit(report):
 def _check(report):
     assert report["speedup_at_paper_scale"] >= SPEEDUP_FLOOR, (
         f"batch mode is only {report['speedup_at_paper_scale']:.1f}x the "
-        f"object backend at 19 hosts (floor {SPEEDUP_FLOOR}x)"
+        f"faithful per-object campaign at 19 hosts (floor {SPEEDUP_FLOOR}x)"
     )
     small, large = report["batch_points"][1], report["batch_points"][-1]
     assert large["wall_us_per_host_day"] <= small["wall_us_per_host_day"], (

@@ -228,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint/monitoring flags",
     )
     run.add_argument(
-        "--fleet-backend", choices=("columnar", "object"), default="columnar",
-        help="host-state storage for the paper campaign: 'columnar' (numpy "
-        "columns, the default) or 'object' (legacy per-host attributes); "
-        "both produce byte-identical records",
-    )
-    run.add_argument(
         "--controller", default=None, metavar="NAME",
         help="closed-loop controller for the campaign: 'paper-operator' "
         "(the default; the historical R/I/B/F/D schedule), 'thermostat' "
@@ -753,7 +747,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume:
         return _cmd_run_resume(args)
     builder = CampaignBuilder(ExperimentConfig(seed=args.seed))
-    builder.with_fleet_backend(args.fleet_backend)
     if args.controller is not None:
         try:
             builder.with_controller(args.controller)

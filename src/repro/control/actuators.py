@@ -10,11 +10,9 @@ fan at 60 %", "shed half the tent" -- and the bus translates that into
 the underlying fleet calls, clamping every command into its physical
 range first.
 
-The bus works identically over both fleet backends: the ``object`` and
-``columnar`` backends share the same :class:`~repro.core.deployment.Fleet`
-surface (enclosures are scalar either way; only the host tick math is
-columnar), so one implementation covers both and the backend-equivalence
-suite holds them byte-identical.
+The bus drives the faithful campaign's
+:class:`~repro.core.deployment.Fleet` -- its enclosures and host
+objects -- directly; batch mode keeps its own pod arrays and plant.
 
 Determinism contract: a bus nobody commands touches nothing.  Airflow is
 only re-composed when a degradation, flap, or fan-duty command arrives;

@@ -50,8 +50,8 @@ class ControlEnv:
     Parameters mirror the campaign builder: ``config`` (default paper
     config), ``controller`` (name or instance; the in-campaign policy,
     usually ``"paper-operator"`` so the historical schedule still plays
-    under the agent's actions), episode window, control interval, reward
-    weights, and fleet backend.
+    under the agent's actions), episode window, control interval, and
+    reward weights.
     """
 
     def __init__(
@@ -62,7 +62,6 @@ class ControlEnv:
         episode_end: Optional[dt.datetime] = None,
         interval_s: Optional[float] = None,
         reward: RewardSpec = RewardSpec(),
-        fleet_backend: str = "columnar",
     ) -> None:
         from repro.core.config import ExperimentConfig
 
@@ -84,7 +83,6 @@ class ControlEnv:
             else float(self.config.tick_interval_s)
         )
         self.reward = reward
-        self.fleet_backend = fleet_backend
         self.campaign = None
         self._checkpoint = None
         self._end_s: Optional[float] = None
@@ -101,7 +99,6 @@ class ControlEnv:
 
         campaign = (
             CampaignBuilder(self.config)
-            .with_fleet_backend(self.fleet_backend)
             .with_controller(self.controller)
             .build()
         )

@@ -27,7 +27,7 @@ TICK_KEY = "control.tick"
 
 
 class ControlPlane:
-    """Controller <-> campaign glue, snapshot-safe on both backends."""
+    """Controller <-> campaign glue, snapshot-safe across kill and resume."""
 
     STATE_VERSION = 1
 

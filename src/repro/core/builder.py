@@ -95,7 +95,6 @@ class Campaign:
         telemetry=None,
         link_faults: Optional[LinkFaultPlan] = None,
         health_policy: Optional[HealthPolicy] = None,
-        fleet_backend: str = "columnar",
         plant_faults: Optional[PlantFaultPlan] = None,
         trip_policy: Optional[ThermalTripPolicy] = None,
         controller=None,
@@ -129,7 +128,6 @@ class Campaign:
             self.weather,
             self.fault_log,
             bus=self.bus,
-            backend=fleet_backend,
         )
         self.policy = OperatorPolicy(
             self.sim, config, self.fleet, self.fault_log, bus=self.bus
@@ -622,7 +620,6 @@ class Campaign:
                 "telemetry": self.telemetry is not None,
                 "ran": self._ran,
                 "end": self._end,
-                "fleet_backend": self.fleet.backend,
             },
         )
         snapshot.encode_meta("config", self.config)
@@ -677,7 +674,6 @@ class Campaign:
             telemetry=telemetry,
             link_faults=checkpoint.decode_meta("link_faults"),
             health_policy=checkpoint.decode_meta("health_policy"),
-            fleet_backend=checkpoint.meta.get("fleet_backend", "columnar"),
             plant_faults=checkpoint.decode_meta("plant_faults"),
             trip_policy=checkpoint.decode_meta("trip_policy"),
             controller=controller,
@@ -860,7 +856,6 @@ class CampaignBuilder:
         self._telemetry = None
         self._link_faults: Optional[LinkFaultPlan] = None
         self._health_policy: Optional[HealthPolicy] = None
-        self._fleet_backend = "columnar"
         self._plant_faults: Optional[PlantFaultPlan] = None
         self._trip_policy: Optional[ThermalTripPolicy] = None
         self._controller = None
@@ -915,25 +910,6 @@ class CampaignBuilder:
 
             telemetry = Telemetry()
         self._telemetry = telemetry
-        return self
-
-    def with_fleet_backend(self, backend: str) -> "CampaignBuilder":
-        """Select the fleet tick backend: ``"columnar"`` or ``"object"``.
-
-        The columnar default runs the tick's thermal/uptime math as
-        vectorized fleet-wide array expressions; ``"object"`` keeps the
-        original per-host loop.  Both are byte-identical (the
-        equivalence tests hold them to that), so this knob exists for
-        A/B verification and for bisecting, not for results.  The choice
-        is carried in checkpoint metadata and survives a restore.
-        """
-        from repro.core.deployment import Fleet
-
-        if backend not in Fleet.BACKENDS:
-            raise ValueError(
-                f"unknown fleet backend {backend!r}; choose from {', '.join(Fleet.BACKENDS)}"
-            )
-        self._fleet_backend = backend
         return self
 
     def with_link_faults(self, plan: LinkFaultPlan) -> "CampaignBuilder":
@@ -1023,7 +999,6 @@ class CampaignBuilder:
             telemetry=self._telemetry,
             link_faults=self._link_faults,
             health_policy=self._health_policy,
-            fleet_backend=self._fleet_backend,
             plant_faults=self._plant_faults,
             trip_policy=self._trip_policy,
             controller=self._controller,

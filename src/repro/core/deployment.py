@@ -18,20 +18,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro.climate.generator import WeatherGenerator
 from repro.hardware.faults import FaultEvent, FaultKind, FaultLog
-from repro.hardware.host import (
-    HOST_STATE_RUNNING_CODE,
-    HOST_STATE_SHED_CODE,
-    Host,
-    HostState,
-)
+from repro.hardware.host import Host, HostState
 from repro.hardware.switch import NetworkSwitch
 from repro.hardware.vendors import vendor
 from repro.core.config import ExperimentConfig, HostPlan
-from repro.sim.columns import FleetColumns
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.state.protocol import StateError, check_version
 from repro.sim.events import EventBus, HostInstalled, SwitchDied, TentModified
@@ -64,16 +56,7 @@ class Fleet:
         installs, switch deaths, and tent modifications (and hands the
         bus to every host it builds); the subscribed fault log keeps the
         census.  Without a bus everything records directly, as before.
-    backend:
-        ``"columnar"`` (default) re-homes tick-hot host state into a
-        :class:`~repro.sim.columns.FleetColumns` store and runs the tick's
-        thermal/uptime math as vectorized array expressions; ``"object"``
-        keeps the original one-object-at-a-time loop.  Both backends are
-        draw-for-draw and byte-for-byte identical -- the object path is
-        retained as the reference for the equivalence tests.
     """
-
-    BACKENDS = ("object", "columnar")
 
     def __init__(
         self,
@@ -83,16 +66,12 @@ class Fleet:
         weather: WeatherGenerator,
         fault_log: FaultLog,
         bus: Optional[EventBus] = None,
-        backend: str = "columnar",
     ) -> None:
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown fleet backend {backend!r}")
         self.sim = sim
         self.config = config
         self.weather = weather
         self.fault_log = fault_log
         self.bus = bus
-        self.backend = backend
 
         # Enclosures ----------------------------------------------------
         if config.tent_model == "two-node":
@@ -155,16 +134,7 @@ class Fleet:
                 bus=bus,
             )
 
-        # Columnar state ------------------------------------------------
         self._sorted_ids = sorted(self.hosts)
-        self.columns: Optional[FleetColumns] = None
-        if backend == "columnar":
-            self.columns = FleetColumns(
-                capacity=max(1, len(self.hosts)),
-                disk_capacity=max(1, sum(len(h.storage.disks) for h in self.hosts.values())),
-            )
-            for host_id in self._sorted_ids:
-                self.hosts[host_id].bind_columns(self.columns)
 
         # Workload ------------------------------------------------------
         self.tree = KernelSourceTree()
@@ -193,18 +163,7 @@ class Fleet:
         return [self.hosts[p.host_id] for p in self.config.plans_by_group(group)]
 
     def host_census(self) -> "tuple[int, int]":
-        """``(running, shed)`` counts across the fleet.
-
-        On the control-tick hot path every 5 simulated minutes, so the
-        columnar backend answers with two array comparisons instead of a
-        per-host property walk.
-        """
-        if self.columns is not None:
-            state = self.columns.host_state[: self.columns.n_hosts]
-            return (
-                int(np.count_nonzero(state == HOST_STATE_RUNNING_CODE)),
-                int(np.count_nonzero(state == HOST_STATE_SHED_CODE)),
-            )
+        """``(running, shed)`` counts across the fleet."""
         running = 0
         shed = 0
         for host in self.hosts.values():
@@ -330,19 +289,17 @@ class Fleet:
         for enclosure in self.enclosures:
             loads[id(enclosure)] = 0.0
         for host in self.hosts.values():
-            if host.enclosure is not None and host.running:
-                key = id(host.enclosure)
+            enclosure = host.enclosure
+            if enclosure is not None and host.state is HostState.RUNNING:
+                key = id(enclosure)
                 if key in loads:
-                    loads[key] += host.average_power_w
+                    loads[key] += host.duty_power_w
         for enclosure in self.enclosures:
             enclosure.set_it_load(loads[id(enclosure)])
             enclosure.advance(now)
         # 2. Hosts age, sensors chill, hazards strike.
-        if self.columns is not None:
-            self._tick_hosts_columnar(now, dt)
-        else:
-            for host_id in self._sorted_ids:
-                self.hosts[host_id].tick(dt, now, self.fault_log)
+        for host_id in self._sorted_ids:
+            self.hosts[host_id].tick(dt, now, self.fault_log)
         # 3. Switches age; new deaths get logged once.
         for switch in self._powered_switches:
             switch.tick(dt, now)
@@ -360,54 +317,6 @@ class Fleet:
                             detail=switch.name,
                         )
                     )
-
-    def _tick_hosts_columnar(self, now: float, dt: float) -> None:
-        """Phase 2 of the tick on the columnar backend.
-
-        The deterministic math -- intake gather, power selection, case and
-        die temperatures, uptime accrual -- runs as whole-fleet array
-        expressions (each elementwise op is IEEE-identical to its scalar
-        counterpart, so the object backend's numbers are reproduced
-        bit-for-bit).  The stochastic tail (hazard draws, latch events,
-        failures) then runs per host in host-id order via
-        :meth:`~repro.hardware.host.Host.tick_from_columns`, preserving
-        the exact draw and event sequence.
-        """
-        cols = self.columns
-        n = cols.n_hosts
-        running = cols.host_state[:n] == HOST_STATE_RUNNING_CODE
-        if not running.any():
-            return
-        intake = cols.intake_temp_c[:n]
-        precip = cols.intake_precip_mm_h[:n]
-        for host_id in self._sorted_ids:
-            host = self.hosts[host_id]
-            if host.enclosure is not None:
-                index = host._column_index
-                intake[index] = host.enclosure.intake_temp_c
-                precip[index] = getattr(host.enclosure, "intake_precip_mm_h", 0.0)
-        busy = cols.cpu_busy[:n]
-        host_power = np.where(busy, cols.active_power_w[:n], cols.idle_power_w[:n])
-        case = intake + cols.case_rise_k_per_w[:n] * host_power
-        cpu_power = np.where(busy, cols.cpu_active_power_w[:n], cols.cpu_idle_power_w[:n])
-        cpu_temp = case + cols.cpu_theta_k_per_w[:n] * cpu_power
-        cols.case_temp_c[:n] = case
-        cols.cpu_temp_c[:n] = cpu_temp
-        cols.uptime_s[:n][running] += dt
-        for host_id in self._sorted_ids:
-            host = self.hosts[host_id]
-            if not host.running:
-                continue
-            index = host._column_index
-            host.tick_from_columns(
-                dt,
-                now,
-                self.fault_log,
-                float(case[index]),
-                float(intake[index]),
-                float(cpu_temp[index]),
-                float(precip[index]),
-            )
 
     # ------------------------------------------------------------------
     # Snapshot protocol

@@ -1,11 +1,12 @@
 """Fleet-scale batch cohorts: the paper's campaign at ``--hosts N``.
 
-The columnar backend keeps the 19-host paper run byte-identical while
-storing fleet state in numpy columns.  This module is the second half of
-the scale story: a *batch* simulator that replays the paper's hardware
-mix, tent physics, and fault models over an arbitrarily large cohort --
-pods of 19 hosts, each pod a replica of the paper's vendor lineup under
-its own tent -- using pure vector arithmetic per tick.
+The faithful path (:class:`~repro.core.deployment.Fleet`) runs the
+19-host paper campaign one host object and one named RNG stream at a
+time.  This module is the other path: a *batch* simulator that replays
+the paper's hardware mix, tent physics, and fault models over an
+arbitrarily large cohort -- pods of 19 hosts, each pod a replica of the
+paper's vendor lineup under its own tent -- using pure vector arithmetic
+per tick.
 
 It is an explicitly *approximate* mode and is not draw-compatible with
 the per-object engine:
@@ -31,9 +32,9 @@ statistics (failure counts, thermal envelopes, energy) at 100k hosts,
 not event-for-event reproduction -- ``docs/architecture.md`` spells out
 the contract.
 
-The per-tick system pass runs in a fixed order on one engine heap entry
-(weather -> thermal -> hazards -> workload), mirroring the batched
-``every_key_group`` dispatch the paper config uses.
+The per-tick system pass runs in a fixed order on one batched
+``every_key_group`` heap entry (weather -> thermal -> hazards ->
+workload).
 """
 
 from __future__ import annotations

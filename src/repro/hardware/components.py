@@ -18,7 +18,6 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.hardware.vendors import VendorSpec
-from repro.sim.columns import ColumnAttr
 from repro.state.codec import (
     pack_bools,
     pack_floats,
@@ -43,10 +42,6 @@ class Cpu:
     reproduction: intake air + case rise + package rise, each proportional
     to the relevant power.
     """
-
-    #: Column-backed when the owning host is bound to a fleet's
-    #: :class:`~repro.sim.columns.FleetColumns`; plain attribute otherwise.
-    busy = ColumnAttr("cpu_busy", bool)
 
     def __init__(self, spec: VendorSpec) -> None:
         self.spec = spec
@@ -88,8 +83,6 @@ class MemoryBank:
         Probability of a fault per page operation.  Defaults to the paper's
         estimate of one in 570 million.
     """
-
-    page_ops_total = ColumnAttr("page_ops_total", int)
 
     def __init__(
         self,

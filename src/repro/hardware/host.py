@@ -31,7 +31,6 @@ from repro.hardware.faults import (
 from repro.hardware.sensors import SensorChip, SensorReading, SensorState
 from repro.hardware.storage import StorageSubsystem
 from repro.hardware.vendors import VendorSpec
-from repro.sim.columns import ColumnAttr, EnumColumnAttr, FleetColumns, bind_object
 from repro.sim.events import EventBus, HostFailed, SensorLatched
 from repro.sim.rng import RngStreams
 from repro.state.protocol import check_version
@@ -63,20 +62,6 @@ class HostState(enum.Enum):
     SHED = "shed"  # deliberately powered down (load-shed / feed drop)
 
 
-#: Small-int codes for the ``host_state`` fleet column.  RUNNING is 1 so a
-#: running-host mask is a single array comparison.
-_HOST_STATE_CODES = {
-    HostState.STAGED: 0,
-    HostState.RUNNING: 1,
-    HostState.BOOTING: 2,
-    HostState.FAILED: 3,
-    HostState.RETIRED: 4,
-    HostState.SHED: 5,
-}
-HOST_STATE_RUNNING_CODE = _HOST_STATE_CODES[HostState.RUNNING]
-HOST_STATE_SHED_CODE = _HOST_STATE_CODES[HostState.SHED]
-
-
 class Host:
     """One computer of the fleet.
 
@@ -101,14 +86,6 @@ class Host:
         recording into the ``fault_log`` passed to :meth:`tick`.
     """
 
-    # Tick-hot attributes; column-backed once the fleet calls
-    # ``bind_columns``, plain per-instance storage otherwise (prototype
-    # host, unit tests).
-    state = EnumColumnAttr("host_state", _HOST_STATE_CODES)
-    uptime_s = ColumnAttr("uptime_s", float)
-    frailty = ColumnAttr("frailty", float)
-    reset_count = ColumnAttr("reset_count", int)
-
     def __init__(
         self,
         host_id: int,
@@ -121,6 +98,9 @@ class Host:
         self.host_id = host_id
         self.hostname = f"host{host_id:02d}"
         self.spec = spec
+        #: Duty-cycle average draw while running; the spec is frozen, so
+        #: computed once instead of on every fleet tick.
+        self.duty_power_w = spec.average_power_w()
         self._streams = streams.spawn(f"host.{host_id:02d}")
         self.transient_model = (
             transient_model if transient_model is not None else TransientFaultModel()
@@ -276,7 +256,7 @@ class Host:
         """Duty-cycle average draw used for enclosure heat budgets."""
         if not self.running:
             return 0.0
-        return self.spec.average_power_w()
+        return self.duty_power_w
 
     def intake_temp_c(self) -> float:
         """Current intake air temperature from the enclosure."""
@@ -302,48 +282,38 @@ class Host:
     def tick(self, dt_s: float, time: float, fault_log: Optional[FaultLog] = None) -> None:
         """Advance ``dt_s`` seconds of operation.
 
-        Accrues uptime, exposes the sensor chip to the current die
-        temperature, ticks the disks, and samples the transient-failure
-        hazard.  A strike powers the host down and logs the event.
+        Accrues uptime, reads the enclosure's intake air once, derives
+        case and die temperatures from the current draw, then runs the
+        stochastic tail (:meth:`tick_from_columns`): sensor exposure,
+        disk ticks, and the water and transient-failure hazards.  A
+        strike powers the host down and logs the event.
         """
-        if not self.running:
+        if self.state is not HostState.RUNNING:
             return
         self.uptime_s += dt_s
-        case = self.case_temp_c()
-        intake = self.intake_temp_c()
-        sensor_was_ok = self.sensor.state is SensorState.OK
-        self.sensor.exposure_step(self.cpu_temp_c(), dt_s, time)
-        if (
-            sensor_was_ok
-            and self.sensor.state is SensorState.ERRATIC
-            and self.bus is not None
-        ):
-            self.bus.publish(SensorLatched(time=time, host_id=self.host_id))
-        self.storage.tick(dt_s, case, time)
-        if not self.storage.operational:
-            self._fail(time, fault_log, FaultKind.DISK, "storage array lost")
-            return
-        # Water reaching a powered chassis (unsheltered or leaky enclosure)
-        # melts, pools, and eventually shorts something.
-        precip = getattr(self.enclosure, "intake_precip_mm_h", 0.0)
-        if precip > 0.0:
-            rate = WATER_INGRESS_RATE_PER_MM * precip
-            if self._fault_rng.random() < hazard_probability(rate, dt_s):
-                self._fail(
-                    time, fault_log, FaultKind.WATER_INGRESS,
-                    f"{precip:.1f} mm/h reaching the case",
-                )
-                return
-        struck = self.transient_model.sample_failure(
-            self._fault_rng,
+        enclosure = self.enclosure
+        if enclosure is None:
+            raise RuntimeError(f"{self.hostname} has no enclosure")
+        intake = enclosure.intake_temp_c
+        spec = self.spec
+        if self.cpu.busy:
+            host_power, cpu_power = spec.active_power_w, spec.cpu_active_power_w
+        else:
+            host_power, cpu_power = spec.idle_power_w, spec.cpu_idle_power_w
+        # Same expressions as VendorSpec.case_temp_c / cpu_temp_c, so the
+        # temperatures are bit-identical to the property reads.
+        case = intake + spec.case_rise_k_per_w * host_power
+        self.tick_from_columns(
             dt_s,
-            self.spec.defective_series,
-            self.frailty,
+            time,
+            fault_log,
             case,
             intake,
+            case + spec.cpu_theta_k_per_w * cpu_power,
+            # Water reaching a powered chassis (unsheltered or leaky
+            # enclosure) melts, pools, and eventually shorts something.
+            getattr(enclosure, "intake_precip_mm_h", 0.0),
         )
-        if struck:
-            self._fail(time, fault_log, FaultKind.TRANSIENT_SYSTEM, "")
 
     def tick_from_columns(
         self,
@@ -357,11 +327,12 @@ class Host:
     ) -> None:
         """The stochastic tail of :meth:`tick`, with the thermal reads done.
 
-        The columnar fleet tick computes uptime, case, intake, and die
-        temperatures for the whole fleet in one vectorized pass, then calls
-        this per host (in host-id order) for the parts that must stay
-        scalar: RNG draws, threshold latches, and failure events.  The
-        draw and event sequence is exactly :meth:`tick`'s.
+        :meth:`tick` is the only caller: it accrues uptime and computes
+        the intake, case, and die temperatures and the intake
+        precipitation, then hands them here.  This is the single copy of
+        the per-tick draw sequence -- sensor latch, disk ticks, water
+        ingress, transient failure -- in that order.  The name is kept
+        from the retired array-backed fleet tick that also called it.
         """
         sensor_was_ok = self.sensor.state is SensorState.OK
         self.sensor.exposure_step(cpu_temp, dt_s, time)
@@ -393,30 +364,6 @@ class Host:
         )
         if struck:
             self._fail(time, fault_log, FaultKind.TRANSIENT_SYSTEM, "")
-
-    def bind_columns(self, columns: FleetColumns) -> int:
-        """Re-home this host's hot state into a fleet column store.
-
-        Registers the host (and its disks) with ``columns``, copies the
-        static vendor parameters into the per-host parameter columns, and
-        rebinds every columnized attribute value-preservingly.  Returns
-        the host's column index.
-        """
-        index, disk_start = columns.add_host(self.host_id, len(self.storage.disks))
-        columns.idle_power_w[index] = self.spec.idle_power_w
-        columns.active_power_w[index] = self.spec.active_power_w
-        columns.cpu_idle_power_w[index] = self.spec.cpu_idle_power_w
-        columns.cpu_active_power_w[index] = self.spec.cpu_active_power_w
-        columns.case_rise_k_per_w[index] = self.spec.case_rise_k_per_w
-        columns.cpu_theta_k_per_w[index] = self.spec.cpu_theta_k_per_w
-        columns.average_power_w[index] = self.spec.average_power_w()
-        columns.defective_series[index] = self.spec.defective_series
-        bind_object(self, columns, index)
-        bind_object(self.cpu, columns, index)
-        bind_object(self.sensor, columns, index)
-        bind_object(self.memory, columns, index)
-        self.storage.bind_columns(columns, disk_start)
-        return index
 
     def _fail(self, time: float, fault_log: Optional[FaultLog], kind: FaultKind, detail: str) -> None:
         self.state = HostState.FAILED

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.hardware.faults import hazard_probability
-from repro.sim.columns import ColumnAttr, EnumColumnAttr
 from repro.state.codec import (
     pack_floats,
     pack_ints,
@@ -88,11 +87,6 @@ class SensorChip:
     noise_std_c:
         Gaussian read noise of a healthy chip.
     """
-
-    # Column-backed once the owning host binds to a FleetColumns store;
-    # the codes reuse the packed-history encoding above.
-    state = EnumColumnAttr("sensor_state", _STATE_CODES)
-    cold_exposure_s = ColumnAttr("cold_exposure_s", float)
 
     def __init__(
         self,

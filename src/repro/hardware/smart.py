@@ -79,34 +79,6 @@ class SmartTable:
             threshold = 36 if attr_id == ATTR_REALLOCATED_SECTORS else 0
             self._attrs[attr_id] = SmartAttribute(attr_id, name, threshold=threshold)
         self.self_tests: List[SelfTestResult] = []
-        # Optional fleet-column backing for the two tick-hot raw counters
-        # (power-on hours, temperature); see ``bind_columns``.
-        self._columns = None
-        self._column_index = -1
-
-    def bind_columns(self, columns, index: int) -> None:
-        """Back the tick-hot raw counters with fleet disk columns.
-
-        Power-on hours and temperature are the only attributes written on
-        every fleet tick; once bound, those raws live in
-        ``columns.disk_power_on_hours[index]`` / ``disk_temp_c[index]`` so
-        the vectorized disk pass can update the whole fleet at once.  The
-        attribute *rows* stay authoritative for everything else and are
-        re-synced from the columns before any read.
-        """
-        columns.disk_power_on_hours[index] = self._attrs[ATTR_POWER_ON_HOURS].raw
-        columns.disk_temp_c[index] = self._attrs[ATTR_TEMPERATURE].raw
-        self._columns = columns
-        self._column_index = index
-
-    def _sync_from_columns(self) -> None:
-        if self._columns is not None:
-            self._attrs[ATTR_POWER_ON_HOURS].raw = float(
-                self._columns.disk_power_on_hours[self._column_index]
-            )
-            self._attrs[ATTR_TEMPERATURE].raw = float(
-                self._columns.disk_temp_c[self._column_index]
-            )
 
     def __repr__(self) -> str:
         hours = self.attribute(ATTR_POWER_ON_HOURS).raw
@@ -114,7 +86,6 @@ class SmartTable:
 
     def attribute(self, attr_id: int) -> SmartAttribute:
         """Fetch one attribute row."""
-        self._sync_from_columns()
         try:
             return self._attrs[attr_id]
         except KeyError:
@@ -122,7 +93,6 @@ class SmartTable:
 
     def attributes(self) -> List[SmartAttribute]:
         """All rows, ordered by id (smartctl-style listing)."""
-        self._sync_from_columns()
         return [self._attrs[k] for k in sorted(self._attrs)]
 
     # ------------------------------------------------------------------
@@ -132,10 +102,7 @@ class SmartTable:
         """Add running time to the power-on-hours counter."""
         if dt_s < 0:
             raise ValueError("dt must be non-negative")
-        if self._columns is not None:
-            self._columns.disk_power_on_hours[self._column_index] += dt_s / 3600.0
-        else:
-            self._attrs[ATTR_POWER_ON_HOURS].raw += dt_s / 3600.0
+        self._attrs[ATTR_POWER_ON_HOURS].raw += dt_s / 3600.0
 
     def record_power_cycle(self) -> None:
         """Count one spin-up (reboot or replacement)."""
@@ -143,10 +110,7 @@ class SmartTable:
 
     def set_temperature(self, temp_c: float) -> None:
         """Update the drive temperature attribute."""
-        if self._columns is not None:
-            self._columns.disk_temp_c[self._column_index] = temp_c
-        else:
-            self._attrs[ATTR_TEMPERATURE].raw = temp_c
+        self._attrs[ATTR_TEMPERATURE].raw = temp_c
 
     def add_reallocated_sectors(self, count: int) -> None:
         """Media wear: reallocations reduce the normalised health value."""
@@ -179,13 +143,6 @@ class SmartTable:
             attr.value = int(value)
             attr.worst = int(worst)
             attr.raw = float(raw)
-        if self._columns is not None:
-            self._columns.disk_power_on_hours[self._column_index] = self._attrs[
-                ATTR_POWER_ON_HOURS
-            ].raw
-            self._columns.disk_temp_c[self._column_index] = self._attrs[
-                ATTR_TEMPERATURE
-            ].raw
         self.self_tests = [
             SelfTestResult(time=float(t), passed=bool(p), detail=str(d))
             for t, p, d in state["self_tests"]

@@ -19,7 +19,6 @@ import numpy as np
 from repro.hardware.faults import hazard_probability
 from repro.hardware.smart import SmartTable
 from repro.hardware.vendors import DiskLayout, VendorSpec
-from repro.sim.columns import EnumColumnAttr, bind_object
 from repro.state.protocol import StateError, check_version
 
 _STATE_VERSION = 1
@@ -30,10 +29,6 @@ class DiskState(enum.Enum):
 
     HEALTHY = "healthy"
     FAILED = "failed"
-
-
-#: Small-int codes for the ``disk_state`` fleet column.
-_DISK_STATE_CODES = {DiskState.HEALTHY: 0, DiskState.FAILED: 1}
 
 
 class Disk:
@@ -50,9 +45,6 @@ class Disk:
         the era quoted ~500k hours; the census expects few or no disk
         losses over a three-month campaign, matching the paper.
     """
-
-    # Column-backed (flat disk index) once the owning fleet binds columns.
-    state = EnumColumnAttr("disk_state", _DISK_STATE_CODES)
 
     def __init__(
         self, serial: str, rng: np.random.Generator, mtbf_hours: float = 500_000.0
@@ -76,7 +68,7 @@ class Disk:
 
     def tick(self, dt_s: float, case_temp_c: float, time: float) -> None:
         """Advance running time; may fail, with a mild heat penalty."""
-        if not self.healthy:
+        if self.state is not DiskState.HEALTHY:
             return
         self.smart.accrue_uptime(dt_s)
         self.smart.set_temperature(case_temp_c + 4.0)  # drives run above case air
@@ -241,7 +233,12 @@ class StorageSubsystem:
     @property
     def operational(self) -> bool:
         """All arrays still serving data."""
-        return all(a.operational for a in self.arrays)
+        # Asked after every host tick; with every drive healthy (the
+        # common case) no array can be down.
+        for disk in self.disks:
+            if disk.state is not DiskState.HEALTHY:
+                return all(a.operational for a in self.arrays)
+        return True
 
     @property
     def degraded(self) -> bool:
@@ -252,15 +249,6 @@ class StorageSubsystem:
         """Advance every member drive."""
         for disk in self.disks:
             disk.tick(dt_s, case_temp_c, time)
-
-    def bind_columns(self, columns, disk_start: int) -> None:
-        """Re-home per-disk health and SMART wear into fleet columns.
-
-        Disk ``i`` of this subsystem owns flat disk row ``disk_start + i``.
-        """
-        for offset, disk in enumerate(self.disks):
-            bind_object(disk, columns, disk_start + offset)
-            disk.smart.bind_columns(columns, disk_start + offset)
 
     def run_long_self_tests(self, time: float) -> bool:
         """Run the long test on every drive; True iff all pass."""

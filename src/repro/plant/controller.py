@@ -4,7 +4,7 @@ The fleet-scale chaos plane (:class:`repro.plant.fleet.FleetPlant`) keeps
 thousands of pods as numpy vectors.  The paper campaign has exactly one
 tent pod and a basement control group, and its state must round-trip
 byte-identically through :class:`~repro.core.builder.CampaignCheckpoint`
-on both fleet backends -- so it gets this scalar controller instead,
+-- so it gets this scalar controller instead,
 driven off its own ``"plant.tick"`` engine key right behind
 ``"fleet.tick"``.
 

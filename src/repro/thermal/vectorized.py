@@ -3,8 +3,8 @@
 The paper ran one tent.  A scaled cohort (``repro run --hosts N``) runs
 many replicas of that tent -- one per 19-host pod -- and stepping each
 replica through its own :class:`~repro.thermal.twonode.TwoNodeTent`
-object would put thousands of Python enclosures back on the hot path the
-columnar refactor just cleared.  :class:`TwoNodeTentBank` instead holds
+object would put thousands of Python enclosures on the batch tick's hot
+path.  :class:`TwoNodeTentBank` instead holds
 the air and thermal-mass temperatures of *P* tent replicas as two numpy
 vectors and advances all of them with the same explicit-Euler substep
 scheme as :meth:`TwoNodeTent._update`.

@@ -2,17 +2,14 @@
 
 Routing the tent-modification schedule through
 ``PaperOperatorController`` -> ``ControlPlane`` -> ``ActuatorBus`` must
-reproduce the pinned seed-7 record digest exactly, on both fleet
-backends -- whether the controller is left to default or named
-explicitly.  A single byte of drift here means the refactor perturbed
+reproduce the pinned seed-7 record digest exactly -- whether the
+controller is left to default or named explicitly.  A single byte of drift here means the refactor perturbed
 the physics.
 """
 
 import datetime as dt
 import hashlib
 import os
-
-import pytest
 
 from repro.control.controllers import PaperOperatorController
 from repro.core.builder import CampaignBuilder
@@ -30,8 +27,8 @@ def pinned_digest():
         return fh.read().split()[0]
 
 
-def run_digest(backend, controller=None):
-    builder = CampaignBuilder(ExperimentConfig(seed=7)).with_fleet_backend(backend)
+def run_digest(controller=None):
+    builder = CampaignBuilder(ExperimentConfig(seed=7))
     if controller is not None:
         builder.with_controller(controller)
     campaign = builder.build()
@@ -42,9 +39,8 @@ def run_digest(backend, controller=None):
 
 
 class TestPaperOperatorIdentity:
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_explicit_paper_operator_matches_pinned_digest(self, backend):
-        campaign, digest = run_digest(backend, controller="paper-operator")
+    def test_explicit_paper_operator_matches_pinned_digest(self):
+        campaign, digest = run_digest(controller="paper-operator")
         assert digest == pinned_digest()
         # The whole schedule replayed, through the bus.
         controller = campaign.control.controller
@@ -60,7 +56,7 @@ class TestPaperOperatorIdentity:
         )
 
     def test_default_construction_routes_through_the_control_plane(self):
-        campaign, digest = run_digest("columnar", controller=None)
+        campaign, digest = run_digest(controller=None)
         assert digest == pinned_digest()
         assert campaign.control.controller.name == "paper-operator"
         # The paper operator is pure wakes: no periodic tick ever ran.

@@ -3,7 +3,7 @@
 The tentpole's hardest promise lives here: a campaign killed in the
 *middle of an active outage* -- shed hosts, CRAC down, trip latched --
 and resumed cold from disk must finish byte-identical to the straight
-run, on both fleet backends.  And a campaign built with an *empty* plan
+run.  And a campaign built with an *empty* plan
 must not merely be close to the plain seed-7 run: it must reproduce the
 pinned record digest exactly, because no plant is constructed at all.
 
@@ -39,10 +39,9 @@ EVERY = 2 * 86_400.0
 MID_OUTAGE_CUT = 3
 
 
-def _chaos_builder(backend="columnar"):
+def _chaos_builder():
     return (
         CampaignBuilder(ExperimentConfig(seed=7))
-        .with_fleet_backend(backend)
         .with_plant_faults(PlantFaultPlan.parse(PLAN))
         .with_trip_policy(ThermalTripPolicy.parse(POLICY))
     )
@@ -87,12 +86,11 @@ class TestChaosCampaign:
 
 
 class TestKillAndResumeMidOutage:
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_resume_is_byte_identical(self, backend, tmp_path):
-        straight_campaign = _chaos_builder(backend).build()
+    def test_resume_is_byte_identical(self, tmp_path):
+        straight_campaign = _chaos_builder().build()
         straight = straight_campaign.run(until=UNTIL)
 
-        campaign = _chaos_builder(backend).build()
+        campaign = _chaos_builder().build()
         campaign.run(
             until=UNTIL, checkpoint_every=EVERY, checkpoint_dir=str(tmp_path)
         )
