@@ -3,7 +3,9 @@
 The tentpole's hardest promise lives here: a campaign killed in the
 *middle of an active outage* -- shed hosts, CRAC down, trip latched --
 and resumed cold from disk must finish byte-identical to the straight
-run.  And a campaign built with an *empty* plan
+run -- also when the checkpoint carries the ``fleet_backend`` field
+that older builds wrote for either of their two fleet backends.  And a
+campaign built with an *empty* plan
 must not merely be close to the plain seed-7 run: it must reproduce the
 pinned record digest exactly, because no plant is constructed at all.
 
@@ -86,7 +88,8 @@ class TestChaosCampaign:
 
 
 class TestKillAndResumeMidOutage:
-    def test_resume_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("legacy_backend", ["object", "columnar"])
+    def test_resume_is_byte_identical(self, legacy_backend, tmp_path):
         straight_campaign = _chaos_builder().build()
         straight = straight_campaign.run(until=UNTIL)
 
@@ -96,9 +99,17 @@ class TestKillAndResumeMidOutage:
         )
         assert len(campaign.checkpoints_written) > MID_OUTAGE_CUT
 
-        from repro.state.checkpoint import read_checkpoint
+        from repro.state.checkpoint import read_checkpoint, write_checkpoint
 
         snapshot = read_checkpoint(campaign.checkpoints_written[MID_OUTAGE_CUT])
+        assert "fleet_backend" not in snapshot.meta
+        # Re-tag the cut as an older build wrote it; the single fleet
+        # path must ignore the field and still resume mid-incident.
+        snapshot.meta["fleet_backend"] = legacy_backend
+        legacy_path = str(tmp_path / "legacy.ckpt")
+        assert write_checkpoint(legacy_path, snapshot)
+        snapshot = read_checkpoint(legacy_path)
+        assert snapshot.meta["fleet_backend"] == legacy_backend
         mid = Campaign.restore(snapshot)
         # The cut really was mid-incident: hosts shed, CRAC still down.
         assert mid.plant is not None
