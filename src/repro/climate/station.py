@@ -82,8 +82,8 @@ class WeatherStation:
         reading = StationReading(
             time=time,
             temp_c=truth.temp_c + self._rng.normal(0.0, self.temp_error_std_c),
-            rh_percent=float(
-                np.clip(truth.rh_percent + self._rng.normal(0.0, self.rh_error_std), 0.0, 100.0)
+            rh_percent=min(
+                max(truth.rh_percent + self._rng.normal(0.0, self.rh_error_std), 0.0), 100.0
             ),
             wind_ms=max(0.0, truth.wind_ms + self._rng.normal(0.0, 0.1)),
             solar_wm2=max(0.0, truth.solar_wm2 * (1.0 + self._rng.normal(0.0, 0.02))),

@@ -24,6 +24,13 @@ from repro.state.protocol import StateError, check_version
 _STATE_VERSION = 1
 
 
+def _heat_factor(case_temp_c: float) -> float:
+    """Drive hazard multiplier: doubling every 15 degC above 45 degC case air."""
+    if case_temp_c > 45.0:
+        return 2.0 ** ((case_temp_c - 45.0) / 15.0)
+    return 1.0
+
+
 class DiskState(enum.Enum):
     """Health of a physical drive."""
 
@@ -68,14 +75,17 @@ class Disk:
 
     def tick(self, dt_s: float, case_temp_c: float, time: float) -> None:
         """Advance running time; may fail, with a mild heat penalty."""
-        if self.state is not DiskState.HEALTHY:
-            return
+        if self.state is DiskState.HEALTHY:
+            p_fail = hazard_probability(
+                self._rate_per_hour * _heat_factor(case_temp_c), dt_s
+            )
+            self._run(dt_s, case_temp_c, time, p_fail)
+
+    def _run(self, dt_s: float, case_temp_c: float, time: float, p_fail: float) -> None:
+        """One healthy tick: S.M.A.R.T. accrual, then one failure draw."""
         self.smart.accrue_uptime(dt_s)
         self.smart.set_temperature(case_temp_c + 4.0)  # drives run above case air
-        rate = self._rate_per_hour
-        if case_temp_c > 45.0:
-            rate *= 2.0 ** ((case_temp_c - 45.0) / 15.0)
-        if self._rng.random() < hazard_probability(rate, dt_s):
+        if self._rng.random() < p_fail:
             self.fail(time)
 
     def fail(self, time: float) -> None:
@@ -246,9 +256,21 @@ class StorageSubsystem:
         return any(a.degraded for a in self.arrays)
 
     def tick(self, dt_s: float, case_temp_c: float, time: float) -> None:
-        """Advance every member drive."""
+        """Advance every member drive, as :meth:`Disk.tick` would.
+
+        All drives share the host's case air, so the failure probability
+        is computed once per tick (and again only for a drive whose base
+        rate differs); each healthy drive still makes its own scalar draw,
+        in member order.
+        """
+        heat = _heat_factor(case_temp_c)
+        rate = p_fail = None
         for disk in self.disks:
-            disk.tick(dt_s, case_temp_c, time)
+            if disk.state is DiskState.HEALTHY:
+                if disk._rate_per_hour != rate:
+                    rate = disk._rate_per_hour
+                    p_fail = hazard_probability(rate * heat, dt_s)
+                disk._run(dt_s, case_temp_c, time, p_fail)
 
     def run_long_self_tests(self, time: float) -> bool:
         """Run the long test on every drive; True iff all pass."""

@@ -133,7 +133,7 @@ class LascarDataLogger:
             true_temp + self._rng.normal(0.0, self.temp_error_std_c), self.TEMP_RESOLUTION_C
         )
         rh = _quantize(true_rh + self._rng.normal(0.0, self.rh_error_std), self.RH_RESOLUTION)
-        reading = LoggerReading(time=time, temp_c=temp, rh_percent=float(np.clip(rh, 0.0, 100.0)))
+        reading = LoggerReading(time=time, temp_c=temp, rh_percent=min(max(rh, 0.0), 100.0))
         self.readings.append(reading)
         return reading
 

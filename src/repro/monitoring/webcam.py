@@ -105,7 +105,7 @@ class TerraceWebcam:
         jitter = 1.0 + self._rng.normal(0.0, 0.03)
         frame = WebcamFrame(
             time=time,
-            brightness=float(np.clip(exposure * jitter, 0.0, 1.0)),
+            brightness=min(max(exposure * jitter, 0.0), 1.0),
             snowing=sample.snowing,
             tent_snow_cover=self._snow_cover,
         )

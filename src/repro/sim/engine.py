@@ -26,17 +26,20 @@ a fresh simulator whose registry has been populated the same way.
 Closure-scheduled events still work for ad-hoc use; they simply make
 ``state_dict`` raise.
 
-Heap hygiene: cancellation is lazy (tombstones drain when they surface),
-but when more than half the queue is tombstones the heap is compacted in
-one pass (counted in :attr:`heap_compactions`), so long campaigns with
-periodic reschedules don't grow the queue unboundedly.
+Heap entries are ``(time, seq, handle)`` tuples, so :mod:`heapq` orders
+them with C tuple comparison; ``seq`` is unique, so the handle itself is
+never compared.  Cancellation is lazy (tombstones drain when they
+surface), but when more than half the queue is tombstones the heap is
+compacted in one pass (counted in :attr:`heap_compactions`), so long
+campaigns with periodic reschedules don't grow the queue unboundedly.
 """
 
 from __future__ import annotations
 
-import heapq
+import numbers
+from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.clock import SimClock
 
@@ -151,7 +154,7 @@ class Simulator:
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.now: float = 0.0
-        self._queue: List[EventHandle] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._events_fired = 0
         self._events_cancelled = 0
@@ -287,10 +290,14 @@ class Simulator:
                 f"cannot schedule {label or key!r} at {time:.1f}s, "
                 f"which is before now ({self.now:.1f}s)"
             )
-        handle = EventHandle(
-            time, self._next_seq(), None, label, key=key, args=tuple(args)
-        )
-        return self._push(handle)
+        seq = self._seq
+        self._seq = seq + 1
+        if type(args) is not tuple:
+            args = tuple(args)
+        handle = EventHandle(time, seq, None, label, key, args)
+        handle._sim = self
+        heappush(self._queue, (time, seq, handle))
+        return handle
 
     def every_key(
         self,
@@ -367,7 +374,7 @@ class Simulator:
         """Live queued handles for ``key`` (restore-time re-linking)."""
         return [
             h
-            for h in self._queue
+            for _, _, h in self._queue
             if h.key == key
             and not h.cancelled
             and (args is None or h.args == tuple(args))
@@ -392,53 +399,49 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
         self._drop_cancelled()
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def step(self) -> bool:
         """Fire the single next event.  Returns ``False`` if none remain."""
         self._drop_cancelled()
         if not self._queue:
             return False
-        handle = heapq.heappop(self._queue)
+        self._fire_head()
+        return True
+
+    def _fire_head(self) -> None:
+        """Pop the queue head, which must be live, and run its callback."""
+        handle = heappop(self._queue)[2]
         handle._sim = None
         self.now = handle.time
-        if handle.cancelled:
-            # A handle cancelled after surfacing past _drop_cancelled is
-            # drained here: it never fired, so it must not count as fired.
-            self._events_cancelled += 1
-            return True
         callback = handle.callback
         handle.callback = None
         self._events_fired += 1
         if self.on_event is not None:
             self.on_event(handle.time, handle.label)
+        key = handle.key
+        if key is None:
+            fn, args = callback, ()
+        else:
+            fn = self._registry.get(key)
+            if fn is None:
+                raise SimulationError(
+                    f"event {handle.label or key!r} fired but "
+                    f"{key!r} is no longer registered"
+                )
+            args = handle.args
         tracer = self.tracer
         if tracer is None:
-            self._invoke(handle, callback)
+            fn(*args)
         else:
             started = perf_counter()
             try:
-                self._invoke(handle, callback)
+                fn(*args)
             finally:
                 tracer.record(
                     "engine." + (handle.label or "unlabeled"),
                     perf_counter() - started,
                 )
-        return True
-
-    def _invoke(
-        self, handle: EventHandle, callback: Optional[Callable[[], None]]
-    ) -> None:
-        if handle.key is not None:
-            fn = self._registry.get(handle.key)
-            if fn is None:
-                raise SimulationError(
-                    f"event {handle.label or handle.key!r} fired but "
-                    f"{handle.key!r} is no longer registered"
-                )
-            fn(*handle.args)
-        elif callback is not None:
-            callback()
 
     def run_until(self, end: float) -> None:
         """Fire all events with ``time <= end``, then advance the clock to ``end``."""
@@ -449,10 +452,12 @@ class Simulator:
         self._running = True
         try:
             while True:
-                next_time = self.peek_time()
-                if next_time is None or next_time > end:
+                self._drop_cancelled()
+                # Re-read after every event: _compact() replaces the list.
+                queue = self._queue
+                if not queue or queue[0][0] > end:
                     break
-                self.step()
+                self._fire_head()
             self.now = end
         finally:
             self._running = False
@@ -480,7 +485,7 @@ class Simulator:
         opaque = sorted(
             {
                 h.label or "<unlabeled>"
-                for h in self._queue
+                for _, _, h in self._queue
                 if not h.cancelled and h.key is None
             }
         )
@@ -505,7 +510,7 @@ class Simulator:
                     "key": h.key,
                     "args": list(h.args),
                 }
-                for h in sorted(self._queue, key=lambda h: (h.time, h.seq))
+                for _, _, h in sorted(self._queue)
             ],
             "periodic_next": self._periodic_next,
             "periodic": {
@@ -527,50 +532,81 @@ class Simulator:
         components re-created during restore) is discarded -- the
         snapshot is the whole truth.  Registry bindings are left alone;
         every key named by the snapshot must already be registered.
+
+        The whole snapshot is parsed before anything is assigned: a
+        missing or ill-typed field raises :class:`SimulationError` and
+        leaves the simulator exactly as it was.
         """
+        if not isinstance(state, dict):
+            raise SimulationError("engine snapshot is not a mapping")
         if state.get("version") != _STATE_VERSION:
             raise SimulationError(
                 f"cannot load engine state version {state.get('version')!r}"
             )
-        queue: List[EventHandle] = []
-        for entry in state["queue"]:
-            key = entry["key"]
+        queue: List[Tuple[float, int, EventHandle]] = []
+        for i, entry in enumerate(_field(state, "queue", list, "engine")):
+            where = f"engine queue[{i}]"
+            key = _field(entry, "key", (str, type(None)), where)
+            label = _field(entry, "label", str, where)
             if key is not None and key not in self._registry:
                 raise SimulationError(
-                    f"snapshot queue entry {entry['label'] or key!r} needs "
+                    f"snapshot queue entry {label or key!r} needs "
                     f"unregistered key {key!r}"
                 )
+            time = float(_field(entry, "time", _REAL, where))
+            seq = int(_field(entry, "seq", _INTEGRAL, where))
             handle = EventHandle(
-                float(entry["time"]),
-                int(entry["seq"]),
+                time,
+                seq,
                 None,
-                entry["label"],
+                label,
                 key=key,
-                args=tuple(entry["args"]),
+                args=tuple(_field(entry, "args", (list, tuple), where)),
             )
-            handle.cancelled = bool(entry["cancelled"])
-            if not handle.cancelled:
-                handle._sim = self
-            queue.append(handle)
-        heapq.heapify(queue)
-        self._queue = queue
-        self.now = float(state["now"])
-        self._seq = int(state["seq"])
-        self._events_fired = int(state["events_fired"])
-        self._events_cancelled = int(state["events_cancelled"])
-        self._heap_compactions = int(state.get("heap_compactions", 0))
-        self._cancelled_pending = sum(1 for h in queue if h.cancelled)
-        self._periodic = {
-            int(task_id): {
-                "period": float(task["period"]),
-                "key": task["key"],
-                "args": tuple(task["args"]),
-                "label": task["label"],
-                "cancelled": bool(task["cancelled"]),
+            handle.cancelled = _field(entry, "cancelled", bool, where)
+            queue.append((time, seq, handle))
+        periodic: Dict[int, Dict[str, Any]] = {}
+        for task_id, task in _field(state, "periodic", dict, "engine").items():
+            where = f"engine periodic[{task_id!r}]"
+            try:
+                tid = int(task_id)
+            except (TypeError, ValueError):
+                raise SimulationError(f"{where}: task id is not an integer") from None
+            periodic[tid] = {
+                "period": float(_field(task, "period", _REAL, where)),
+                "key": _field(task, "key", str, where),
+                "args": tuple(_field(task, "args", (list, tuple), where)),
+                "label": _field(task, "label", str, where),
+                "cancelled": _field(task, "cancelled", bool, where),
             }
-            for task_id, task in state["periodic"].items()
-        }
-        self._periodic_next = int(state["periodic_next"])
+        now = float(_field(state, "now", _REAL, "engine"))
+        seq = int(_field(state, "seq", _INTEGRAL, "engine"))
+        fired = int(_field(state, "events_fired", _INTEGRAL, "engine"))
+        cancelled = int(_field(state, "events_cancelled", _INTEGRAL, "engine"))
+        compactions = (
+            int(_field(state, "heap_compactions", _INTEGRAL, "engine"))
+            if "heap_compactions" in state
+            else 0
+        )
+        periodic_next = int(_field(state, "periodic_next", _INTEGRAL, "engine"))
+
+        # Parsed: commit.  Handles of the discarded queue no longer count
+        # against this simulator if someone cancels them later.
+        for _, _, h in self._queue:
+            h._sim = None
+        for _, _, h in queue:
+            if not h.cancelled:
+                h._sim = self
+        heapify(queue)
+        self._queue = queue
+        self.now = now
+        self._seq = seq
+        self._events_fired = fired
+        self._events_cancelled = cancelled
+        self._heap_compactions = compactions
+        self._cancelled_pending = sum(1 for _, _, h in queue if h.cancelled)
+        self._periodic = periodic
+        self._periodic_next = periodic_next
 
     # ------------------------------------------------------------------
     # Internals
@@ -582,7 +618,7 @@ class Simulator:
 
     def _push(self, handle: EventHandle) -> EventHandle:
         handle._sim = self
-        heapq.heappush(self._queue, handle)  # type: ignore[arg-type]
+        heappush(self._queue, (handle.time, handle.seq, handle))
         return handle
 
     def _note_cancel(self) -> None:
@@ -596,24 +632,40 @@ class Simulator:
 
     def _compact(self) -> None:
         """Sweep every cancelled tombstone from the heap in one pass."""
-        keep = [h for h in self._queue if not h.cancelled]
+        keep = [entry for entry in self._queue if not entry[2].cancelled]
         dropped = len(self._queue) - len(keep)
-        heapq.heapify(keep)
+        heapify(keep)
         self._queue = keep
         self._events_cancelled += dropped
         self._cancelled_pending = 0
         self._heap_compactions += 1
 
     def _drop_cancelled(self) -> None:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heappop(queue)
             self._events_cancelled += 1
             self._cancelled_pending -= 1
 
 
-# heapq compares tuples of (time, seq) via EventHandle ordering:
-def _handle_lt(self: EventHandle, other: EventHandle) -> bool:
-    return (self.time, self.seq) < (other.time, other.seq)
+#: Snapshot field types (``bool`` is rejected where a number is expected).
+_REAL = numbers.Real
+_INTEGRAL = numbers.Integral
 
 
-EventHandle.__lt__ = _handle_lt  # type: ignore[assignment]
+def _field(entry: Any, name: str, kinds: Any, where: str) -> Any:
+    """``entry[name]`` if present and of type ``kinds``, else :class:`SimulationError`."""
+    if not isinstance(entry, dict):
+        raise SimulationError(f"{where} is not a mapping")
+    if name not in entry:
+        raise SimulationError(f"{where} has no {name!r} field")
+    value = entry[name]
+    if not isinstance(value, kinds) or (
+        isinstance(value, bool) and kinds in (_REAL, _INTEGRAL)
+    ):
+        names = kinds if isinstance(kinds, tuple) else (kinds,)
+        raise SimulationError(
+            f"{where}: {name!r} is {type(value).__name__}, not "
+            + " or ".join(k.__name__ for k in names)
+        )
+    return value

@@ -94,14 +94,11 @@ class Bzip2Model:
 
     def __init__(self, tree: Optional[KernelSourceTree] = None) -> None:
         self.tree = tree if tree is not None else KernelSourceTree()
+        #: Blocks in the archive of this tree (396 for the default tree).
+        self.block_count = -(-self.tree.total_bytes // BZIP2_BLOCK_BYTES)
 
     def __repr__(self) -> str:
         return f"Bzip2Model(blocks={self.block_count})"
-
-    @property
-    def block_count(self) -> int:
-        """Blocks in the archive of this tree (396 for the default tree)."""
-        return -(-self.tree.total_bytes // BZIP2_BLOCK_BYTES)
 
     def compress(
         self,

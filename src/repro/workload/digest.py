@@ -12,8 +12,9 @@ look and behave like the 32-hex-digit strings the monitoring host rsyncs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Iterable
+from typing import FrozenSet, Iterable
 
 from repro.workload.bzip2 import Archive
 from repro.workload.kernel_tree import KernelSourceTree
@@ -26,9 +27,14 @@ def _tree_fingerprint(tree: KernelSourceTree) -> str:
 
 def block_digest(tree: KernelSourceTree, corrupted_blocks: Iterable[int]) -> str:
     """MD5 hex digest of an archive of ``tree`` with the given damage."""
-    payload = _tree_fingerprint(tree) + "|" + ",".join(
-        str(b) for b in sorted(set(corrupted_blocks))
-    )
+    return _md5_of(tree, frozenset(corrupted_blocks))
+
+
+@functools.lru_cache(maxsize=1024)
+def _md5_of(tree: KernelSourceTree, blocks: FrozenSet[int]) -> str:
+    # Every cycle hashes its archive; almost all are clean, so the same
+    # few (tree, damage) pairs recur and are hashed once each.
+    payload = _tree_fingerprint(tree) + "|" + ",".join(str(b) for b in sorted(blocks))
     return hashlib.md5(payload.encode("ascii")).hexdigest()
 
 

@@ -1,5 +1,7 @@
 """Tests for disks and RAID layouts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,53 @@ class TestStorageSubsystem:
         sub = StorageSubsystem("host11", VENDOR_C, rng())
         serials = [d.serial for d in sub.disks]
         assert len(set(serials)) == 5
+
+
+class TestStorageTickDraws:
+    """``StorageSubsystem.tick`` shares one hazard per tick but keeps one
+    scalar draw per healthy drive, in member order."""
+
+    HOT_CASE_C = 60.0
+    DT_S = 600.0
+
+    def test_one_draw_per_healthy_drive(self):
+        sub = StorageSubsystem("host11", VENDOR_C, rng())
+        sub.disks[1].fail(0.0)
+        twin = rng()
+        sub.tick(self.DT_S, self.HOT_CASE_C, time=1.0)
+        for _ in range(4):
+            twin.random()
+        assert sub.disks[0]._rng.bit_generator.state == twin.bit_generator.state
+
+    def test_drives_fail_exactly_where_the_draw_is_below_the_hazard(self):
+        sub = StorageSubsystem("host11", VENDOR_C, rng())
+        sub.disks[1].fail(0.0)
+        for disk in sub.disks:
+            disk._rate_per_hour = 3.0
+        rate = 3.0 * 2.0 ** ((self.HOT_CASE_C - 45.0) / 15.0)
+        p_fail = 1.0 - math.exp(-rate * self.DT_S / 3600.0)
+        twin = rng()
+        draws = [twin.random() for _ in range(4)]
+        sub.tick(self.DT_S, self.HOT_CASE_C, time=5.0)
+        healthy_before = [0, 2, 3, 4]
+        expected = {i for i, u in zip(healthy_before, draws) if u < p_fail}
+        assert 0 < len(expected) < 4  # the seed exercises both outcomes
+        failed_now = {i for i in healthy_before if not sub.disks[i].healthy}
+        assert failed_now == expected
+        assert all(sub.disks[i].failed_at == 5.0 for i in expected)
+        assert sub.disks[1].failed_at == 0.0
+
+    def test_tick_matches_per_disk_tick(self):
+        sub = StorageSubsystem("host11", VENDOR_C, rng())
+        shared = rng()
+        loose = [Disk(d.serial, shared) for d in sub.disks]
+        for disk in sub.disks + loose:
+            disk._rate_per_hour = 0.05
+        loose[3]._rate_per_hour = sub.disks[3]._rate_per_hour = 0.2
+        for step in range(20):
+            temp = 40.0 + step
+            sub.tick(self.DT_S, temp, float(step))
+            for disk in loose:
+                disk.tick(self.DT_S, temp, float(step))
+        assert [d.state_dict() for d in sub.disks] == [d.state_dict() for d in loose]
+        assert 0 < sum(not d.healthy for d in loose) < len(loose)

@@ -13,7 +13,7 @@ import datetime as dt
 from repro.core.builder import CampaignBuilder
 from repro.core.config import ExperimentConfig
 from repro.sim.clock import SimClock
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.telemetry import Telemetry
 
 
@@ -124,6 +124,82 @@ class TestMassCancellation:
         fired.clear()
         sim.run_until(3 * self.PERIOD + 1.0)
         assert fired == list(range(self.N_HOSTS // 4))
+
+
+class TestHeapOrder:
+    """Heap entries are ``(time, seq, handle)``: ties fire in scheduling
+    order whatever API queued them."""
+
+    def test_ties_fire_in_scheduling_order_across_apis(self):
+        sim = Simulator(SimClock())
+        fired = []
+        sim.register("tag", lambda tag: fired.append(tag))
+        sim.schedule_at(60.0, lambda: fired.append("closure-1"))
+        sim.schedule_at_key(60.0, "tag", ("key-1",))
+        sim.every_key_group(
+            60.0,
+            "group",
+            [lambda: fired.append("group-a"), lambda: fired.append("group-b")],
+            start=60.0,
+        )
+        sim.schedule(60.0, lambda: fired.append("closure-2"))
+        sim.schedule_at_key(60.0, "tag", ["key-2"])
+        sim.run_until(60.0)
+        assert fired == [
+            "closure-1", "key-1", "group-a", "group-b", "closure-2", "key-2",
+        ]
+
+    def test_find_key_handles_returns_live_event_handles(self):
+        sim = Simulator(SimClock())
+        sim.register("tag", lambda tag: None)
+        first = sim.schedule_at_key(10.0, "tag", ("a",))
+        sim.schedule_at_key(20.0, "tag", ("b",))
+        cancelled = sim.schedule_at_key(30.0, "tag", ("a",))
+        cancelled.cancel()
+        found = sim.find_key_handles("tag", ("a",))
+        assert found == [first]
+        assert all(isinstance(h, EventHandle) for h in sim.find_key_handles("tag"))
+        assert len(sim.find_key_handles("tag")) == 2
+
+    def test_mass_cancel_inside_run_until_keeps_order(self):
+        # A callback cancels most of the queue while run_until is looping;
+        # the compaction swaps the heap list under the loop, and the
+        # survivors must still fire, in order.
+        sim = Simulator(SimClock())
+        fired = []
+        sim.register("tag", lambda i: fired.append(i))
+        handles = [
+            sim.schedule_at_key(float(10 + i), "tag", (i,)) for i in range(40)
+        ]
+
+        def shed():
+            for h in handles[:30]:
+                h.cancel()
+
+        sim.schedule_at(5.0, shed)
+        sim.schedule_at_key(10.0, "tag", ("tie",))
+        before = sim.heap_compactions
+        sim.run_until(100.0)
+        assert sim.heap_compactions > before
+        assert fired == ["tie"] + list(range(30, 40))
+        assert sim.events_cancelled == 30
+
+    def test_state_round_trip_keeps_tombstones(self):
+        sim = Simulator(SimClock())
+        sim.register("tag", lambda i: None)
+        handles = [sim.schedule_at_key(float(i), "tag", (i,)) for i in range(1, 9)]
+        for h in handles[1:4]:
+            h.cancel()
+        state = sim.state_dict()
+        assert [e["cancelled"] for e in state["queue"]].count(True) == 3
+        twin = Simulator(SimClock())
+        twin.register("tag", lambda i: None)
+        twin.load_state_dict(state)
+        assert twin.state_dict() == state
+        assert twin.pending_count == sim.pending_count == 5
+        twin.run_until(100.0)
+        sim.run_until(100.0)
+        assert twin.state_dict() == sim.state_dict()
 
 
 class TestHeapTelemetry:

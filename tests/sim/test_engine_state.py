@@ -185,3 +185,94 @@ class TestHeapCompaction:
         sim2.register("noop", lambda i: None)
         sim2.load_state_dict(sim.state_dict())
         assert sim2.heap_compactions == compactions
+
+
+_MISSING = object()
+
+
+def _corrupt(state, path, value):
+    """Set (or, with ``value is _MISSING``, delete) ``state[path...]``."""
+    *parents, leaf = path
+    node = state
+    for step in parents:
+        node = node[step]
+    if value is _MISSING:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return state
+
+
+_BAD_FIELDS = [
+    (("periodic", "0"), {"period": 1.0}),
+    (("periodic", "0", "period"), "60"),
+    (("periodic", "0", "cancelled"), _MISSING),
+    (("periodic", "0", "args"), 3),
+    (("periodic",), [1, 2]),
+    (("queue", 0, "time"), None),
+    (("queue", 0, "seq"), 1.5),
+    (("queue", 0, "seq"), True),
+    (("queue", 0, "label"), _MISSING),
+    (("queue", 0, "key"), 7),
+    (("queue", 1, "cancelled"), "yes"),
+    (("queue", 0), "not-an-entry"),
+    (("queue",), None),
+    (("now",), _MISSING),
+    (("seq",), "12"),
+    (("events_fired",), None),
+    (("events_cancelled",), 1.0),
+    (("heap_compactions",), "0"),
+    (("periodic_next",), _MISSING),
+]
+
+
+def _case_id(path, value):
+    shown = "missing" if value is _MISSING else repr(value)
+    return ".".join(str(p) for p in path) + "=" + shown
+
+
+class TestMalformedSnapshot:
+    """A bad snapshot raises a typed error and changes nothing."""
+
+    @staticmethod
+    def _snapshot():
+        sim = _twin([])
+        sim.schedule_key(10.0, "tick", args=("a",), label="tick-a")
+        sim.schedule_key(20.0, "beat", label="beat").cancel()
+        sim.every_key(60.0, "beat", label="beat-every")
+        return sim.state_dict()
+
+    @pytest.mark.parametrize(
+        "path, value", _BAD_FIELDS, ids=[_case_id(p, v) for p, v in _BAD_FIELDS]
+    )
+    def test_bad_field_raises_and_leaves_state_alone(self, path, value):
+        state = _corrupt(self._snapshot(), path, value)
+        log = []
+        sim = _twin(log)
+        pending = sim.schedule_key(5.0, "tick", args=("keep",), label="keep")
+        sim.run_until(1.0)
+        before = (sim.now, sim._seq, sim.pending_count, sim.events_fired)
+        with pytest.raises(SimulationError):
+            sim.load_state_dict(state)
+        assert (sim.now, sim._seq, sim.pending_count, sim.events_fired) == before
+        assert sim.find_key_handles("tick") == [pending]
+        sim.run_until(100.0)
+        assert log == [(5.0, "tick", "keep")]
+
+    def test_non_mapping_snapshot_is_refused(self):
+        with pytest.raises(SimulationError, match="mapping"):
+            Simulator().load_state_dict(["not", "a", "snapshot"])
+
+    def test_bad_periodic_task_id_is_refused(self):
+        state = self._snapshot()
+        state["periodic"]["zero"] = state["periodic"].pop("0")
+        with pytest.raises(SimulationError, match="task id"):
+            _twin([]).load_state_dict(state)
+
+    def test_discarded_handles_no_longer_count_as_pending(self):
+        sim = _twin([])
+        stale = sim.schedule_key(5.0, "beat")
+        sim.load_state_dict(self._snapshot())
+        pending = sim.pending_count
+        stale.cancel()
+        assert sim.pending_count == pending

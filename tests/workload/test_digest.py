@@ -1,5 +1,7 @@
 """Tests for the md5sum verification model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,39 @@ class TestVerification:
             host_id=1, time=0.0, block_count=396, corrupted_blocks=frozenset({9})
         )
         assert archive_digest(tree, archive) == block_digest(tree, {9})
+
+
+class TestDigestContract:
+    """``block_digest`` is real MD5 over ``"<bytes>:<files>:<ratio>|<blocks>"``,
+    memoised or not."""
+
+    @staticmethod
+    def _by_hand(tree, blocks):
+        payload = (
+            f"{tree.total_bytes}:{tree.file_count}:{tree.compression_ratio:.6f}|"
+            + ",".join(str(b) for b in sorted(set(blocks)))
+        )
+        return hashlib.md5(payload.encode("ascii")).hexdigest()
+
+    @pytest.mark.parametrize("blocks", [(), {3}, [5, 3, 3]], ids=["clean", "one", "repeat"])
+    def test_matches_hand_computed_md5(self, tree, blocks):
+        expected = self._by_hand(tree, blocks)
+        assert block_digest(tree, blocks) == expected
+        assert block_digest(tree, blocks) == expected  # repeated call, same string
+
+    def test_payload_spelled_out(self):
+        tree = KernelSourceTree(total_bytes=1000, file_count=2, compression_ratio=0.5)
+        payload = b"1000:2:0.500000|3,5"
+        assert block_digest(tree, [5, 3, 3]) == hashlib.md5(payload).hexdigest()
+
+    def test_reference_is_the_clean_digest(self, tree):
+        assert reference_digest(tree) == self._by_hand(tree, ())
+
+    def test_verify_clean_and_damaged(self, tree):
+        clean = Archive(host_id=3, time=60.0, block_count=396)
+        damaged = Archive(
+            host_id=3, time=60.0, block_count=396, corrupted_blocks=frozenset({0, 395})
+        )
+        for _ in range(2):
+            assert verify_archive(tree, clean)
+            assert not verify_archive(tree, damaged)
