@@ -132,9 +132,11 @@ class ActuatorBus:
     def set_plant_degradation(self, fan_severity: float, blockage: float) -> None:
         """Chaos-plane input: degraded blower/intake severities.
 
-        Not an operator action (no command tally) -- the plant
-        controller reports its fault state here every tick so the
-        composed airflow always reflects both faults and intent.
+        Not an operator action (no command tally) -- the paper plant
+        reports its pod's fan and blockage levels here whenever they
+        change, so the composed airflow always reflects both faults and
+        intent.  ``blockage`` is already the worse of the intake
+        blockage and accreted ice.
         """
         self.fan_severity = float(fan_severity)
         self.blockage = float(blockage)
@@ -214,8 +216,8 @@ class ActuatorBus:
         return changed
 
     # ------------------------------------------------------------------
-    # Raw host choke points (the plant controllers route through these
-    # so every power transition crosses one audited surface).
+    # Raw host choke points (the paper plant routes through these so
+    # every power transition crosses one audited surface).
     # ------------------------------------------------------------------
     def power_down(self, host: Host, now: float, reason: str) -> None:
         host.power_down(now, reason=reason)

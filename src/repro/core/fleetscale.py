@@ -287,7 +287,13 @@ class FleetScaleCampaign:
         self.plant_events = ev.EventRecorder()
         self.plant_events.attach(bus)
         self.plant = FleetPlant(
-            plant_faults, trip_policy, self.n_pods, self._start_s, bus=bus
+            plant_faults,
+            trip_policy,
+            self.n_pods,
+            self._start_s,
+            bus=bus,
+            on_feed_drop=self._drop_feed,
+            on_feed_restore=self._restore_feed,
         )
         self.shed_reason = np.zeros(self.n_hosts, dtype=np.int8)
 
@@ -419,14 +425,10 @@ class FleetScaleCampaign:
         """Advance the chaos plane (only installed when armed).
 
         Fault strikes/repairs land here; feed transitions power whole
-        feed groups down or up before thermal sees their load.
+        feed groups down or up (through ``_drop_feed``/``_restore_feed``)
+        before thermal sees their load.
         """
-        plant = self.plant
-        plant.advance(self.sim.now, self.tick_interval_s, self._sample.temp_c)
-        for feed in plant.feed_dropped_now:
-            self._drop_feed(feed)
-        for feed in plant.feed_restored_now:
-            self._restore_feed(feed)
+        self.plant.advance(self.sim.now, self.tick_interval_s, self._sample.temp_c)
 
     def _frame_thermal(self) -> None:
         dt = self.tick_interval_s
@@ -780,19 +782,11 @@ class FleetScaleCampaign:
         """The survival census (None when the chaos plane is unarmed)."""
         if self.plant is None:
             return None
-        p = self.plant
-        return {
-            "faults_injected": p.faults_injected,
-            "faults_repaired": p.faults_repaired,
-            "trips": p.trips,
-            "trip_clears": p.trip_clears,
-            "hosts_shed": p.hosts_shed,
-            "hosts_restored": p.hosts_restored,
-            "hosts_shed_now": self._n_shed,
-            "host_hours_shed": round(p.host_hours_shed, 3),
-            "excursion_minutes": round(p.excursion_minutes, 3),
-            "hosts_lost": p.hosts_lost,
-        }
+        census = self.plant.census()
+        census["hosts_shed_now"] = self._n_shed
+        census["host_hours_shed"] = round(census["host_hours_shed"], 3)
+        census["excursion_minutes"] = round(census["excursion_minutes"], 3)
+        return census
 
     def summary(self) -> Dict[str, Any]:
         mean_tent = self._tent_temp_sum / self._ticks if self._ticks else math.nan

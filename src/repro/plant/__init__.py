@@ -7,12 +7,15 @@ protective layer that reacts to them (intake-overtemp trips, staged load
 shedding, the emergency flap).
 
 - :mod:`repro.plant.faults` -- the fault grammar (:class:`PlantFaultPlan`)
-  and the physics constants of degraded airflow,
+  and the physics of degraded airflow (:func:`airflow_factors`),
 - :mod:`repro.plant.trip` -- :class:`ThermalTripPolicy`,
-- :mod:`repro.plant.fleet` -- :class:`FleetPlant`, the vectorized plane
-  for ``FleetScaleCampaign`` cohorts,
-- :mod:`repro.plant.controller` -- :class:`PlantController`, the scalar
-  plane for the 19-host paper campaign.
+- :mod:`repro.plant.fleet` -- :class:`FleetPlant`, the one plant state
+  machine, vectorized over pods.
+
+Two adapters carry its decisions out: batch mode's
+``FleetScaleCampaign`` over its cohort's pods, and
+:class:`~repro.plant.controller.PlantController`, which runs it as a
+one-pod, two-feed instance for the 19-host paper campaign.
 """
 
 from repro.plant.controller import PlantController

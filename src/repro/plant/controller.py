@@ -1,29 +1,24 @@
-"""Plant-fault controller for the 19-host paper campaign.
+"""The paper campaign's plant: a one-pod instance of :class:`FleetPlant`.
 
-The fleet-scale chaos plane (:class:`repro.plant.fleet.FleetPlant`) keeps
-thousands of pods as numpy vectors.  The paper campaign has exactly one
-tent pod and a basement control group, and its state must round-trip
-byte-identically through :class:`~repro.core.builder.CampaignCheckpoint`
--- so it gets this scalar controller instead,
-driven off its own ``"plant.tick"`` engine key right behind
-``"fleet.tick"``.
+The paper site is one tent pod on power feed 0 and a basement control
+group on feed 1.  :class:`PlantController` runs the one plant state
+machine (:class:`~repro.plant.fleet.FleetPlant`) with ``n_pods=1`` and
+two feeds, off its own ``"plant.tick"`` engine key right behind
+``"fleet.tick"``, and carries its decisions out on the campaign's
+objects -- the role ``FleetScaleCampaign`` plays for batch cohorts:
 
-The controller owns the same fault grammar and physics constants as the
-fleet plane:
+- the pod's fan and blockage levels become tent airflow through
+  :meth:`ActuatorBus.set_plant_degradation`;
+- a CRAC outage and its repair become
+  :meth:`BasementMachineRoom.fail_crac` / ``repair_crac``;
+- a feed drop powers the feed's host group down through the
+  :class:`~repro.control.actuators.ActuatorBus` until the repair;
+- a trip stage sheds the tent group (lowest host id first), and a
+  restore powers the shed hosts back up after the cool-down.
 
-- fan failure / intake blockage degrade the tent's envelope conductance
-  and ventilation (:meth:`ModifiableEnvelopeMixin.set_plant_airflow`),
-- CRAC outage lets the basement machine room drift toward outside air
-  (:meth:`BasementMachineRoom.fail_crac`),
-- heater loss accretes intake ice while it is freezing outside,
-- a power-feed drop powers down a whole host group (feed 0 = tent,
-  feed 1 = basement) until repair,
-
-and an optional :class:`~repro.plant.trip.ThermalTripPolicy` watches the
-tent intake: overtemperature trips shed the tent group in stages
-(lowest host id first), opening the emergency flap, and restore the
-hosts after a cool-down.  Every transition publishes a typed bus event
-and lands in the survival census.
+The emergency flap belongs to the actuator bus, because the thermostat
+controller commands it too: its position is copied into the core before
+each trip evaluation and any change is applied afterwards.
 
 With no plan and no policy the campaign never constructs a controller,
 so the seeded baseline records stay byte-identical.
@@ -32,51 +27,29 @@ so the seeded baseline records stay byte-identical.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+import numpy as np
 
 from repro.hardware.host import Host, HostState
-from repro.plant.faults import (
-    DAY_S,
-    ICE_ACCRETION_PER_H,
-    ICE_SEVERITY_CAP,
-    PlantFault,
-    PlantFaultKind,
-    PlantFaultPlan,
-    POD_SCOPED,
-)
+from repro.plant.faults import PlantFaultPlan
+from repro.plant.fleet import FleetPlant, core_state_from_scalar
 from repro.plant.trip import ThermalTripPolicy
-from repro.sim.events import (
-    EmergencyFlapClosed,
-    EmergencyFlapOpened,
-    HostFailed,
-    LoadRestored,
-    LoadShed,
-    PlantFaultInjected,
-    PlantFaultRepaired,
-    ThermalTrip,
-    ThermalTripCleared,
-)
-from repro.state.codec import decode_value, encode_value
-from repro.state.protocol import check_version
+from repro.sim.events import HostFailed, LoadRestored, LoadShed
+from repro.state.protocol import StateError, check_version
 
 if TYPE_CHECKING:
     from repro.control.actuators import ActuatorBus
 
 #: Power-feed domains of the paper site: feed 0 carries the tent pod,
 #: feed 1 the basement control group.
-FEED_GROUPS: Tuple[str, ...] = ("tent", "basement")
-
-_INACTIVE = -math.inf
-
-#: Default overtemperature threshold used for excursion accounting when
-#: no trip policy is armed (matches ThermalTripPolicy.trip_c).
-_EXCURSION_C = 45.0
+FEED_GROUPS = ("tent", "basement")
 
 
 class PlantController:
-    """Scalar chaos plane for the single-tent paper campaign."""
+    """The paper site's plant: one tent pod, two feeds."""
 
-    STATE_VERSION = 1
+    STATE_VERSION = 2
 
     def __init__(
         self,
@@ -97,51 +70,28 @@ class PlantController:
         # Physical actions route through the campaign's actuator bus; a
         # standalone controller (tests, ad-hoc harnesses) gets its own.
         self.actuators = actuators if actuators is not None else ActuatorBus(fleet)
-        self._start_s: Optional[float] = None
+        self.core = self._new_core(0.0)
         self._last_now: Optional[float] = None
         self._tick_handle = None
         self._restore_task_id: Optional[int] = None
-
-        # Active-fault runtime: repair deadline per channel (-inf = clear).
-        self.fan_until = _INACTIVE
-        self.fan_severity = 0.0
-        self.block_until = _INACTIVE
-        self.block_severity = 0.0
-        self.crac_until = _INACTIVE
-        self.heater_until = _INACTIVE
-        self.ice_severity = 0.0
-        self.feed_until: List[float] = [_INACTIVE] * len(FEED_GROUPS)
-
-        # Protective-trip runtime for the one tent pod.  The emergency
-        # flap itself lives on the actuator bus; see the property below.
-        self.tripped = False
-        self.stage = 0
-        self.stage_deadline = math.inf
-        self.restore_at = math.inf
-
+        self._intake = np.zeros(1)
         # Hosts we powered down, in shed order, per cause.
         self._shed_trip: List[int] = []
         self._shed_feed: List[List[int]] = [[] for _ in FEED_GROUPS]
-
-        # Fault-plan cursors.
-        self._next_fault = 0
-        self._storm_day = 0
-        self._pending: List[Tuple[float, PlantFault]] = []
-
-        # Survival census.
-        self.census: Dict[str, float] = {
-            "faults_injected": 0,
-            "faults_repaired": 0,
-            "trips": 0,
-            "trip_clears": 0,
-            "hosts_shed": 0,
-            "hosts_restored": 0,
-            "host_hours_shed": 0.0,
-            "excursion_minutes": 0.0,
-            "hosts_lost": 0,
-        }
         if self.bus is not None:
             self.bus.subscribe(HostFailed, self._on_host_failed)
+
+    def _new_core(self, start_s: float) -> FleetPlant:
+        return FleetPlant(
+            self.plan,
+            self.policy,
+            n_pods=1,
+            start_s=start_s,
+            bus=self.bus,
+            n_feeds=len(FEED_GROUPS),
+            on_feed_drop=self._drop_feed,
+            on_feed_restore=self._restore_feed,
+        )
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -157,7 +107,7 @@ class PlantController:
         """
         if self._tick_handle is not None:
             raise RuntimeError("plant controller already ticking")
-        self._start_s = start
+        self.core = self._new_core(float(start))
         self.register_keys(self.sim)
         self._tick_handle = self.sim.every_key(
             self.fleet.config.tick_interval_s,
@@ -179,284 +129,118 @@ class PlantController:
             self._restore_task_id = None
 
     # ------------------------------------------------------------------
-    # Census helpers
+    # What the rest of the campaign reads
     # ------------------------------------------------------------------
     @property
-    def incident_active(self) -> bool:
-        """Is any plant fault or protective action in force right now?"""
-        return (
-            self.fan_until != _INACTIVE
-            or self.block_until != _INACTIVE
-            or self.crac_until != _INACTIVE
-            or self.heater_until != _INACTIVE
-            or any(u != _INACTIVE for u in self.feed_until)
-            or self.tripped
-            or self.stage > 0
-            or bool(self._shed_trip)
-            or any(self._shed_feed[i] for i in range(len(FEED_GROUPS)))
-        )
+    def census(self) -> Dict[str, Any]:
+        return self.core.census()
 
-    def _on_host_failed(self, event: HostFailed) -> None:
-        if self.incident_active:
-            self.census["hosts_lost"] += 1
+    @property
+    def tripped(self) -> bool:
+        return bool(self.core.tripped[0])
 
-    def shed_host_count(self) -> int:
-        return len(self._shed_trip) + sum(len(ids) for ids in self._shed_feed)
+    @property
+    def crac_until(self) -> float:
+        return self.core.crac_until
 
     @property
     def flap_open(self) -> bool:
         """The emergency flap, delegated to the actuator bus."""
         return self.actuators.flap_open
 
+    def shed_host_count(self) -> int:
+        return len(self._shed_trip) + sum(map(len, self._shed_feed))
+
+    def _on_host_failed(self, event: HostFailed) -> None:
+        """A failure inside an incident -- a fault before its repair
+        deadline, a latched trip, or hosts shed -- counts as lost."""
+        now = self.sim.now
+        core = self.core
+        if (
+            self.shed_host_count()
+            or core.incident_pods(now)[0]
+            or (core.feed_until > now).any()
+        ):
+            core.hosts_lost += 1
+
     # ------------------------------------------------------------------
-    # The tick
+    # The tick: run the core, then carry out its decisions
     # ------------------------------------------------------------------
     def _tick(self) -> None:
         now = self.sim.now
         dt = 0.0 if self._last_now is None else now - self._last_now
-        if self._start_s is None:
-            self._start_s = now
-        self.census["host_hours_shed"] += self.shed_host_count() * dt / 3600.0
+        core = self.core
+        shed = self.shed_host_count()
+        if shed:
+            core.host_hours_shed += shed * dt / 3600.0
 
-        self._sample_storms(now)
-        self._activate_due(now)
-        self._expire(now)
-        self._accrete_ice(now, dt)
-        self._apply_airflow()
-        self._evaluate_trip(now, dt)
+        core.advance(now, dt, self.fleet.weather.sample(now).temp_c)
+        basement = self.fleet.basement
+        if core.crac_until > now:
+            if basement.crac_operational:
+                basement.fail_crac(now)
+        elif not basement.crac_operational:
+            basement.repair_crac(now)
+        actuators = self.actuators
+        fan, blockage = core.fan_level[0], core.block_level[0]
+        if fan != actuators.fan_severity or blockage != actuators.blockage:
+            actuators.set_plant_degradation(fan, blockage)
+
+        core.flap[0] = actuators.flap_open
+        self._intake[0] = self.fleet.tent.intake_temp_c
+        shed_stages, restore = core.evaluate(now, dt, self._intake)
+        flap = bool(core.flap[0])
+        if flap is not actuators.flap_open:
+            actuators.set_flap(flap, now)
+        for _pod, stage, fraction in shed_stages:
+            self._shed_to_stage(stage, fraction, now)
+        if restore:
+            self._restore_trip(now)
         self._last_now = now
 
-    # -- fault plan -----------------------------------------------------
-    def _storm_domains(self, kind: PlantFaultKind) -> range:
-        if kind is PlantFaultKind.FEED_DROP:
-            return range(len(FEED_GROUPS))
-        return range(1)
-
-    def _sample_storms(self, now: float) -> None:
-        if not self.plan.storms or self._start_s is None:
-            return
-        last_day = int((now - self._start_s) // DAY_S)
-        while self._storm_day <= last_day:
-            day = self._storm_day
-            for storm in self.plan.storms:
-                if day < storm.first_day:
-                    continue
-                if storm.last_day is not None and day > storm.last_day:
-                    continue
-                for domain in self._storm_domains(storm.kind):
-                    fault = storm.fault_for(domain, day)
-                    if fault is not None:
-                        self._pending.append(
-                            (self._start_s + fault.start_s, fault)
-                        )
-            self._storm_day += 1
-        self._pending.sort(
-            key=lambda item: (
-                item[0],
-                item[1].kind.value,
-                -1 if item[1].pod is None else item[1].pod,
-                -1 if item[1].feed is None else item[1].feed,
-            )
-        )
-
-    def _activate_due(self, now: float) -> None:
-        faults = self.plan.faults
-        while self._next_fault < len(faults):
-            fault = faults[self._next_fault]
-            start = (self._start_s or 0.0) + fault.start_s
-            if start > now:
-                break
-            self._next_fault += 1
-            self._activate(fault, start, now)
-        while self._pending and self._pending[0][0] <= now:
-            start, fault = self._pending.pop(0)
-            self._activate(fault, start, now)
-
-    def _activate(self, fault: PlantFault, start: float, now: float) -> None:
-        until = start + fault.repair_s
-        if until <= now:
-            return  # struck and repaired entirely within this tick
-        kind = fault.kind
-        if kind is PlantFaultKind.FAN_FAILURE:
-            self.fan_until = max(self.fan_until, until)
-            self.fan_severity = max(self.fan_severity, fault.severity)
-        elif kind is PlantFaultKind.INTAKE_BLOCKAGE:
-            self.block_until = max(self.block_until, until)
-            self.block_severity = max(self.block_severity, fault.severity)
-        elif kind is PlantFaultKind.CRAC_OUTAGE:
-            self.crac_until = max(self.crac_until, until)
-            self.fleet.basement.fail_crac(now)
-        elif kind is PlantFaultKind.HEATER_LOSS:
-            self.heater_until = max(self.heater_until, until)
-        elif kind is PlantFaultKind.FEED_DROP:
-            feed = fault.feed if fault.feed is not None else 0
-            if feed >= len(FEED_GROUPS):
-                return
-            fresh = self.feed_until[feed] == _INACTIVE
-            self.feed_until[feed] = max(self.feed_until[feed], until)
-            if fresh:
-                self._drop_feed(feed, now)
-        self.census["faults_injected"] += 1
-        if self.bus is not None:
-            domain = 0 if kind in POD_SCOPED else -1
-            if kind is PlantFaultKind.FEED_DROP:
-                domain = fault.feed if fault.feed is not None else 0
-            self.bus.publish(
-                PlantFaultInjected(
-                    time=now,
-                    kind=kind.value,
-                    domain=domain,
-                    severity=fault.severity,
-                    repair_s=until - start,
-                )
-            )
-
-    def _expire(self, now: float) -> None:
-        def repaired(kind: PlantFaultKind, domain: int = -1) -> None:
-            self.census["faults_repaired"] += 1
-            if self.bus is not None:
-                self.bus.publish(
-                    PlantFaultRepaired(time=now, kind=kind.value, domain=domain)
-                )
-
-        if self.fan_until != _INACTIVE and self.fan_until <= now:
-            self.fan_until = _INACTIVE
-            self.fan_severity = 0.0
-            repaired(PlantFaultKind.FAN_FAILURE, 0)
-        if self.block_until != _INACTIVE and self.block_until <= now:
-            self.block_until = _INACTIVE
-            self.block_severity = 0.0
-            repaired(PlantFaultKind.INTAKE_BLOCKAGE, 0)
-        if self.crac_until != _INACTIVE and self.crac_until <= now:
-            self.crac_until = _INACTIVE
-            self.fleet.basement.repair_crac(now)
-            repaired(PlantFaultKind.CRAC_OUTAGE)
-        if self.heater_until != _INACTIVE and self.heater_until <= now:
-            self.heater_until = _INACTIVE
-            self.ice_severity = 0.0
-            repaired(PlantFaultKind.HEATER_LOSS)
-        for feed in range(len(FEED_GROUPS)):
-            if self.feed_until[feed] != _INACTIVE and self.feed_until[feed] <= now:
-                self.feed_until[feed] = _INACTIVE
-                self._restore_feed(feed, now)
-                repaired(PlantFaultKind.FEED_DROP, feed)
-
-    def _accrete_ice(self, now: float, dt: float) -> None:
-        if self.heater_until == _INACTIVE or dt <= 0:
-            return
-        outside = self.fleet.weather.sample(now).temp_c
-        if outside < 0.0:
-            self.ice_severity = min(
-                ICE_SEVERITY_CAP, self.ice_severity + ICE_ACCRETION_PER_H * dt / 3600.0
-            )
-
-    def _apply_airflow(self) -> None:
-        blockage = max(self.block_severity, self.ice_severity)
-        self.actuators.set_plant_degradation(self.fan_severity, blockage)
-
-    # -- power feeds ----------------------------------------------------
     def _group_hosts(self, feed: int) -> List[Host]:
         return self.fleet.hosts_in_group(FEED_GROUPS[feed])
 
-    def _drop_feed(self, feed: int, now: float) -> None:
-        shed = self._shed_feed[feed]
+    def _drop_feed(self, feed: int) -> None:
+        now = self.sim.now
+        dropped = 0
         for host in self._group_hosts(feed):
             if host.state is HostState.RUNNING:
                 self.actuators.power_down(host, now, reason="feed drop")
-                shed.append(host.host_id)
-        if shed:
-            self.census["hosts_shed"] += len(shed)
+                self._shed_feed[feed].append(host.host_id)
+                dropped += 1
+        if dropped:
+            self.core.hosts_shed += dropped
             if self.bus is not None:
                 self.bus.publish(
-                    LoadShed(time=now, pod=feed, hosts=len(shed), stage=0, reason="feed")
+                    LoadShed(time=now, pod=feed, hosts=dropped, stage=0, reason="feed")
                 )
 
-    def _restore_feed(self, feed: int, now: float) -> None:
-        shed = self._shed_feed[feed]
+    def _power_up(self, host_ids: List[int], now: float) -> int:
         restored = 0
-        for host_id in shed:
+        for host_id in host_ids:
             host = self.fleet.host(host_id)
             if host.state is HostState.SHED:
                 self.actuators.power_up(host, now)
                 restored += 1
+        self.core.hosts_restored += restored
+        return restored
+
+    def _restore_feed(self, feed: int) -> None:
+        now = self.sim.now
+        restored = self._power_up(self._shed_feed[feed], now)
         self._shed_feed[feed] = []
-        if restored:
-            self.census["hosts_restored"] += restored
-            if self.bus is not None:
-                self.bus.publish(
-                    LoadRestored(time=now, pod=feed, hosts=restored, reason="feed")
-                )
+        if restored and self.bus is not None:
+            self.bus.publish(
+                LoadRestored(time=now, pod=feed, hosts=restored, reason="feed")
+            )
 
-    # -- protective trips ----------------------------------------------
-    def _evaluate_trip(self, now: float, dt: float) -> None:
-        intake = self.fleet.tent.intake_temp_c
-        trip_c = self.policy.trip_c if self.policy is not None else _EXCURSION_C
-        if intake >= trip_c and dt > 0:
-            self.census["excursion_minutes"] += dt / 60.0
-        if self.policy is None:
-            return
-        policy = self.policy
-        hot = intake >= policy.trip_c
-
-        if not self.tripped and hot:
-            self.tripped = True
-            self.stage = max(1, self.stage)
-            self.stage_deadline = now + policy.stage_hold_s
-            self.restore_at = math.inf
-            self.census["trips"] += 1
-            if self.bus is not None:
-                self.bus.publish(
-                    ThermalTrip(time=now, pod=0, intake_c=intake, stage=self.stage)
-                )
-            if policy.emergency_flap and not self.flap_open:
-                if self.bus is not None:
-                    self.bus.publish(EmergencyFlapOpened(time=now, pod=0))
-                self.actuators.set_flap(True, now)
-            self._shed_to_stage(now)
-        elif self.tripped and hot and self.stage_deadline <= now and self.stage < policy.max_stage:
-            self.stage += 1
-            self.stage_deadline = now + policy.stage_hold_s
-            if self.bus is not None:
-                self.bus.publish(
-                    ThermalTrip(time=now, pod=0, intake_c=intake, stage=self.stage)
-                )
-            self._shed_to_stage(now)
-        elif self.tripped and intake <= policy.clear_c:
-            self.tripped = False
-            self.stage_deadline = math.inf
-            self.restore_at = now + policy.cooldown_s
-            self.census["trip_clears"] += 1
-            if self.bus is not None:
-                self.bus.publish(ThermalTripCleared(time=now, pod=0, intake_c=intake))
-            if self.flap_open:
-                if self.bus is not None:
-                    self.bus.publish(EmergencyFlapClosed(time=now, pod=0))
-                self.actuators.set_flap(False, now)
-        elif not self.tripped and self.stage > 0 and self.restore_at <= now:
-            self.stage = 0
-            self.restore_at = math.inf
-            restored = 0
-            for host_id in self._shed_trip:
-                host = self.fleet.host(host_id)
-                if host.state is HostState.SHED:
-                    self.actuators.power_up(host, now)
-                    restored += 1
-            self._shed_trip = []
-            if restored:
-                self.census["hosts_restored"] += restored
-                if self.bus is not None:
-                    self.bus.publish(
-                        LoadRestored(time=now, pod=0, hosts=restored, reason="trip")
-                    )
-
-    def _shed_to_stage(self, now: float) -> None:
-        """Power hosts down until the stage's shed fraction is met."""
-        policy = self.policy
-        assert policy is not None
+    def _shed_to_stage(self, stage: int, fraction: float, now: float) -> None:
+        """Power tent hosts down until the stage's shed fraction is met."""
         group = sorted(self._group_hosts(0), key=lambda h: h.host_id)
         if not group:
             return
-        target = int(math.ceil(policy.stage_fraction(self.stage) * len(group)))
+        target = int(math.ceil(fraction * len(group)))
         shed_now = 0
         for host in group:
             if len(self._shed_trip) >= target:
@@ -466,13 +250,17 @@ class PlantController:
                 self._shed_trip.append(host.host_id)
                 shed_now += 1
         if shed_now:
-            self.census["hosts_shed"] += shed_now
+            self.core.hosts_shed += shed_now
             if self.bus is not None:
                 self.bus.publish(
-                    LoadShed(
-                        time=now, pod=0, hosts=shed_now, stage=self.stage, reason="trip"
-                    )
+                    LoadShed(time=now, pod=0, hosts=shed_now, stage=stage, reason="trip")
                 )
+
+    def _restore_trip(self, now: float) -> None:
+        restored = self._power_up(self._shed_trip, now)
+        self._shed_trip = []
+        if restored and self.bus is not None:
+            self.bus.publish(LoadRestored(time=now, pod=0, hosts=restored, reason="trip"))
 
     # ------------------------------------------------------------------
     # Snapshot protocol
@@ -480,60 +268,54 @@ class PlantController:
     def state_dict(self) -> Dict[str, Any]:
         return {
             "version": self.STATE_VERSION,
-            "start_s": self._start_s,
+            "start_s": self.core.start_s,
             "last_now": self._last_now,
             "tick_task_id": (
                 self._tick_handle.task_id if self._tick_handle is not None else None
             ),
-            "fan": [self.fan_until, self.fan_severity],
-            "block": [self.block_until, self.block_severity],
-            "crac_until": self.crac_until,
-            "heater": [self.heater_until, self.ice_severity],
-            "feed_until": list(self.feed_until),
-            "trip": {
-                "tripped": self.tripped,
-                "stage": self.stage,
-                "stage_deadline": self.stage_deadline,
-                "restore_at": self.restore_at,
-                "flap_open": self.flap_open,
-            },
             "shed_trip": list(self._shed_trip),
             "shed_feed": [list(ids) for ids in self._shed_feed],
-            "next_fault": self._next_fault,
-            "storm_day": self._storm_day,
-            "pending": [
-                [start, encode_value(fault)] for start, fault in self._pending
-            ],
-            "census": dict(self.census),
+            "core": self.core.state_dict(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("PlantController", state, self.STATE_VERSION)
-        self._start_s = state["start_s"]
-        self._last_now = state["last_now"]
-        self._restore_task_id = state.get("tick_task_id")
-        self.fan_until, self.fan_severity = (float(v) for v in state["fan"])
-        self.block_until, self.block_severity = (float(v) for v in state["block"])
-        self.crac_until = float(state["crac_until"])
-        self.heater_until, self.ice_severity = (float(v) for v in state["heater"])
-        self.feed_until = [float(v) for v in state["feed_until"]]
-        trip = state["trip"]
-        self.tripped = bool(trip["tripped"])
-        self.stage = int(trip["stage"])
-        self.stage_deadline = float(trip["stage_deadline"])
-        self.restore_at = float(trip["restore_at"])
-        # The flap lives on the bus; set the fields directly (the tent's
-        # airflow factors are restored by the fleet's own snapshot, so
-        # nothing should be re-applied here).
-        self.actuators.flap_open = bool(trip["flap_open"])
-        self.actuators.fan_severity = self.fan_severity
-        self.actuators.blockage = max(self.block_severity, self.ice_severity)
-        self._shed_trip = [int(v) for v in state["shed_trip"]]
-        self._shed_feed = [[int(v) for v in ids] for ids in state["shed_feed"]]
-        self._next_fault = int(state["next_fault"])
-        self._storm_day = int(state["storm_day"])
-        self._pending = [
-            (float(start), decode_value(encoded))
-            for start, encoded in state["pending"]
-        ]
-        self.census = dict(state["census"])
+        """Restore from a version-2 blob, or a version-1 one written by
+        the scalar plant that preceded the one-pod core.
+
+        A malformed blob raises :class:`StateError` and changes nothing.
+        """
+        try:
+            if state.get("version") == 1:
+                state = _upgrade_v1(state)
+            check_version("PlantController", state, self.STATE_VERSION)
+            core = self._new_core(float(state["start_s"]))
+            core.load_state_dict(state["core"])
+            last_now = state["last_now"]
+            last_now = None if last_now is None else float(last_now)
+            task_id = state["tick_task_id"]
+            task_id = None if task_id is None else int(task_id)
+            shed_trip = [int(v) for v in state["shed_trip"]]
+            shed_feed = [[int(v) for v in ids] for ids in state["shed_feed"]]
+            if len(shed_feed) != len(FEED_GROUPS):
+                raise ValueError(f"{len(shed_feed)} feed shed lists")
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+            raise StateError(f"PlantController: malformed state ({exc})") from None
+        self.core = core
+        self._last_now = last_now
+        self._restore_task_id = task_id
+        self._shed_trip = shed_trip
+        self._shed_feed = shed_feed
+
+
+def _upgrade_v1(state: Dict[str, Any]) -> Dict[str, Any]:
+    """A version-1 blob, written by the scalar plant that preceded the
+    one-pod core, in the version-2 layout."""
+    return {
+        "version": PlantController.STATE_VERSION,
+        "start_s": state["start_s"],
+        "last_now": state["last_now"],
+        "tick_task_id": state.get("tick_task_id"),
+        "shed_trip": state["shed_trip"],
+        "shed_feed": state["shed_feed"],
+        "core": core_state_from_scalar(state),
+    }

@@ -40,6 +40,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 DAY_S = 86_400.0
 
 #: Pods per power-feed group at fleet scale (correlated failure domain).
@@ -377,30 +379,23 @@ AIRFLOW_FLOOR = 0.05
 ICE_ACCRETION_PER_H = 0.08
 ICE_SEVERITY_CAP = 0.9
 
-#: CRAC outage: the machine room relaxes toward outside + approach
-#: with this first-order time constant.
-CRAC_TAU_S = 3600.0
-CRAC_OUTAGE_APPROACH_C = 16.0
 
+def airflow_factors(fan_severity, blockage_severity, flap_open):
+    """Compose ``(ua_factor, ach_factor)`` from a pod's airflow state.
 
-def airflow_factors(
-    fan_severity: float, blockage_severity: float, flap_open: bool
-) -> Tuple[float, float]:
-    """Compose (ua_factor, ach_factor) for one pod's airflow state.
-
-    Multiplicative composition with a floor: a dead fan behind a
-    blocked intake is worse than either alone, but never a perfect
-    seal.
+    Takes scalars or per-pod numpy arrays.  ``blockage_severity`` is the
+    worse of an intake blockage and accreted ice: both choke the same
+    intake, so they do not compound.  Fan and blockage losses multiply:
+    a dead fan behind a blocked intake is worse than either alone, but
+    never a perfect seal (:data:`AIRFLOW_FLOOR`).  An open emergency flap
+    multiplies in its gains.
     """
-    ua = 1.0
-    ach = 1.0
-    if fan_severity > 0.0:
-        ua *= 1.0 - FAN_UA_LOSS * fan_severity
-        ach *= 1.0 - FAN_ACH_LOSS * fan_severity
-    if blockage_severity > 0.0:
-        ua *= 1.0 - BLOCKAGE_UA_LOSS * blockage_severity
-        ach *= 1.0 - BLOCKAGE_ACH_LOSS * blockage_severity
-    if flap_open:
-        ua *= FLAP_UA_GAIN
-        ach *= FLAP_ACH_GAIN
-    return max(ua, AIRFLOW_FLOOR), max(ach, AIRFLOW_FLOOR)
+    ua = (1.0 - FAN_UA_LOSS * fan_severity) * (
+        1.0 - BLOCKAGE_UA_LOSS * blockage_severity
+    )
+    ach = (1.0 - FAN_ACH_LOSS * fan_severity) * (
+        1.0 - BLOCKAGE_ACH_LOSS * blockage_severity
+    )
+    ua = ua * np.where(flap_open, FLAP_UA_GAIN, 1.0)
+    ach = ach * np.where(flap_open, FLAP_ACH_GAIN, 1.0)
+    return np.maximum(ua, AIRFLOW_FLOOR), np.maximum(ach, AIRFLOW_FLOOR)

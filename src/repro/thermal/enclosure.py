@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.climate.generator import WeatherGenerator
 from repro.sim.clock import DAY
@@ -26,6 +26,29 @@ from repro.state.protocol import check_version
 from repro.thermal.heatbalance import LumpedThermalNode, MoistureNode
 
 _STATE_VERSION = 1
+
+#: CRAC outage: an unconditioned machine room relaxes first-order toward
+#: outside air plus this approach, with this time constant.
+CRAC_TAU_S = 3600.0
+CRAC_OUTAGE_APPROACH_C = 16.0
+
+
+def crac_drift(
+    temp_c: float, target_c: float, dt_s: float, recovering: bool, setpoint_c: float
+) -> Tuple[float, bool]:
+    """One step of a machine room whose CRAC is down or coming back.
+
+    The room relaxes first-order toward ``target_c`` (outside air plus
+    :data:`CRAC_OUTAGE_APPROACH_C` during an outage, the setpoint while
+    recovering).  A recovering room snaps onto ``setpoint_c`` once
+    within 0.05 degC.  Returns the new temperature and whether the room
+    is still recovering.
+    """
+    blend = 1.0 - math.exp(-dt_s / CRAC_TAU_S) if dt_s > 0 else 0.0
+    temp = temp_c + blend * (target_c - temp_c)
+    if recovering and abs(temp - setpoint_c) < 0.05:
+        return setpoint_c, False
+    return temp, recovering
 
 
 class Enclosure(abc.ABC):
@@ -206,11 +229,6 @@ class BasementMachineRoom(Enclosure):
     setpoint expression, byte-identical to the historical model.
     """
 
-    #: First-order time constant of the room's drift when the CRAC is out.
-    CRAC_TAU_S = 3600.0
-    #: Outside-air approach the unconditioned room settles toward.
-    CRAC_OUTAGE_APPROACH_C = 16.0
-
     def __init__(
         self,
         name: str,
@@ -248,18 +266,15 @@ class BasementMachineRoom(Enclosure):
     def _update(self, time: float, dt_s: float) -> None:
         phase = 2.0 * math.pi * (time % DAY) / DAY
         setpoint = self.setpoint_c + self.diurnal_wiggle_c * math.sin(phase)
-        if self._crac_failed or self._crac_recovering:
-            if self._crac_failed:
-                outside = self.weather.sample(time).temp_c
-                target = outside + self.CRAC_OUTAGE_APPROACH_C
-            else:
-                target = setpoint
-            blend = 1.0 - math.exp(-dt_s / self.CRAC_TAU_S) if dt_s > 0 else 0.0
-            temp = self.intake_temp_c + blend * (target - self.intake_temp_c)
-            if self._crac_recovering and abs(temp - setpoint) < 0.05:
-                self._crac_recovering = False
-                temp = setpoint
-            self.intake_temp_c = temp
+        if self._crac_failed:
+            target = self.weather.sample(time).temp_c + CRAC_OUTAGE_APPROACH_C
+            self.intake_temp_c, _ = crac_drift(
+                self.intake_temp_c, target, dt_s, False, setpoint
+            )
+        elif self._crac_recovering:
+            self.intake_temp_c, self._crac_recovering = crac_drift(
+                self.intake_temp_c, setpoint, dt_s, True, setpoint
+            )
         else:
             self.intake_temp_c = setpoint
         self.intake_rh_percent = self.setpoint_rh_percent + self.diurnal_wiggle_rh * math.sin(

@@ -12,7 +12,12 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.fleetscale import FleetScaleCampaign
-from repro.plant.faults import PlantFaultKind, PlantFaultPlan
+from repro.plant.faults import (
+    ICE_ACCRETION_PER_H,
+    ICE_SEVERITY_CAP,
+    PlantFaultPlan,
+    airflow_factors,
+)
 from repro.plant.fleet import FleetPlant
 from repro.plant.trip import ThermalTripPolicy
 from repro.sim import events as ev
@@ -196,3 +201,72 @@ class TestStateRoundtrip:
         state["version"] = 99
         with pytest.raises(Exception):
             FleetPlant(PlantFaultPlan(), None, 2, 0.0).load_state_dict(state)
+
+
+class TestHeaterLoss:
+    """Intake ice: grows only in sub-zero air, caps, chokes the intake
+    like a blockage (the worse of the two counts), clears at repair."""
+
+    HOUR = 3600.0
+
+    def _plant(self, plan="heater:loss@day0,repair=2d"):
+        plant = FleetPlant(PlantFaultPlan.parse(plan), None, n_pods=1, start_s=0.0)
+        plant.advance(0.0, 0.0, -5.0)  # the heater fails
+        return plant
+
+    def test_ice_accretes_only_below_freezing(self):
+        plant = self._plant()
+        for hour in (1, 2, 3):
+            plant.advance(hour * self.HOUR, self.HOUR, -5.0)
+        assert plant.ice_severity == pytest.approx(3 * ICE_ACCRETION_PER_H)
+        grown = plant.ice_severity
+        plant.advance(4 * self.HOUR, self.HOUR, 2.0)
+        plant.advance(5 * self.HOUR, self.HOUR, 0.0)
+        assert plant.ice_severity == grown
+
+    def test_ice_is_capped(self):
+        plant = self._plant()
+        for hour in range(1, 25):
+            plant.advance(hour * self.HOUR, self.HOUR, -5.0)
+        assert plant.ice_severity == ICE_SEVERITY_CAP
+
+    def test_ice_clears_at_repair(self):
+        plant = self._plant()
+        plant.advance(self.HOUR, self.HOUR, -5.0)
+        assert plant.ice_severity > 0.0 and plant.degraded
+        plant.advance(2 * 86_400.0, self.HOUR, -5.0)
+        assert plant.ice_severity == 0.0
+        assert not plant.degraded
+
+    def test_ice_and_blockage_compose_alike_on_both_paths(self):
+        plant = self._plant(
+            "heater:loss@day0,repair=2d; intake:blockage@day0,repair=2d,severity=1.0"
+        )
+        for hour in range(1, 25):
+            plant.advance(hour * self.HOUR, self.HOUR, -5.0)
+        assert plant.ice_severity == ICE_SEVERITY_CAP
+        # A full blockage under 0.9 ice is a full blockage, not worse.
+        assert plant.ua_factor[0] == airflow_factors(0.0, 1.0, False)[0] == 0.5
+
+        # The faithful path: the tent's factors come from the same call.
+        import datetime as dt
+
+        from repro.core.builder import CampaignBuilder
+
+        campaign = (
+            CampaignBuilder(ExperimentConfig(seed=7))
+            .with_plant_faults(
+                PlantFaultPlan.parse(
+                    "heater:loss@day0,repair=3d;"
+                    "intake:blockage@day0,repair=3d,severity=0.5"
+                )
+            )
+            .build()
+        )
+        campaign.run(until=dt.datetime(2010, 2, 20, 12, 0))
+        core = campaign.plant.core
+        assert core.ice_severity == ICE_SEVERITY_CAP  # a Finnish February night
+        expected = airflow_factors(0.0, ICE_SEVERITY_CAP, False)
+        tent = campaign.fleet.tent
+        assert (tent.plant_ua_factor, tent.plant_ach_factor) == expected
+        assert (core.ua_factor[0], core.ach_factor[0]) == expected
