@@ -15,13 +15,20 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.climate.generator import WeatherGenerator
+from repro.climate.psychro import relative_humidity_from_dewpoint
 from repro.sim.clock import MINUTE
-from repro.sim.engine import PeriodicTask, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.state.codec import pack_floats, unpack_floats
-from repro.state.protocol import check_version
+from repro.state.protocol import check_version, parsing
 
-_STATE_VERSION = 1
+#: Version 2 stores the next observation time; version 1 (a
+#: ``station.observe`` periodic task) is upgraded by
+#: :mod:`repro.core.legacy`.
+_STATE_VERSION = 2
+
+#: The reading columns, in :class:`StationReading` field order.
+_COLUMNS = ("time", "temp_c", "rh_percent", "wind_ms", "solar_wm2")
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,14 @@ class StationReading:
 class WeatherStation:
     """Periodic sampler of a :class:`WeatherGenerator` with instrument error.
 
+    The atmosphere is a pure function of time and the instrument error
+    has its own stream, so an attached station schedules nothing: the
+    observations due by the simulator's current time are taken in one
+    vectorised batch whenever something reads them (:attr:`readings`,
+    the accessors, :meth:`state_dict`).  A batch draws four normals per
+    observation in one call, which leaves the ``station.noise`` stream
+    exactly where per-observation draws would.
+
     Parameters
     ----------
     weather:
@@ -51,6 +66,11 @@ class WeatherStation:
     period_s:
         Sampling cadence; the paper's outside series is ~10-minute data.
     """
+
+    #: 1-sigma error of the wind reading (m/s) and relative error of the
+    #: solar reading.
+    WIND_ERROR_STD_MS = 0.1
+    SOLAR_ERROR_FRACTION = 0.02
 
     def __init__(
         self,
@@ -68,101 +88,142 @@ class WeatherStation:
         self.period_s = period_s
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("station.noise")
-        self.readings: List[StationReading] = []
-        self._handle: Optional[PeriodicTask] = None
+        # Stored readings, as columns; reading objects are built on demand.
+        self._columns: Dict[str, List[float]] = {name: [] for name in _COLUMNS}
+        self._readings: List[StationReading] = []
         self._sim: Optional[Simulator] = None
-        self._restore_task_id: Optional[int] = None
+        #: Next observation time while attached.
+        self._next: Optional[float] = None
 
     def __repr__(self) -> str:
-        return f"WeatherStation(period={self.period_s:.0f}s, readings={len(self.readings)})"
+        stored = len(self._columns["time"])
+        return f"WeatherStation(period={self.period_s:.0f}s, readings={stored})"
 
     def observe(self, time: float) -> StationReading:
-        """Take one reading at ``time`` and append it to :attr:`readings`."""
+        """Take one reading at ``time`` now and append it to :attr:`readings`."""
+        self.flush()
         truth = self.weather.sample(time)
-        reading = StationReading(
-            time=time,
-            temp_c=truth.temp_c + self._rng.normal(0.0, self.temp_error_std_c),
-            rh_percent=min(
-                max(truth.rh_percent + self._rng.normal(0.0, self.rh_error_std), 0.0), 100.0
-            ),
-            wind_ms=max(0.0, truth.wind_ms + self._rng.normal(0.0, 0.1)),
-            solar_wm2=max(0.0, truth.solar_wm2 * (1.0 + self._rng.normal(0.0, 0.02))),
+        rng = self._rng
+        temp = truth.temp_c + rng.normal(0.0, self.temp_error_std_c)
+        rh = min(max(truth.rh_percent + rng.normal(0.0, self.rh_error_std), 0.0), 100.0)
+        wind = max(0.0, truth.wind_ms + rng.normal(0.0, self.WIND_ERROR_STD_MS))
+        solar = max(
+            0.0, truth.solar_wm2 * (1.0 + rng.normal(0.0, self.SOLAR_ERROR_FRACTION))
         )
-        self.readings.append(reading)
-        return reading
+        self._store([time], [temp], [rh], [wind], [solar])
+        return self.readings[-1]
 
     def attach(self, sim: Simulator, start: Optional[float] = None) -> None:
         """Start periodic observation on ``sim`` (first sample at ``start``)."""
-        if self._handle is not None:
+        if self._next is not None:
             raise RuntimeError("station already attached to a simulator")
-        first = sim.now if start is None else start
-        self.register_keys(sim)
-        self._handle = sim.every_key(
-            self.period_s, "station.observe", start=first, label="weather-station"
-        )
+        self._sim = sim
+        self._next = sim.now if start is None else start
 
     def detach(self) -> None:
         """Stop periodic observation."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        self.flush()
+        self._next = None
+
+    def flush(self) -> None:
+        """Take every observation due by the simulator's current time."""
+        if self._next is None or self._next > self._sim.now:
+            return
+        now = self._sim.now
+        times = []
+        t = self._next
+        while t <= now:
+            times.append(t)
+            t = t + self.period_s
+        self._next = t
+        grid = np.array(times)
+        weather = self.weather
+        temp = weather.temperature(grid)
+        rh = relative_humidity_from_dewpoint(temp, weather.dewpoint(grid))
+        # Per observation, normal(0, sigma) for temperature, RH, wind and
+        # solar in that order: numpy computes each as 0.0 + sigma * z.
+        sigma = np.array(
+            [
+                self.temp_error_std_c,
+                self.rh_error_std,
+                self.WIND_ERROR_STD_MS,
+                self.SOLAR_ERROR_FRACTION,
+            ]
+        )
+        noise = 0.0 + self._rng.standard_normal((len(times), 4)) * sigma
+        # The comparisons mirror ``min``/``max`` of the scalar path.
+        rh = rh + noise[:, 1]
+        rh = np.where(rh < 0.0, 0.0, rh)
+        rh = np.where(rh > 100.0, 100.0, rh)
+        wind = weather.wind_speed(grid) + noise[:, 2]
+        solar = weather.solar_irradiance(grid) * (1.0 + noise[:, 3])
+        self._store(
+            times,
+            (temp + noise[:, 0]).tolist(),
+            rh.tolist(),
+            np.where(wind > 0.0, wind, 0.0).tolist(),
+            np.where(solar > 0.0, solar, 0.0).tolist(),
+        )
+
+    def _store(self, *columns: List[float]) -> None:
+        for name, values in zip(_COLUMNS, columns):
+            self._columns[name] += values
 
     # ------------------------------------------------------------------
     # Snapshot protocol
     # ------------------------------------------------------------------
-    def register_keys(self, sim: Simulator) -> None:
-        """Bind this station's engine registry key on ``sim``."""
-        self._sim = sim
-        sim.register("station.observe", self._observe_now)
-
-    def _observe_now(self) -> None:
-        self.observe(self._sim.now)
-
     def state_dict(self) -> Dict[str, Any]:
+        self.flush()
         return {
             "version": _STATE_VERSION,
-            "task_id": self._handle.task_id if self._handle is not None else None,
-            "readings": {
-                "time": pack_floats([r.time for r in self.readings]),
-                "temp_c": pack_floats([r.temp_c for r in self.readings]),
-                "rh_percent": pack_floats([r.rh_percent for r in self.readings]),
-                "wind_ms": pack_floats([r.wind_ms for r in self.readings]),
-                "solar_wm2": pack_floats([r.solar_wm2 for r in self.readings]),
-            },
+            "next": self._next,
+            "readings": {name: pack_floats(self._columns[name]) for name in _COLUMNS},
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("station", state, _STATE_VERSION)
-        readings = state["readings"]
-        self.readings = [
-            StationReading(time=t, temp_c=c, rh_percent=rh, wind_ms=w, solar_wm2=s)
-            for t, c, rh, w, s in zip(
-                unpack_floats(readings["time"]),
-                unpack_floats(readings["temp_c"]),
-                unpack_floats(readings["rh_percent"]),
-                unpack_floats(readings["wind_ms"]),
-                unpack_floats(readings["solar_wm2"]),
-            )
-        ]
-        self._restore_task_id = state["task_id"]
+        """Restore; a malformed blob raises :class:`StateError` and changes
+        nothing.  :meth:`rebind` links the restored simulator."""
+        with parsing("station"):
+            check_version("station", state, _STATE_VERSION)
+            readings = state["readings"]
+            columns = {name: unpack_floats(readings[name]) for name in _COLUMNS}
+            if len({len(values) for values in columns.values()}) != 1:
+                raise ValueError("reading columns differ in length")
+            next_time = state["next"]
+            next_time = None if next_time is None else float(next_time)
+        self._columns = columns
+        self._readings = []
+        self._next = next_time
 
     def rebind(self, sim: Simulator) -> None:
-        """Re-link the periodic task after the engine's state is loaded."""
-        if self._restore_task_id is not None:
-            self._handle = sim.periodic_task(int(self._restore_task_id))
-            self._restore_task_id = None
+        """Observe on the restored engine's clock."""
+        self._sim = sim
 
     # ------------------------------------------------------------------
     # Analysis accessors
     # ------------------------------------------------------------------
+    @property
+    def readings(self) -> List[StationReading]:
+        """Every observation due so far, oldest first (built on first read)."""
+        self.flush()
+        built = len(self._readings)
+        if built < len(self._columns["time"]):
+            self._readings += map(
+                StationReading, *(self._columns[name][built:] for name in _COLUMNS)
+            )
+        return self._readings
+
     def times(self) -> np.ndarray:
         """Observation times as an array."""
-        return np.array([r.time for r in self.readings])
+        self.flush()
+        return np.array(self._columns["time"])
 
     def temperatures(self) -> np.ndarray:
         """Observed temperatures as an array."""
-        return np.array([r.temp_c for r in self.readings])
+        self.flush()
+        return np.array(self._columns["temp_c"])
 
     def humidities(self) -> np.ndarray:
         """Observed relative humidities as an array."""
-        return np.array([r.rh_percent for r in self.readings])
+        self.flush()
+        return np.array(self._columns["rh_percent"])

@@ -37,6 +37,7 @@ from repro.control.controllers import (
 from repro.control.plane import ControlPlane
 from repro.core.config import ExperimentConfig
 from repro.core.deployment import Fleet
+from repro.core.legacy import upgrade_event_sources
 from repro.core.protocol import OperatorPolicy
 from repro.core.results import ExperimentResults, PrototypeResult, take_snapshot
 from repro.hardware.faults import FaultLog
@@ -472,7 +473,9 @@ class Campaign:
         self.control.schedule_wakes(end)
 
         if self.enabled("lascar"):
-            self.sim.schedule_at_key(test_start, "campaign.lascar_attach", label="lascar")
+            self.sim.schedule_at_key(
+                test_start, "campaign.lascar_attach", label="lascar-attach"
+            )
             trip = self.lascar.arrival_time + self.config.logger_download_interval_days * DAY
             while trip < end:
                 self.lascar.schedule_download_trip(
@@ -570,6 +573,10 @@ class Campaign:
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """One versioned state blob per stateful layer, keyed by name."""
+        # The samplers draw their pending instrument error first, so the
+        # RNG positions below already include it.
+        self.station.flush()
+        self.lascar.flush()
         state = {
             "engine": self.sim.state_dict(),
             "rng": self.streams.state_dict(),
@@ -644,11 +651,15 @@ class Campaign:
            monitoring topology is re-cabled by switch name;
         3. load every other component (plain data);
         4. load the engine, which *replaces* the queue wholesale --
-           wiping whatever construction scheduled -- and validates that
-           every queued key is registered;
+           wiping whatever construction scheduled, quiet steps included
+           -- and validates that every queued key is registered;
         5. load the RNG streams last, so construction draws cannot
            perturb the restored stream positions;
-        6. rebind periodic-task handles to the restored queue.
+        6. rebind periodic-task handles to the restored queue, and queue
+           the samplers' and archivers' quiet steps again.
+
+        A checkpoint written while the samplers and archivers still
+        queued events is upgraded first (:mod:`repro.core.legacy`).
         """
         from repro.runner.records import config_digest
 
@@ -684,7 +695,7 @@ class Campaign:
         campaign.prototype_result = checkpoint.decode_meta("prototype_result")
         campaign._snapshot = checkpoint.decode_meta("snapshot")
 
-        components = checkpoint.components
+        components = upgrade_event_sources(checkpoint.components)
         campaign.fleet.load_state_dict(components["fleet"])
         switches = {s.name: s for s in campaign.fleet._all_switches()}
         for host_id, names in components["monitoring"].get("topology", {}).items():
@@ -722,8 +733,6 @@ class Campaign:
         # Instruments normally bind their keys in attach(); a restored
         # campaign is already past its attach events, so bind them all
         # up front -- the engine's load validates every queued key.
-        campaign.station.register_keys(campaign.sim)
-        campaign.lascar.register_keys(campaign.sim)
         campaign.powermeter.register_keys(campaign.sim)
         campaign.webcam.register_keys(campaign.sim)
         campaign.monitoring.register_keys(campaign.sim)

@@ -322,7 +322,7 @@ class Fleet:
     # Snapshot protocol
     # ------------------------------------------------------------------
     def register_keys(self, sim: Simulator) -> None:
-        """Bind the fleet's tick key on ``sim`` (archivers bind their own)."""
+        """Bind the fleet's tick key on ``sim`` (archivers run as quiet steps)."""
         sim.register("fleet.tick", self._tick)
 
     def _all_switches(self) -> List[NetworkSwitch]:
@@ -421,7 +421,8 @@ class Fleet:
         self._restore_task_id = state["tick_task_id"]
 
     def rebind(self, sim: Simulator) -> None:
-        """Re-link tick and archiver sleeps after the engine's state loads."""
+        """Re-link the tick and queue the archivers' pending steps again
+        after the engine's state loads."""
         if self._restore_task_id is not None:
             self._tick_handle = sim.periodic_task(int(self._restore_task_id))
             self._restore_task_id = None

@@ -20,14 +20,17 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.sim.clock import MINUTE
-from repro.sim.engine import PeriodicTask, Simulator
+from repro.sim.clock import DAY, MINUTE
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.state.codec import pack_floats, unpack_floats
-from repro.state.protocol import check_version
+from repro.state.protocol import check_version, parsing
 from repro.thermal.enclosure import Enclosure
 
-_STATE_VERSION = 1
+#: Version 2 stores the position of the next sample's quiet step; version
+#: 1 (a ``lascar.sample`` periodic task) is upgraded by
+#: :mod:`repro.core.legacy`.
+_STATE_VERSION = 2
 
 #: Indoor office conditions the logger sees while being downloaded.
 _INDOOR_TEMP_C = 21.5
@@ -64,8 +67,26 @@ def _quantize(value: float, step: float) -> float:
     return round(value / step) * step
 
 
+def _quantize_array(values: np.ndarray, step: float) -> np.ndarray:
+    """:func:`_quantize` elementwise: ``rint`` rounds half to even like
+    ``round``, and ``+ 0.0`` turns its ``-0.0`` into ``round``'s ``0.0``."""
+    return np.rint(values / step) * step + 0.0
+
+
 class LascarDataLogger:
     """EL-USB-2-LCD model: periodic sampling with error, resolution, removals.
+
+    Attached to a simulator, the logger takes each sample as an engine
+    quiet step (:meth:`Simulator.schedule_quiet`), so it reads the
+    enclosure's intake exactly where a per-minute event would have: at
+    an instant it shares with a thermal advance, it reads the intake
+    after the advance only if the advance's event was queued first.  A
+    quiet step only records the intake pair; the
+    instrument error is drawn in batches of at least a simulated day, or
+    sooner when something reads the samples (:attr:`readings`, the
+    accessors, :meth:`state_dict`).  A batch is one ``normal`` draw of
+    two values per sample, which leaves the ``lascar.noise`` stream
+    exactly where per-sample draws would.
 
     Parameters
     ----------
@@ -102,15 +123,23 @@ class LascarDataLogger:
         self.rh_error_std = rh_error_std
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("lascar.noise")
-        self.readings: List[LoggerReading] = []
         self.removal_episodes: List[RemovalEpisode] = []
-        self._handle: Optional[PeriodicTask] = None
+        # Stored readings, as columns; reading objects are built on demand.
+        self._times: List[float] = []
+        self._temps: List[float] = []
+        self._rhs: List[float] = []
+        self._readings: List[LoggerReading] = []
+        # Samples taken but not yet drawn: time and true intake pair.
+        self._pending: List[float] = []
+        self._batch = max(1, int(DAY // period_s))
         self._sim: Optional[Simulator] = None
-        self._restore_task_id: Optional[int] = None
+        #: The next sample's quiet step while attached.
+        self._next: Optional[list] = None
+        self._restore_next: Optional[List[float]] = None
 
     def __repr__(self) -> str:
         return (
-            f"LascarDataLogger(readings={len(self.readings)}, "
+            f"LascarDataLogger(readings={len(self._times) + len(self._pending) // 3}, "
             f"removals={len(self.removal_episodes)})"
         )
 
@@ -121,9 +150,10 @@ class LascarDataLogger:
         return any(ep.covers(time) for ep in self.removal_episodes)
 
     def sample(self, time: float) -> Optional[LoggerReading]:
-        """Record one sample at ``time``; ``None`` before the unit arrived."""
+        """Record one sample at ``time`` now; ``None`` before the unit arrived."""
         if time < self.arrival_time:
             return None
+        self.flush()
         if self._indoors(time):
             true_temp, true_rh = _INDOOR_TEMP_C, _INDOOR_RH_PERCENT
         else:
@@ -133,45 +163,73 @@ class LascarDataLogger:
             true_temp + self._rng.normal(0.0, self.temp_error_std_c), self.TEMP_RESOLUTION_C
         )
         rh = _quantize(true_rh + self._rng.normal(0.0, self.rh_error_std), self.RH_RESOLUTION)
-        reading = LoggerReading(time=time, temp_c=temp, rh_percent=min(max(rh, 0.0), 100.0))
-        self.readings.append(reading)
-        return reading
+        self._store([time], [temp], [min(max(rh, 0.0), 100.0)])
+        return self.readings[-1]
 
     def attach(self, sim: Simulator) -> None:
         """Start periodic sampling (first sample at ``arrival_time``)."""
-        if self._handle is not None:
+        if self._next is not None:
             raise RuntimeError("logger already attached")
-        start = max(sim.now, self.arrival_time)
-        self.register_keys(sim)
-        self._handle = sim.every_key(
-            self.period_s, "lascar.sample", start=start, label="lascar"
-        )
+        self._sim = sim
+        self._next = sim.schedule_quiet(max(sim.now, self.arrival_time), self._take)
 
     def detach(self) -> None:
         """Stop sampling."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        if self._next is not None:
+            self._next[3] = None
+            self._next = None
+
+    def _take(self) -> None:
+        """One periodic sample: keep the intake pair, draw later."""
+        now = self._sim.now
+        if now >= self.arrival_time:
+            enclosure = self.enclosure
+            self._pending += (now, enclosure.intake_temp_c, enclosure.intake_rh_percent)
+            if len(self._pending) >= 3 * self._batch:
+                self.flush()
+        self._next = self._sim.schedule_quiet(now + self.period_s, self._take)
+
+    def flush(self) -> None:
+        """Draw the instrument error of every sample taken so far."""
+        if not self._pending:
+            return
+        taken = np.array(self._pending).reshape(-1, 3)
+        self._pending = []
+        times = taken[:, 0]
+        temps = taken[:, 1]
+        rhs = taken[:, 2]
+        for episode in self.removal_episodes:
+            indoors = (times >= episode.start) & (times < episode.end)
+            temps[indoors] = _INDOOR_TEMP_C
+            rhs[indoors] = _INDOOR_RH_PERCENT
+        # Per sample, normal(0, sigma) for the temperature then the RH:
+        # numpy computes each as 0.0 + sigma * z.
+        z = self._rng.standard_normal(2 * len(times))
+        temps = _quantize_array(
+            temps + (0.0 + self.temp_error_std_c * z[0::2]), self.TEMP_RESOLUTION_C
+        )
+        rhs = _quantize_array(rhs + (0.0 + self.rh_error_std * z[1::2]), self.RH_RESOLUTION)
+        rhs = np.where(rhs < 0.0, 0.0, rhs)
+        rhs = np.where(rhs > 100.0, 100.0, rhs)
+        self._store(times.tolist(), temps.tolist(), rhs.tolist())
+
+    def _store(self, times: List[float], temps: List[float], rhs: List[float]) -> None:
+        self._times += times
+        self._temps += temps
+        self._rhs += rhs
 
     # ------------------------------------------------------------------
     # Snapshot protocol
     # ------------------------------------------------------------------
-    def register_keys(self, sim: Simulator) -> None:
-        """Bind this logger's engine registry key on ``sim``."""
-        self._sim = sim
-        sim.register("lascar.sample", self._sample_now)
-
-    def _sample_now(self) -> None:
-        self.sample(self._sim.now)
-
     def state_dict(self) -> Dict[str, Any]:
+        self.flush()
         return {
             "version": _STATE_VERSION,
-            "task_id": self._handle.task_id if self._handle is not None else None,
+            "next": self._restore_next if self._next is None else self._next[:3],
             "readings": {
-                "time": pack_floats([r.time for r in self.readings]),
-                "temp_c": pack_floats([r.temp_c for r in self.readings]),
-                "rh_percent": pack_floats([r.rh_percent for r in self.readings]),
+                "time": pack_floats(self._times),
+                "temp_c": pack_floats(self._temps),
+                "rh_percent": pack_floats(self._rhs),
             },
             "removal_episodes": [
                 [ep.start, ep.end] for ep in self.removal_episodes
@@ -179,27 +237,38 @@ class LascarDataLogger:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("lascar", state, _STATE_VERSION)
-        readings = state["readings"]
-        self.readings = [
-            LoggerReading(time=t, temp_c=c, rh_percent=rh)
-            for t, c, rh in zip(
-                unpack_floats(readings["time"]),
-                unpack_floats(readings["temp_c"]),
-                unpack_floats(readings["rh_percent"]),
-            )
-        ]
-        self.removal_episodes = [
-            RemovalEpisode(start=float(s), end=float(e))
-            for s, e in state["removal_episodes"]
-        ]
-        self._restore_task_id = state["task_id"]
+        """Restore; a malformed blob raises :class:`StateError` and changes
+        nothing.  The next sample is queued again by :meth:`rebind`."""
+        with parsing("lascar"):
+            check_version("lascar", state, _STATE_VERSION)
+            readings = state["readings"]
+            times = unpack_floats(readings["time"])
+            temps = unpack_floats(readings["temp_c"])
+            rhs = unpack_floats(readings["rh_percent"])
+            if not len(times) == len(temps) == len(rhs):
+                raise ValueError("reading columns differ in length")
+            episodes = [
+                RemovalEpisode(start=float(start), end=float(end))
+                for start, end in state["removal_episodes"]
+            ]
+            pending = state["next"]
+            if pending is not None:
+                time, seq, tie = pending
+                pending = [float(time), int(seq), int(tie)]
+        self.detach()
+        self._times, self._temps, self._rhs, self._readings = [], [], [], []
+        self._pending = []
+        self._store(times, temps, rhs)
+        self.removal_episodes = episodes
+        self._restore_next = pending
 
     def rebind(self, sim: Simulator) -> None:
-        """Re-link the periodic task after the engine's state is loaded."""
-        if self._restore_task_id is not None:
-            self._handle = sim.periodic_task(int(self._restore_task_id))
-            self._restore_task_id = None
+        """Queue the restored next sample on the restored engine."""
+        self._sim = sim
+        pending, self._restore_next = self._restore_next, None
+        if pending is not None:
+            time, seq, tie = pending
+            self._next = sim.schedule_quiet(time, self._take, position=(seq, tie))
 
     # ------------------------------------------------------------------
     # Download trips
@@ -209,7 +278,9 @@ class LascarDataLogger:
 
         During the episode the logger keeps sampling -- but it samples the
         office, not the tent.  Those are the outliers the paper removed.
+        Samples already taken keep the episodes they were taken under.
         """
+        self.flush()
         episode = RemovalEpisode(start=start, end=start + duration_s)
         self.removal_episodes.append(episode)
         return episode
@@ -217,17 +288,34 @@ class LascarDataLogger:
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
+    @property
+    def readings(self) -> List[LoggerReading]:
+        """Every stored sample, oldest first (built on first read)."""
+        self.flush()
+        built = len(self._readings)
+        if built < len(self._times):
+            self._readings += map(
+                LoggerReading,
+                self._times[built:],
+                self._temps[built:],
+                self._rhs[built:],
+            )
+        return self._readings
+
     def times(self) -> np.ndarray:
         """Sample times as an array."""
-        return np.array([r.time for r in self.readings])
+        self.flush()
+        return np.array(self._times)
 
     def temperatures(self) -> np.ndarray:
         """Logged temperatures as an array."""
-        return np.array([r.temp_c for r in self.readings])
+        self.flush()
+        return np.array(self._temps)
 
     def humidities(self) -> np.ndarray:
         """Logged relative humidities as an array."""
-        return np.array([r.rh_percent for r in self.readings])
+        self.flush()
+        return np.array(self._rhs)
 
     def readings_during_removals(self) -> List[LoggerReading]:
         """Samples taken while the logger sat indoors (ground truth for tests)."""

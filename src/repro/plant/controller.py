@@ -36,7 +36,7 @@ from repro.plant.faults import PlantFaultPlan
 from repro.plant.fleet import FleetPlant, core_state_from_scalar
 from repro.plant.trip import ThermalTripPolicy
 from repro.sim.events import HostFailed, LoadRestored, LoadShed
-from repro.state.protocol import StateError, check_version
+from repro.state.protocol import check_version, parsing
 
 if TYPE_CHECKING:
     from repro.control.actuators import ActuatorBus
@@ -284,7 +284,7 @@ class PlantController:
 
         A malformed blob raises :class:`StateError` and changes nothing.
         """
-        try:
+        with parsing("PlantController"):
             if state.get("version") == 1:
                 state = _upgrade_v1(state)
             check_version("PlantController", state, self.STATE_VERSION)
@@ -298,8 +298,6 @@ class PlantController:
             shed_feed = [[int(v) for v in ids] for ids in state["shed_feed"]]
             if len(shed_feed) != len(FEED_GROUPS):
                 raise ValueError(f"{len(shed_feed)} feed shed lists")
-        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
-            raise StateError(f"PlantController: malformed state ({exc})") from None
         self.core = core
         self._last_now = last_now
         self._restore_task_id = task_id

@@ -26,6 +26,22 @@ a fresh simulator whose registry has been populated the same way.
 Closure-scheduled events still work for ad-hoc use; they simply make
 ``state_dict`` raise.
 
+Quiet steps
+-----------
+Work that only its owner can observe -- an archiver's cycle phases, a
+logger's samples -- does not need to be an event.  :meth:`schedule_quiet`
+queues ``fn()`` on a second, lighter heap: no handle, no label, no
+tracing, no ``events_fired`` count, and no place in :meth:`state_dict`
+(the owner stores the step's position and re-queues it on restore).  A
+quiet step runs exactly where an event scheduled at the same moment
+would have fired: it carries the engine's ``seq`` counter from when it
+was queued, and runs before an event at ``(time, seq)`` iff its own
+``(time, seq)`` is not later -- events queued after it share or exceed
+that counter.  Every quiet step ordered before an event runs as the
+event fires, just before its callback and inside its trace span, and
+:meth:`run_until` runs those up to its end, so any reader, inside an
+event or between runs, sees them settled.
+
 Heap entries are ``(time, seq, handle)`` tuples, so :mod:`heapq` orders
 them with C tuple comparison; ``seq`` is unique, so the handle itself is
 never compared.  Cancellation is lazy (tombstones drain when they
@@ -51,6 +67,9 @@ _COMPACT_MIN_QUEUE = 8
 
 #: Engine state-dict layout version.
 _STATE_VERSION = 1
+
+#: A ``seq`` no event reaches: quiet steps at the horizon run first.
+_AFTER_ALL = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -166,13 +185,17 @@ class Simulator:
         }
         self._periodic: Dict[int, Dict[str, Any]] = {}
         self._periodic_next = 0
+        #: Quiet steps, ``[time, seq, tie, fn]`` (see :meth:`schedule_quiet`).
+        self._quiet: List[list] = []
+        self._quiet_ties = 0
         #: Optional trace hook ``(time, label)`` called before each event
         #: fires; labels come from the ``label=`` scheduling argument.
         #: Used by tests and by anyone debugging event ordering.
         self.on_event: Optional[Callable[[float, str], None]] = None
         #: Optional :class:`~repro.telemetry.spans.SpanTracer`.  When set
-        #: (a telemetry-enabled campaign does it), every fired callback is
-        #: wrapped in a span keyed by ``"engine.<label>"``.  When ``None``
+        #: (a telemetry-enabled campaign does it), every fired callback,
+        #: with the quiet steps settled before it, is wrapped in a span
+        #: keyed by ``"engine.<label>"``.  When ``None``
         #: (the default) the fast path pays one attribute check per event.
         self.tracer: Optional[Any] = None
 
@@ -254,6 +277,38 @@ class Simulator:
 
         self.schedule_at(first, fire, label)
         return control
+
+    def schedule_quiet(
+        self,
+        time: float,
+        fn: Callable[[], None],
+        position: Optional[Sequence[int]] = None,
+    ) -> list:
+        """Run ``fn()`` at ``time`` in event order, without an event.
+
+        Returns the step's entry ``[time, seq, tie, fn]``.  Its first
+        three fields are its position: an owner that checkpoints keeps
+        them and passes ``position=(seq, tie)`` to queue the step again
+        after a restore.  Setting ``entry[3] = None`` cancels the step.
+        While it runs, :attr:`now` is ``time``.  A quiet step may queue
+        events and quiet steps, but not an event ahead of the event it
+        is settled for, and it may not cancel that event.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot queue a quiet step at {time:.1f}s, "
+                f"which is before now ({self.now:.1f}s)"
+            )
+        if position is None:
+            tie = self._quiet_ties
+            entry = [time, self._seq, tie, fn]
+        else:
+            tie = int(position[1])
+            entry = [time, int(position[0]), tie, fn]
+        if tie >= self._quiet_ties:
+            self._quiet_ties = tie + 1
+        heappush(self._quiet, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Registry (snapshot-safe scheduling)
@@ -397,28 +452,67 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
+        """Time of the next pending event (quiet steps aside), or ``None``."""
         self._drop_cancelled()
         return self._queue[0][0] if self._queue else None
 
     def step(self) -> bool:
-        """Fire the single next event.  Returns ``False`` if none remain."""
+        """Fire the next event, after the quiet steps ordered before it.
+
+        With no event left, runs the next quiet step instead.  Returns
+        ``False`` when nothing remains.
+        """
         self._drop_cancelled()
-        if not self._queue:
-            return False
-        self._fire_head()
-        return True
+        if self._queue:
+            self._fire_head()
+            return True
+        quiet = self._quiet
+        while quiet:
+            entry = quiet[0]
+            if self._run_quiet(entry[0], entry[1]):
+                return True
+        return False
+
+    def _run_quiet(self, time: float, seq: float) -> bool:
+        """Run the quiet steps ordered before an event at ``(time, seq)``.
+
+        Returns whether any ran.  Stops after a step that queues an
+        event, so the caller can put that event in order first.
+        """
+        quiet = self._quiet
+        ran = False
+        while quiet:
+            entry = quiet[0]
+            t = entry[0]
+            if t > time or (t == time and entry[1] > seq):
+                break
+            heappop(quiet)
+            fn = entry[3]
+            if fn is not None:
+                entry[3] = None
+                self.now = t
+                scheduled = self._seq
+                fn()
+                ran = True
+                if self._seq != scheduled:
+                    break
+        return ran
 
     def _fire_head(self) -> None:
-        """Pop the queue head, which must be live, and run its callback."""
-        handle = heappop(self._queue)[2]
+        """Pop the queue head, which must be live, settle the quiet steps
+        ordered before it, and run its callback.
+
+        The settling runs inside the event's trace span: an event's span
+        includes the quiet work that had to happen before it.
+        """
+        time, seq, handle = heappop(self._queue)
         handle._sim = None
-        self.now = handle.time
+        self.now = time
         callback = handle.callback
         handle.callback = None
         self._events_fired += 1
         if self.on_event is not None:
-            self.on_event(handle.time, handle.label)
+            self.on_event(time, handle.label)
         key = handle.key
         if key is None:
             fn, args = callback, ()
@@ -431,20 +525,47 @@ class Simulator:
                 )
             args = handle.args
         tracer = self.tracer
-        if tracer is None:
+        started = perf_counter() if tracer is not None else 0.0
+        try:
+            quiet = self._quiet
+            if quiet and quiet[0][0] <= time:
+                self._settle_before(time, seq, handle)
             fn(*args)
-        else:
-            started = perf_counter()
-            try:
-                fn(*args)
-            finally:
+        finally:
+            if tracer is not None:
                 tracer.record(
                     "engine." + (handle.label or "unlabeled"),
                     perf_counter() - started,
                 )
 
+    def _settle_before(self, time: float, seq: int, handle: EventHandle) -> None:
+        """Run the quiet steps ordered before the popped event ``handle``.
+
+        A quiet step must not cancel that event or queue one ahead of it:
+        it is already on its way out of the queue.
+        """
+        scheduled = self._seq
+        while self._run_quiet(time, seq):
+            pass
+        self.now = time
+        if handle.cancelled:
+            raise SimulationError(
+                f"a quiet step cancelled {handle.label or handle.key!r} "
+                "as it fired"
+            )
+        if self._seq != scheduled:
+            self._drop_cancelled()
+            if self._queue and self._queue[0][0] < time:
+                raise SimulationError(
+                    "a quiet step queued an event ahead of "
+                    f"{handle.label or handle.key!r}, which was firing"
+                )
+
     def run_until(self, end: float) -> None:
-        """Fire all events with ``time <= end``, then advance the clock to ``end``."""
+        """Fire all events with ``time <= end``, then advance the clock to ``end``.
+
+        Quiet steps up to ``end`` have run when it returns.
+        """
         if end < self.now:
             raise SimulationError(f"run_until({end}) is before now ({self.now})")
         if self._running:
@@ -455,9 +576,10 @@ class Simulator:
                 self._drop_cancelled()
                 # Re-read after every event: _compact() replaces the list.
                 queue = self._queue
-                if not queue or queue[0][0] > end:
+                if queue and queue[0][0] <= end:
+                    self._fire_head()
+                elif not self._run_quiet(end, _AFTER_ALL):
                     break
-                self._fire_head()
             self.now = end
         finally:
             self._running = False
@@ -528,10 +650,12 @@ class Simulator:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Replace the queue, counters, and task table wholesale.
 
-        Any event scheduled between construction and this call (e.g. by
-        components re-created during restore) is discarded -- the
-        snapshot is the whole truth.  Registry bindings are left alone;
-        every key named by the snapshot must already be registered.
+        Any event or quiet step scheduled between construction and this
+        call (e.g. by components re-created during restore) is discarded
+        -- the snapshot is the whole truth, and quiet-step owners queue
+        their steps again from their own state.  Registry bindings are
+        left alone; every key named by the snapshot must already be
+        registered.
 
         The whole snapshot is parsed before anything is assigned: a
         missing or ill-typed field raises :class:`SimulationError` and
@@ -607,6 +731,9 @@ class Simulator:
         self._cancelled_pending = sum(1 for _, _, h in queue if h.cancelled)
         self._periodic = periodic
         self._periodic_next = periodic_next
+        # Quiet steps belong to their owners, which queue them again.
+        self._quiet = []
+        self._quiet_ties = 0
 
     # ------------------------------------------------------------------
     # Internals

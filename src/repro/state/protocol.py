@@ -23,7 +23,8 @@ Rules every implementation follows:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Protocol, runtime_checkable
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Protocol, runtime_checkable
 
 
 class StateError(RuntimeError):
@@ -43,6 +44,20 @@ def check_version(component: str, state: Dict[str, Any], expected: int) -> None:
             f"{component}: cannot load state version {version!r} "
             f"(this build reads version {expected})"
         )
+
+
+@contextmanager
+def parsing(component: str) -> Iterator[None]:
+    """Parse a state blob: any lookup or conversion error in the block
+    becomes one :class:`StateError`.
+
+    Loaders parse the whole blob into locals inside the block and assign
+    only after it, so a malformed blob changes nothing.
+    """
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        raise StateError(f"{component}: malformed state ({exc!r})") from None
 
 
 @runtime_checkable

@@ -17,20 +17,25 @@ and a full record of every wrong hash -- the paper's "5 out of a total of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.hardware.faults import FaultEvent, FaultKind, FaultLog
 from repro.hardware.host import Host
 from repro.sim.clock import MINUTE
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.events import EventBus, WrongHash
-from repro.state.protocol import check_version
+from repro.state.protocol import check_version, parsing
 from repro.workload.bzip2 import Archive, Bzip2Model
-from repro.workload.digest import verify_archive
 from repro.workload.kernel_tree import KernelSourceTree
 
-_STATE_VERSION = 1
+#: :class:`WorkloadLedger` state layout.
+_LEDGER_VERSION = 1
+#: :class:`ArchiverProcess` state layout: version 2 stores the position
+#: of the pending quiet step; version 1 (a pending ``archiver.step.<id>``
+#: event) is upgraded by :mod:`repro.core.legacy`.
+_STATE_VERSION = 2
+_PHASES = ("cycle-start", "burst")
 
 #: The paper's cycle period: "Each host executes its synthetic load every
 #: 10 minutes."
@@ -74,9 +79,13 @@ class WorkloadLedger:
     def __repr__(self) -> str:
         return f"WorkloadLedger(runs={self.total_runs}, wrong={self.total_wrong_hashes})"
 
+    def count_run(self, host_id: int) -> None:
+        """Account one clean cycle (all a matching hash changes)."""
+        self.runs_per_host[host_id] = self.runs_per_host.get(host_id, 0) + 1
+
     def record(self, result: CycleResult, archive: Optional[Archive] = None) -> None:
         """Account one cycle."""
-        self.runs_per_host[result.host_id] = self.runs_per_host.get(result.host_id, 0) + 1
+        self.count_run(result.host_id)
         if not result.hash_ok:
             self.wrong_per_host[result.host_id] = (
                 self.wrong_per_host.get(result.host_id, 0) + 1
@@ -123,7 +132,7 @@ class WorkloadLedger:
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         return {
-            "version": _STATE_VERSION,
+            "version": _LEDGER_VERSION,
             "runs_per_host": {
                 str(k): v for k, v in sorted(self.runs_per_host.items())
             },
@@ -141,39 +150,47 @@ class WorkloadLedger:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("workload_ledger", state, _STATE_VERSION)
-        self.runs_per_host = {int(k): int(v) for k, v in state["runs_per_host"].items()}
-        self.wrong_per_host = {
-            int(k): int(v) for k, v in state["wrong_per_host"].items()
-        }
-        self.wrong_hash_results = [
-            CycleResult(
-                time=float(t),
-                host_id=int(h),
-                hash_ok=bool(ok),
-                corrupted_block_count=int(blocks),
-                stored=bool(stored),
-            )
-            for t, h, ok, blocks, stored in state["wrong_hash_results"]
-        ]
-        self.stored_archives = [
-            Archive(
-                host_id=int(h),
-                time=float(t),
-                block_count=int(n),
-                corrupted_blocks=frozenset(int(b) for b in blocks),
-            )
-            for h, t, n, blocks in state["stored_archives"]
-        ]
+        """Restore; a malformed blob raises :class:`StateError` and changes
+        nothing."""
+        with parsing("workload_ledger"):
+            check_version("workload_ledger", state, _LEDGER_VERSION)
+            runs = {int(k): int(v) for k, v in state["runs_per_host"].items()}
+            wrong = {int(k): int(v) for k, v in state["wrong_per_host"].items()}
+            results = [
+                CycleResult(
+                    time=float(t),
+                    host_id=int(h),
+                    hash_ok=bool(ok),
+                    corrupted_block_count=int(blocks),
+                    stored=bool(stored),
+                )
+                for t, h, ok, blocks, stored in state["wrong_hash_results"]
+            ]
+            archives = [
+                Archive(
+                    host_id=int(h),
+                    time=float(t),
+                    block_count=int(n),
+                    corrupted_blocks=frozenset(int(b) for b in blocks),
+                )
+                for h, t, n, blocks in state["stored_archives"]
+            ]
+        self.runs_per_host = runs
+        self.wrong_per_host = wrong
+        self.wrong_hash_results = results
+        self.stored_archives = archives
 
 
 class ArchiverProcess:
     """The synthetic-load loop on one host.
 
-    The loop is an explicit two-phase state machine driven through the
-    engine registry (key ``archiver.step.<host_id>``) so its position --
-    which phase the host is in and when the current cycle started -- can
-    be snapshotted and restored mid-cycle:
+    The loop is a two-phase state machine whose phase changes run as
+    engine quiet steps (:meth:`Simulator.schedule_quiet`): each one
+    happens exactly where a per-phase event would fire in the engine's
+    ``(time, seq)`` order -- before any fleet tick, collection round,
+    meter sample or operator action that follows it -- without costing
+    an event.  Its position (phase, cycle start, and the pending step)
+    is snapshotted and restored mid-cycle:
 
     - ``cycle-start``: the 10-minute mark.  A running host goes CPU-busy
       and sleeps ``burst_duration_s`` into the ``burst`` phase; a down
@@ -223,13 +240,13 @@ class ArchiverProcess:
         self.fault_log = fault_log
         self.burst_duration_s = burst_duration_s
         self._rng = host._streams.stream("workload")
-        self._key = f"archiver.step.{host.host_id}"
         self._label = f"archiver.{host.hostname}"
         self._phase = "cycle-start"
         self._cycle_start: Optional[float] = None
         self.alive = True
-        self._pending: Optional[EventHandle] = None
-        sim.register(self._key, self._step)
+        #: The pending quiet step (see :meth:`Simulator.schedule_quiet`).
+        self._pending: Optional[list] = None
+        self._restore_next: Optional[List[float]] = None
         # "some fuzz is added to the starting phase: each host sleeps for
         # 0 to 119 seconds before commencing the archival process."
         fuzz = float(self._rng.integers(0, START_FUZZ_MAX_S + 1))
@@ -241,94 +258,117 @@ class ArchiverProcess:
     def stop(self) -> None:
         """Terminate the loop (host retired or experiment over)."""
         if self._pending is not None:
-            self._pending.cancel()
+            self._pending[3] = None
             self._pending = None
         self.alive = False
         self.host.cpu.busy = False
 
     # ------------------------------------------------------------------
     def _sleep(self, delay_s: float) -> None:
-        self._pending = self.sim.schedule_at_key(
-            self.sim.now + delay_s, self._key, label=self._label
-        )
+        self._pending = self.sim.schedule_quiet(self.sim.now + delay_s, self._step)
 
     def _step(self) -> None:
-        self._pending = None
         if not self.alive:
+            self._pending = None
             return
+        now = self.sim.now
+        host = self.host
         if self._phase == "cycle-start":
-            self._cycle_start = self.sim.now
-            if self.host.running:
-                self.host.cpu.busy = True
+            self._cycle_start = now
+            if host.running:
+                host.cpu.busy = True
                 self._phase = "burst"
                 self._sleep(self.burst_duration_s)
-                return
-            self._sleep(CYCLE_PERIOD_S)
+            else:
+                self._sleep(CYCLE_PERIOD_S)
             return
         # burst phase: the tar+bzip2+md5sum run just ended.  The burst may
         # have ended with the host failed mid-cycle; such a run produces no
         # result (the monitoring host simply finds no new md5sum).
-        if self.host.running:
-            self._complete_cycle(self.sim.now)
-        self.host.cpu.busy = False
-        remainder = CYCLE_PERIOD_S - (self.sim.now - self._cycle_start)
+        if host.running:
+            self._complete_cycle(now)
+        host.cpu.busy = False
+        remainder = CYCLE_PERIOD_S - (now - self._cycle_start)
         self._phase = "cycle-start"
         self._sleep(max(0.0, remainder))
 
-    # ------------------------------------------------------------------
-    # Snapshot protocol
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "version": _STATE_VERSION,
-            "phase": self._phase,
-            "cycle_start": self._cycle_start,
-            "alive": self.alive,
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("archiver", state, _STATE_VERSION)
-        self._phase = state["phase"]
-        self._cycle_start = (
-            None if state["cycle_start"] is None else float(state["cycle_start"])
-        )
-        self.alive = bool(state["alive"])
-        self._pending = None
-
-    def rebind(self, sim: Simulator) -> None:
-        """Re-link the pending sleep after the engine's state is loaded."""
-        if not self.alive:
-            return
-        handles = sim.find_key_handles(self._key)
-        live = [h for h in handles if not h.cancelled]
-        if len(live) != 1:
-            raise RuntimeError(
-                f"{self._label}: expected one pending step, found {len(live)}"
-            )
-        self._pending = live[0]
-
     def _complete_cycle(self, time: float) -> None:
-        uncorrected = self.host.memory.perform_page_ops(
-            self.tree.page_ops_per_cycle(), time
+        model = self.model
+        uncorrected = self.host.memory.perform_page_ops(model.page_ops_per_cycle, time)
+        blocks = model.corrupted_blocks(uncorrected, self._rng)
+        # The md5sum comparison: a clean cycle ends here, as one count.
+        if model.digest(blocks) == model.reference_digest:
+            self.ledger.count_run(self.host.host_id)
+            return
+        archive = Archive(
+            host_id=self.host.host_id,
+            time=time,
+            block_count=model.block_count,
+            corrupted_blocks=blocks,
         )
-        archive = self.model.compress(self.host.host_id, time, uncorrected, self._rng)
-        ok = verify_archive(self.tree, archive)
         result = CycleResult(
             time=time,
             host_id=self.host.host_id,
-            hash_ok=ok,
-            corrupted_block_count=len(archive.corrupted_blocks),
-            stored=not ok,
+            hash_ok=False,
+            corrupted_block_count=len(blocks),
+            stored=True,
         )
         # With a bus-wired ledger the publish inside ``record`` reaches the
         # subscribed fault log; the direct write below covers bare setups.
-        self.ledger.record(result, archive=None if ok else archive)
-        if not ok and self.fault_log is not None and self.ledger.bus is None:
+        self.ledger.record(result, archive=archive)
+        if self.fault_log is not None and self.ledger.bus is None:
             self.fault_log.record(
                 FaultEvent(
                     time=time,
                     kind=FaultKind.WRONG_HASH,
                     host_id=self.host.host_id,
-                    detail=f"{len(archive.corrupted_blocks)} corrupted block(s)",
+                    detail=f"{len(blocks)} corrupted block(s)",
                 )
             )
+
+    # ------------------------------------------------------------------
+    # Snapshot protocol
+    # ------------------------------------------------------------------
+    def state_dict(self) -> Dict[str, Any]:
+        pending = self._pending
+        return {
+            "version": _STATE_VERSION,
+            "phase": self._phase,
+            "cycle_start": self._cycle_start,
+            "alive": self.alive,
+            "next": self._restore_next if pending is None else pending[:3],
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore; a malformed blob raises :class:`StateError` and changes
+        nothing.  The pending step is queued again by :meth:`rebind`."""
+        with parsing(self._label):
+            check_version(self._label, state, _STATE_VERSION)
+            phase = state["phase"]
+            if phase not in _PHASES:
+                raise ValueError(f"unknown phase {phase!r}")
+            cycle_start = state["cycle_start"]
+            cycle_start = None if cycle_start is None else float(cycle_start)
+            alive = state["alive"]
+            if not isinstance(alive, bool):
+                raise TypeError(f"alive is {type(alive).__name__}")
+            pending = state["next"]
+            if pending is not None:
+                time, seq, tie = pending
+                pending = [float(time), int(seq), int(tie)]
+            if alive and pending is None:
+                raise ValueError("a live loop needs a pending step")
+        self._phase = phase
+        self._cycle_start = cycle_start
+        self.alive = alive
+        if self._pending is not None:
+            self._pending[3] = None
+        self._pending = None
+        self._restore_next = pending
+
+    def rebind(self, sim: Simulator) -> None:
+        """Queue the restored pending step on the restored engine."""
+        pending, self._restore_next = self._restore_next, None
+        if pending is not None:
+            time, seq, tie = pending
+            self._pending = sim.schedule_quiet(time, self._step, position=(seq, tie))

@@ -18,6 +18,7 @@ from typing import FrozenSet, List, Optional
 
 import numpy as np
 
+from repro.workload.digest import fingerprint_digest, reference_digest, tree_fingerprint
 from repro.workload.kernel_tree import KernelSourceTree
 
 #: bzip2 -9 block size (uncompressed input per block).
@@ -96,9 +97,36 @@ class Bzip2Model:
         self.tree = tree if tree is not None else KernelSourceTree()
         #: Blocks in the archive of this tree (396 for the default tree).
         self.block_count = -(-self.tree.total_bytes // BZIP2_BLOCK_BYTES)
+        #: Page operations of one archive-and-verify cycle of this tree.
+        self.page_ops_per_cycle = self.tree.page_ops_per_cycle()
+        #: md5 of the clean archive: "an initial value calculated before
+        #: installation".
+        self.reference_digest = reference_digest(self.tree)
+        self._fingerprint = tree_fingerprint(self.tree)
 
     def __repr__(self) -> str:
         return f"Bzip2Model(blocks={self.block_count})"
+
+    def corrupted_blocks(
+        self, uncorrected_faults: int, rng: np.random.Generator
+    ) -> FrozenSet[int]:
+        """The blocks a cycle's uncorrected memory faults damage.
+
+        Each fault lands in one uniformly random block (a flipped bit in
+        the compressor's working set damages whatever block was in
+        flight).  Multiple faults may collide on a block; the result is
+        whatever distinct blocks were hit.  No draw without faults.
+        """
+        if uncorrected_faults < 0:
+            raise ValueError("fault count cannot be negative")
+        if uncorrected_faults == 0:
+            return _CLEAN
+        hits = rng.integers(0, self.block_count, size=uncorrected_faults)
+        return frozenset(int(h) for h in hits)
+
+    def digest(self, corrupted_blocks: FrozenSet[int]) -> str:
+        """md5 of this tree's archive with ``corrupted_blocks`` damaged."""
+        return fingerprint_digest(self._fingerprint, corrupted_blocks)
 
     def compress(
         self,
@@ -107,24 +135,13 @@ class Bzip2Model:
         uncorrected_faults: int,
         rng: np.random.Generator,
     ) -> Archive:
-        """Produce the cycle's archive.
-
-        Each uncorrected memory fault lands in one uniformly random block
-        (a flipped bit in the compressor's working set damages whatever
-        block was in flight).  Multiple faults may collide on a block;
-        the corrupted set is whatever distinct blocks were hit.
-        """
-        if uncorrected_faults < 0:
-            raise ValueError("fault count cannot be negative")
-        corrupted: FrozenSet[int]
-        if uncorrected_faults == 0:
-            corrupted = frozenset()
-        else:
-            hits = rng.integers(0, self.block_count, size=uncorrected_faults)
-            corrupted = frozenset(int(h) for h in hits)
+        """Produce the cycle's archive (see :meth:`corrupted_blocks`)."""
         return Archive(
             host_id=host_id,
             time=time,
             block_count=self.block_count,
-            corrupted_blocks=corrupted,
+            corrupted_blocks=self.corrupted_blocks(uncorrected_faults, rng),
         )
+
+
+_CLEAN: FrozenSet[int] = frozenset()

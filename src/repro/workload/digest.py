@@ -14,27 +14,30 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import FrozenSet, Iterable
+from typing import TYPE_CHECKING, FrozenSet, Iterable
 
-from repro.workload.bzip2 import Archive
 from repro.workload.kernel_tree import KernelSourceTree
 
+if TYPE_CHECKING:
+    from repro.workload.bzip2 import Archive
 
-def _tree_fingerprint(tree: KernelSourceTree) -> str:
+
+def tree_fingerprint(tree: KernelSourceTree) -> str:
     """Stable identity of the source content."""
     return f"{tree.total_bytes}:{tree.file_count}:{tree.compression_ratio:.6f}"
 
 
 def block_digest(tree: KernelSourceTree, corrupted_blocks: Iterable[int]) -> str:
     """MD5 hex digest of an archive of ``tree`` with the given damage."""
-    return _md5_of(tree, frozenset(corrupted_blocks))
+    return fingerprint_digest(tree_fingerprint(tree), frozenset(corrupted_blocks))
 
 
 @functools.lru_cache(maxsize=1024)
-def _md5_of(tree: KernelSourceTree, blocks: FrozenSet[int]) -> str:
+def fingerprint_digest(fingerprint: str, blocks: FrozenSet[int]) -> str:
+    """:func:`block_digest` keyed by the tree's :func:`tree_fingerprint`."""
     # Every cycle hashes its archive; almost all are clean, so the same
     # few (tree, damage) pairs recur and are hashed once each.
-    payload = _tree_fingerprint(tree) + "|" + ",".join(str(b) for b in sorted(blocks))
+    payload = fingerprint + "|" + ",".join(str(b) for b in sorted(blocks))
     return hashlib.md5(payload.encode("ascii")).hexdigest()
 
 
@@ -43,11 +46,11 @@ def reference_digest(tree: KernelSourceTree) -> str:
     return block_digest(tree, ())
 
 
-def archive_digest(tree: KernelSourceTree, archive: Archive) -> str:
+def archive_digest(tree: KernelSourceTree, archive: "Archive") -> str:
     """Digest of a concrete archive produced by one cycle."""
     return block_digest(tree, archive.corrupted_blocks)
 
 
-def verify_archive(tree: KernelSourceTree, archive: Archive) -> bool:
+def verify_archive(tree: KernelSourceTree, archive: "Archive") -> bool:
     """The md5sum comparison each cycle performs; True when hashes match."""
     return archive_digest(tree, archive) == reference_digest(tree)

@@ -82,3 +82,20 @@ class TestAccessors:
     def test_invalid_period_rejected(self, weather):
         with pytest.raises(ValueError):
             WeatherStation(weather, period_s=0.0)
+
+
+class TestBatchedObservation:
+    def test_batch_equals_per_observation_draws(self, weather):
+        # Large errors so the RH, wind and solar clamps all bite.
+        errors = dict(temp_error_std_c=0.5, rh_error_std=60.0)
+        start = SimClock().at(2010, 3, 1)
+        sim = Simulator()
+        batched = WeatherStation(weather, RngStreams(5), **errors)
+        batched.attach(sim, start=start)
+        sim.run_until(start + 2 * 86400.0)
+        reference = WeatherStation(weather, RngStreams(5), **errors)
+        for t in batched.times():
+            reference.observe(float(t))
+        assert batched.readings == reference.readings
+        assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
+        assert {r.rh_percent for r in batched.readings} >= {0.0, 100.0}

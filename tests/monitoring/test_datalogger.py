@@ -136,3 +136,24 @@ class TestPeriodicSampling:
     def test_invalid_period_rejected(self, outdoor):
         with pytest.raises(ValueError):
             LascarDataLogger(outdoor, period_s=0.0)
+
+
+class TestBatchedSampling:
+    def test_batch_equals_per_sample_draws(self, outdoor):
+        # A removal episode inside the run and an RH error large enough
+        # for both clamps.
+        start = SimClock().at(2010, 3, 1)
+        sim = Simulator()
+        sim.run_until(start)
+        batched = LascarDataLogger(outdoor, RngStreams(2), rh_error_std=80.0)
+        reference = LascarDataLogger(outdoor, RngStreams(2), rh_error_std=80.0)
+        for logger in (batched, reference):
+            logger.schedule_download_trip(start + HOUR, duration_s=30 * MINUTE)
+        batched.attach(sim)
+        sim.run_until(start + 2 * DAY)
+        for t in batched.times():
+            reference.sample(float(t))
+        assert batched.readings == reference.readings
+        assert batched._rng.bit_generator.state == reference._rng.bit_generator.state
+        assert len(batched.readings_during_removals()) == 30
+        assert {r.rh_percent for r in batched.readings} >= {0.0, 100.0}

@@ -38,12 +38,16 @@ class TestEngineSpans:
         assert fired == results.fleet.sim.events_fired
 
     def test_known_labels_present(self, telemetry_run):
-        _, telemetry, _ = telemetry_run
+        results, telemetry, _ = telemetry_run
         counts = telemetry.spans.counts()
         assert counts["engine.collector"] > 0
         assert counts["engine.fleet-tick"] > 0
-        assert counts["engine.weather-station"] > 0
         assert counts["campaign.run"] == 1
+        # The station fires no events: its 10-minute readings are taken
+        # in batches, all the way to the horizon.
+        times = results.station.times()
+        assert len(times) > 0 and (times[1:] - times[:-1] == 600.0).all()
+        assert times[-1] == results.end_time
 
     def test_results_expose_the_hub(self, telemetry_run):
         results, telemetry, _ = telemetry_run
