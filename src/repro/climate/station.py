@@ -88,15 +88,13 @@ class WeatherStation:
         self.period_s = period_s
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("station.noise")
-        # Stored readings, as columns; reading objects are built on demand.
-        self._columns: Dict[str, List[float]] = {name: [] for name in _COLUMNS}
         self._readings: List[StationReading] = []
         self._sim: Optional[Simulator] = None
         #: Next observation time while attached.
         self._next: Optional[float] = None
 
     def __repr__(self) -> str:
-        stored = len(self._columns["time"])
+        stored = len(self._readings)
         return f"WeatherStation(period={self.period_s:.0f}s, readings={stored})"
 
     def observe(self, time: float) -> StationReading:
@@ -110,8 +108,9 @@ class WeatherStation:
         solar = max(
             0.0, truth.solar_wm2 * (1.0 + rng.normal(0.0, self.SOLAR_ERROR_FRACTION))
         )
-        self._store([time], [temp], [rh], [wind], [solar])
-        return self.readings[-1]
+        reading = StationReading(time, temp, rh, wind, solar)
+        self._readings.append(reading)
+        return reading
 
     def attach(self, sim: Simulator, start: Optional[float] = None) -> None:
         """Start periodic observation on ``sim`` (first sample at ``start``)."""
@@ -157,17 +156,14 @@ class WeatherStation:
         rh = np.where(rh > 100.0, 100.0, rh)
         wind = weather.wind_speed(grid) + noise[:, 2]
         solar = weather.solar_irradiance(grid) * (1.0 + noise[:, 3])
-        self._store(
+        self._readings += map(
+            StationReading,
             times,
             (temp + noise[:, 0]).tolist(),
             rh.tolist(),
             np.where(wind > 0.0, wind, 0.0).tolist(),
             np.where(solar > 0.0, solar, 0.0).tolist(),
         )
-
-    def _store(self, *columns: List[float]) -> None:
-        for name, values in zip(_COLUMNS, columns):
-            self._columns[name] += values
 
     # ------------------------------------------------------------------
     # Snapshot protocol
@@ -177,7 +173,10 @@ class WeatherStation:
         return {
             "version": _STATE_VERSION,
             "next": self._next,
-            "readings": {name: pack_floats(self._columns[name]) for name in _COLUMNS},
+            "readings": {
+                name: pack_floats([getattr(r, name) for r in self._readings])
+                for name in _COLUMNS
+            },
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -186,13 +185,13 @@ class WeatherStation:
         with parsing("station"):
             check_version("station", state, _STATE_VERSION)
             readings = state["readings"]
-            columns = {name: unpack_floats(readings[name]) for name in _COLUMNS}
-            if len({len(values) for values in columns.values()}) != 1:
+            columns = [unpack_floats(readings[name]) for name in _COLUMNS]
+            if len({len(values) for values in columns}) != 1:
                 raise ValueError("reading columns differ in length")
+            restored = list(map(StationReading, *columns))
             next_time = state["next"]
             next_time = None if next_time is None else float(next_time)
-        self._columns = columns
-        self._readings = []
+        self._readings = restored
         self._next = next_time
 
     def rebind(self, sim: Simulator) -> None:
@@ -204,26 +203,18 @@ class WeatherStation:
     # ------------------------------------------------------------------
     @property
     def readings(self) -> List[StationReading]:
-        """Every observation due so far, oldest first (built on first read)."""
+        """Every observation due so far, oldest first."""
         self.flush()
-        built = len(self._readings)
-        if built < len(self._columns["time"]):
-            self._readings += map(
-                StationReading, *(self._columns[name][built:] for name in _COLUMNS)
-            )
         return self._readings
 
     def times(self) -> np.ndarray:
         """Observation times as an array."""
-        self.flush()
-        return np.array(self._columns["time"])
+        return np.array([r.time for r in self.readings])
 
     def temperatures(self) -> np.ndarray:
         """Observed temperatures as an array."""
-        self.flush()
-        return np.array(self._columns["temp_c"])
+        return np.array([r.temp_c for r in self.readings])
 
     def humidities(self) -> np.ndarray:
         """Observed relative humidities as an array."""
-        self.flush()
-        return np.array(self._columns["rh_percent"])
+        return np.array([r.rh_percent for r in self.readings])

@@ -46,11 +46,11 @@ def reference_digest(tree: KernelSourceTree) -> str:
     return block_digest(tree, ())
 
 
-def archive_digest(tree: KernelSourceTree, archive: "Archive") -> str:
+def archive_digest(tree: KernelSourceTree, archive: Archive) -> str:
     """Digest of a concrete archive produced by one cycle."""
     return block_digest(tree, archive.corrupted_blocks)
 
 
-def verify_archive(tree: KernelSourceTree, archive: "Archive") -> bool:
+def verify_archive(tree: KernelSourceTree, archive: Archive) -> bool:
     """The md5sum comparison each cycle performs; True when hashes match."""
     return archive_digest(tree, archive) == reference_digest(tree)
