@@ -77,6 +77,14 @@ def relative_humidity_from_dewpoint(temp_c: ArrayLike, dewpoint_c: ArrayLike) ->
     Clipped to ``[0, 100]``: a dewpoint above the dry-bulb temperature is
     supersaturation, reported as 100 %.
     """
+    if isinstance(temp_c, float) and isinstance(dewpoint_c, float):
+        # Scalar fast path, bit-identical to the array path below: the
+        # same float64 arithmetic and the same ``np.exp`` loop, without the
+        # 0-d array round trips.  The tent's thermal advance queries the
+        # weather once per tick.
+        e = _A_WATER * np.exp(_B_WATER * dewpoint_c / (_C_WATER + dewpoint_c))
+        es = _A_WATER * np.exp(_B_WATER * temp_c / (_C_WATER + temp_c))
+        return float(min(max(100.0 * e / es, 0.0), 100.0))
     e = saturation_vapor_pressure(dewpoint_c)
     es = saturation_vapor_pressure(temp_c)
     rh = np.clip(100.0 * np.asarray(e) / np.asarray(es), 0.0, 100.0)

@@ -73,6 +73,19 @@ class TestDewpoint:
     def test_supersaturation_reported_as_100(self):
         assert relative_humidity_from_dewpoint(5.0, 8.0) == 100.0
 
+    def test_scalar_path_matches_the_array_path_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        temp = rng.uniform(-40.0, 40.0, 20_000)
+        dew = temp - rng.uniform(-3.0, 20.0, temp.size)  # some supersaturated
+        array = relative_humidity_from_dewpoint(temp, dew)
+        scalar = [
+            relative_humidity_from_dewpoint(t, d)
+            for t, d in zip(temp.tolist(), dew.tolist())
+        ]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(np.array(scalar).view(np.int64), array.view(np.int64))
+        assert 100.0 in scalar
+
 
 class TestAbsoluteHumidity:
     def test_reference_value(self):
