@@ -81,12 +81,12 @@ class LascarDataLogger:
     enclosure's intake exactly where a per-minute event would have: at
     an instant it shares with a thermal advance, it reads the intake
     after the advance only if the advance's event was queued first.  A
-    quiet step only records the intake pair; the
-    instrument error is drawn in batches of at least a simulated day, or
-    sooner when something reads the samples (:attr:`readings`, the
-    accessors, :meth:`state_dict`).  A batch is one ``normal`` draw of
-    two values per sample, which leaves the ``lascar.noise`` stream
-    exactly where per-sample draws would.
+    quiet step only records the intake pair; the instrument error is
+    drawn in batches of at least a simulated day, or sooner when
+    something reads the samples (:attr:`readings`, the accessors,
+    :meth:`state_dict`).  A batch is one ``normal`` draw of two values
+    per sample, which leaves the ``lascar.noise`` stream exactly where
+    per-sample draws would.
 
     Parameters
     ----------
@@ -138,8 +138,9 @@ class LascarDataLogger:
         self._restore_next: Optional[List[float]] = None
 
     def __repr__(self) -> str:
+        taken = len(self._times) + len(self._pending) // 3
         return (
-            f"LascarDataLogger(readings={len(self._times) + len(self._pending) // 3}, "
+            f"LascarDataLogger(readings={taken}, "
             f"removals={len(self.removal_episodes)})"
         )
 
@@ -208,7 +209,9 @@ class LascarDataLogger:
         temps = _quantize_array(
             temps + (0.0 + self.temp_error_std_c * z[0::2]), self.TEMP_RESOLUTION_C
         )
-        rhs = _quantize_array(rhs + (0.0 + self.rh_error_std * z[1::2]), self.RH_RESOLUTION)
+        rhs = _quantize_array(
+            rhs + (0.0 + self.rh_error_std * z[1::2]), self.RH_RESOLUTION
+        )
         rhs = np.where(rhs < 0.0, 0.0, rhs)
         rhs = np.where(rhs > 100.0, 100.0, rhs)
         self._store(times.tolist(), temps.tolist(), rhs.tolist())
