@@ -10,6 +10,7 @@ layer can consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.climate.psychro import relative_humidity_from_dewpoint
 from repro.sim.clock import MINUTE
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import pack_floats, unpack_floats
+from repro.state.codec import PackedColumn, pack_floats, unpack_floats
 from repro.state.protocol import check_version, parsing
 
 #: Version 2 stores the next observation time; version 1 (a
@@ -89,6 +90,9 @@ class WeatherStation:
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("station.noise")
         self._readings: List[StationReading] = []
+        self._packed = {
+            name: PackedColumn(pack_floats, attrgetter(name)) for name in _COLUMNS
+        }
         self._sim: Optional[Simulator] = None
         #: Next observation time while attached.
         self._next: Optional[float] = None
@@ -174,8 +178,8 @@ class WeatherStation:
             "version": _STATE_VERSION,
             "next": self._next,
             "readings": {
-                name: pack_floats([getattr(r, name) for r in self._readings])
-                for name in _COLUMNS
+                name: column.pack(self._readings)
+                for name, column in self._packed.items()
             },
         }
 

@@ -62,7 +62,7 @@ from repro.state.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.state.codec import decode_value, encode_value
+from repro.state.codec import EncodedRows, decode_value, encode_value
 from repro.state.protocol import StateError
 from repro.thermal.enclosure import PlasticBoxShelter
 
@@ -120,6 +120,7 @@ class Campaign:
         self.fault_log.attach_bus(self.bus)
         self.recorder = EventRecorder()
         self.recorder.attach(self.bus)
+        self._encoded_recorder = EncodedRows(encode_value)
 
         self.station = WeatherStation(self.weather, self.streams)
         self.fleet = Fleet(
@@ -591,7 +592,7 @@ class Campaign:
             "policy": self.policy.state_dict(),
             "fault_log": self.fault_log.state_dict(),
             "bus_counts": dict(self.bus.counts),
-            "recorder": [encode_value(event) for event in self.recorder.events],
+            "recorder": self._encoded_recorder.encode(self.recorder.events),
             "telemetry": (
                 self.telemetry.state_dict() if self.telemetry is not None else None
             ),

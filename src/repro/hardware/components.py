@@ -13,12 +13,14 @@ Only the behaviour the paper's fault census exercises is modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.hardware.vendors import VendorSpec
 from repro.state.codec import (
+    PackedColumn,
     pack_bools,
     pack_floats,
     pack_ints,
@@ -97,6 +99,14 @@ class MemoryBank:
         self._rng = rng
         self.page_ops_total = 0
         self.faults: "list[MemoryFaultRecord]" = []
+        self._packed_faults = {
+            name: PackedColumn(packer, attrgetter(name))
+            for name, packer in (
+                ("time", pack_floats),
+                ("page_index", pack_ints),
+                ("corrected", pack_bools),
+            )
+        }
 
     def __repr__(self) -> str:
         ecc = "ECC" if self.spec.ecc_memory else "non-ECC"
@@ -151,9 +161,8 @@ class MemoryBank:
             "version": _STATE_VERSION,
             "page_ops_total": self.page_ops_total,
             "faults": {
-                "time": pack_floats([f.time for f in self.faults]),
-                "page_index": pack_ints([f.page_index for f in self.faults]),
-                "corrected": pack_bools([f.corrected for f in self.faults]),
+                name: column.pack(self.faults)
+                for name, column in self._packed_faults.items()
             },
         }
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.hardware.faults import hazard_probability
 from repro.state.codec import (
+    PackedColumn,
     pack_floats,
     pack_ints,
     pack_optional_floats,
@@ -102,6 +104,11 @@ class SensorChip:
         self.state = SensorState.OK
         self.cold_exposure_s = 0.0
         self.history: List[SensorReading] = []
+        self._packed_history = {
+            "time": PackedColumn(pack_floats, attrgetter("time")),
+            "cpu_temp_c": PackedColumn(pack_optional_floats, attrgetter("cpu_temp_c")),
+            "state": PackedColumn(pack_ints, lambda r: _STATE_CODES[r.state]),
+        }
         self.latch_time: Optional[float] = None
 
     def __repr__(self) -> str:
@@ -179,11 +186,8 @@ class SensorChip:
             "cold_exposure_s": self.cold_exposure_s,
             "latch_time": self.latch_time,
             "history": {
-                "time": pack_floats([r.time for r in self.history]),
-                "cpu_temp_c": pack_optional_floats(
-                    [r.cpu_temp_c for r in self.history]
-                ),
-                "state": pack_ints([_STATE_CODES[r.state] for r in self.history]),
+                name: column.pack(self.history)
+                for name, column in self._packed_history.items()
             },
         }
 

@@ -41,6 +41,7 @@ reduces to the historical behaviour, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +62,8 @@ from repro.sim.events import (
     SensorMuteObserved,
 )
 from repro.state.codec import (
+    EncodedRows,
+    PackedColumn,
     pack_floats,
     pack_ints,
     pack_optional_floats,
@@ -153,6 +156,20 @@ class _ContactResult:
 _CLEAN_CONTACT = _ContactResult(ok=True, attempts=1, fault=None, backoff_s=0.0)
 
 
+def _encode_round(r: CollectionRound) -> List[Any]:
+    """One round as the plain row a checkpoint stores."""
+    return [
+        r.time,
+        list(r.collected_host_ids),
+        list(r.unreachable_host_ids),
+        list(r.down_host_ids),
+        list(r.sensor_anomaly_host_ids),
+        list(r.degraded_host_ids),
+        list(r.sensor_mute_host_ids),
+        r.retries,
+    ]
+
+
 class MonitoringHost:
     """Runs the periodic collection rounds and keeps the telemetry archive.
 
@@ -214,6 +231,12 @@ class MonitoringHost:
         self._sorted_ids: Optional[List[int]] = None
         self.sensor_records: List[SensorRecord] = []
         self.rounds: List[CollectionRound] = []
+        self._packed_sensor_records = {
+            "time": PackedColumn(pack_floats, attrgetter("time")),
+            "host_id": PackedColumn(pack_ints, attrgetter("host_id")),
+            "cpu_temp_c": PackedColumn(pack_optional_floats, attrgetter("cpu_temp_c")),
+        }
+        self._encoded_rounds = EncodedRows(_encode_round)
         self.on_down_host = on_down_host
         self.on_unreachable = on_unreachable
         self.on_sensor_anomaly = on_sensor_anomaly
@@ -540,25 +563,10 @@ class MonitoringHost:
                 for host_id, path in sorted(self.paths.items())
             },
             "sensor_records": {
-                "time": pack_floats([r.time for r in self.sensor_records]),
-                "host_id": pack_ints([r.host_id for r in self.sensor_records]),
-                "cpu_temp_c": pack_optional_floats(
-                    [r.cpu_temp_c for r in self.sensor_records]
-                ),
+                name: column.pack(self.sensor_records)
+                for name, column in self._packed_sensor_records.items()
             },
-            "rounds": [
-                [
-                    r.time,
-                    list(r.collected_host_ids),
-                    list(r.unreachable_host_ids),
-                    list(r.down_host_ids),
-                    list(r.sensor_anomaly_host_ids),
-                    list(r.degraded_host_ids),
-                    list(r.sensor_mute_host_ids),
-                    r.retries,
-                ]
-                for r in self.rounds
-            ],
+            "rounds": self._encoded_rounds.encode(self.rounds),
             "totals": [
                 self.retries_total,
                 self.retry_backoff_s_total,

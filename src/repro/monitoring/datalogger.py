@@ -23,7 +23,7 @@ import numpy as np
 from repro.sim.clock import DAY, MINUTE
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import pack_floats, unpack_floats
+from repro.state.codec import PackedColumn, pack_floats, unpack_floats
 from repro.state.protocol import check_version, parsing
 from repro.thermal.enclosure import Enclosure
 
@@ -129,6 +129,11 @@ class LascarDataLogger:
         self._temps: List[float] = []
         self._rhs: List[float] = []
         self._readings: List[LoggerReading] = []
+        self._packed = {
+            "time": PackedColumn(pack_floats),
+            "temp_c": PackedColumn(pack_floats),
+            "rh_percent": PackedColumn(pack_floats),
+        }
         # Samples taken but not yet drawn: time and true intake pair.
         self._pending: List[float] = []
         self._batch = max(1, int(DAY // period_s))
@@ -230,9 +235,9 @@ class LascarDataLogger:
             "version": _STATE_VERSION,
             "next": self._restore_next if self._next is None else self._next[:3],
             "readings": {
-                "time": pack_floats(self._times),
-                "temp_c": pack_floats(self._temps),
-                "rh_percent": pack_floats(self._rhs),
+                "time": self._packed["time"].pack(self._times),
+                "temp_c": self._packed["temp_c"].pack(self._temps),
+                "rh_percent": self._packed["rh_percent"].pack(self._rhs),
             },
             "removal_episodes": [
                 [ep.start, ep.end] for ep in self.removal_episodes

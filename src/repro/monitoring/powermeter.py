@@ -11,6 +11,7 @@ error and 1 W display resolution, and integrates energy in kWh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.hardware.host import Host
 from repro.sim.clock import HOUR, MINUTE
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import pack_floats, unpack_floats
+from repro.state.codec import PackedColumn, pack_floats, unpack_floats
 from repro.state.protocol import check_version
 
 _STATE_VERSION = 1
@@ -68,6 +69,10 @@ class TechnolineCostControl:
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("powermeter.noise")
         self.readings: List[PowerReading] = []
+        self._packed_readings = {
+            name: PackedColumn(pack_floats, attrgetter(name))
+            for name in ("time", "watts")
+        }
         self.energy_kwh = 0.0
         self._last_sample_time: Optional[float] = None
         self._handle: Optional[PeriodicTask] = None
@@ -144,8 +149,8 @@ class TechnolineCostControl:
             "energy_kwh": self.energy_kwh,
             "last_sample_time": self._last_sample_time,
             "readings": {
-                "time": pack_floats([r.time for r in self.readings]),
-                "watts": pack_floats([r.watts for r in self.readings]),
+                name: column.pack(self.readings)
+                for name, column in self._packed_readings.items()
             },
         }
 

@@ -53,9 +53,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.state.codec import (
+    PackedColumn,
     pack_bools,
     pack_floats,
     pack_ints,
@@ -181,6 +183,17 @@ class TransferLedger:
 
     def __init__(self) -> None:
         self.records: List[TransferRecord] = []
+        self._packed_records = {
+            name: PackedColumn(packer, attrgetter(name))
+            for name, packer in (
+                ("time", pack_floats),
+                ("host_id", pack_ints),
+                ("new_md5_lines", pack_ints),
+                ("new_sensor_samples", pack_ints),
+                ("bytes_moved", pack_ints),
+                ("complete", pack_bools),
+            )
+        }
         self._channels: Dict[int, RsyncChannel] = {}
         self._total_bytes = 0
         self._bytes_by_host: Dict[int, int] = {}
@@ -240,14 +253,8 @@ class TransferLedger:
                 for host_id, chan in sorted(self._channels.items())
             },
             "records": {
-                "time": pack_floats([r.time for r in self.records]),
-                "host_id": pack_ints([r.host_id for r in self.records]),
-                "new_md5_lines": pack_ints([r.new_md5_lines for r in self.records]),
-                "new_sensor_samples": pack_ints(
-                    [r.new_sensor_samples for r in self.records]
-                ),
-                "bytes_moved": pack_ints([r.bytes_moved for r in self.records]),
-                "complete": pack_bools([r.complete for r in self.records]),
+                name: column.pack(self.records)
+                for name, column in self._packed_records.items()
             },
         }
 

@@ -17,6 +17,7 @@ that is independent of the thermal chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -25,7 +26,13 @@ from repro.climate.generator import WeatherGenerator
 from repro.sim.clock import HOUR
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import pack_bools, pack_floats, unpack_bools, unpack_floats
+from repro.state.codec import (
+    PackedColumn,
+    pack_bools,
+    pack_floats,
+    unpack_bools,
+    unpack_floats,
+)
 from repro.state.protocol import check_version
 
 _STATE_VERSION = 1
@@ -84,6 +91,15 @@ class TerraceWebcam:
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("webcam.noise")
         self.frames: List[WebcamFrame] = []
+        self._packed_frames = {
+            name: PackedColumn(packer, attrgetter(name))
+            for name, packer in (
+                ("time", pack_floats),
+                ("brightness", pack_floats),
+                ("snowing", pack_bools),
+                ("tent_snow_cover", pack_floats),
+            )
+        }
         self._snow_cover = 0.0
         self._last_time: Optional[float] = None
         self._handle: Optional[PeriodicTask] = None
@@ -161,12 +177,8 @@ class TerraceWebcam:
             "snow_cover": self._snow_cover,
             "last_time": self._last_time,
             "frames": {
-                "time": pack_floats([f.time for f in self.frames]),
-                "brightness": pack_floats([f.brightness for f in self.frames]),
-                "snowing": pack_bools([f.snowing for f in self.frames]),
-                "tent_snow_cover": pack_floats(
-                    [f.tent_snow_cover for f in self.frames]
-                ),
+                name: column.pack(self.frames)
+                for name, column in self._packed_frames.items()
             },
         }
 

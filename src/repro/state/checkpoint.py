@@ -57,6 +57,8 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import eq, not_
 from typing import Any, Dict, Optional
 
 from repro.state.codec import decode_value, encode_value
@@ -121,6 +123,8 @@ class CampaignCheckpoint:
 
 def _common_prefix_len(old: str, new: str) -> int:
     """Length of the shared prefix, scanned in slices (fast on MB blobs)."""
+    if new.startswith(old):
+        return len(old)
     limit = min(len(old), len(new))
     lo = 0
     chunk = 1 << 16
@@ -161,10 +165,11 @@ def _diff(old: Any, new: Any) -> Optional[Dict[str, Any]]:
             return None
         return {_DELTA_KEY: "dict", "set": sets, "drop": drops}
     if isinstance(old, list) and isinstance(new, list):
-        limit = min(len(old), len(new))
-        keep = 0
-        while keep < limit and old[keep] == new[keep]:
-            keep += 1
+        # The index of the first pair with ``old[i] != new[i]``, found
+        # in C: unchanged rows are mostly the very same objects.
+        keep = next(
+            compress(count(), map(not_, map(eq, old, new))), min(len(old), len(new))
+        )
         if keep == len(old) == len(new):
             return None
         if keep:
@@ -183,19 +188,36 @@ def _diff(old: Any, new: Any) -> Optional[Dict[str, Any]]:
 
 
 def _apply(old: Any, delta: Dict[str, Any]) -> Any:
-    """Inverse of :func:`_diff`: rebuild the new value from ``old``."""
+    """Inverse of :func:`_diff`: rebuild the new value from ``old``.
+
+    Raises :class:`ValueError` on a node that does not fit its base: a
+    kind that does not match the base's type, a ``keep`` outside
+    ``[0, len(base)]``, or a tail of another type than the base.
+    """
+    if not isinstance(delta, dict):
+        raise ValueError("delta node is not an object")
     kind = delta[_DELTA_KEY]
     if kind == "full":
         return delta["value"]
     if kind == "dict":
-        dropped = set(delta["drop"])
+        sets, drops = delta["set"], delta["drop"]
+        if not (
+            isinstance(old, dict) and isinstance(sets, dict) and isinstance(drops, list)
+        ):
+            raise ValueError("dict delta node does not fit its base")
+        dropped = set(drops)
         out = {k: v for k, v in old.items() if k not in dropped}
-        for key, sub in delta["set"].items():
+        for key, sub in sets.items():
             out[key] = _apply(old.get(key), sub)
         return out
     if kind in ("tail", "strtail"):
-        keep = int(delta["keep"])
-        return old[:keep] + delta["tail"]
+        base_type = list if kind == "tail" else str
+        keep, tail = delta["keep"], delta["tail"]
+        if not (isinstance(old, base_type) and isinstance(tail, base_type)):
+            raise ValueError(f"{kind} delta node does not fit its base")
+        if type(keep) is not int or not 0 <= keep <= len(old):
+            raise ValueError(f"{kind} delta keeps {keep!r} of {len(old)} items")
+        return old[:keep] + tail
     raise ValueError(f"unknown delta node kind {kind!r}")
 
 

@@ -1,12 +1,17 @@
 """Serialisation helpers for state dicts.
 
-Two layers:
+Three layers:
 
 - **Packed arrays** -- the hot instrument histories (a full-scale
   campaign accumulates ~half a million sensor records) are stored as
   base64-encoded little-endian ``float64``/``int64`` columns instead of
-  JSON number lists, which keeps checkpoint writes well under the 5 %
-  step-time budget the benchmark satellite enforces.
+  JSON number lists (``docs/architecture.md``, "State & checkpoints",
+  gives the measured flush cost).
+- **Append-only histories** -- :class:`PackedColumn` and
+  :class:`EncodedRows` encode a history that only ever grows, packing
+  or encoding only the rows added since the previous capture, so a
+  checkpoint cut costs O(new data) rather than O(history).  Their
+  output is exactly what encoding the whole list gives.
 - **Tagged values** -- configs, bus events, and fault plans are frozen
   dataclasses, enums, and datetimes.  :func:`encode_value` reduces them
   to tagged plain data and :func:`decode_value` rebuilds them against a
@@ -20,8 +25,9 @@ import base64
 import dataclasses
 import datetime as _dt
 import enum
+import functools
 import math
-from typing import Any, Dict, List, Optional, Sequence, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -55,7 +61,7 @@ def pack_floats(values: Sequence[float]) -> Dict[str, Any]:
 
 
 def unpack_floats(blob: Dict[str, Any]) -> List[float]:
-    return [float(v) for v in _unpack(blob, _F64)]
+    return _unpack(blob, _F64).tolist()
 
 
 def pack_ints(values: Sequence[int]) -> Dict[str, Any]:
@@ -64,7 +70,7 @@ def pack_ints(values: Sequence[int]) -> Dict[str, Any]:
 
 
 def unpack_ints(blob: Dict[str, Any]) -> List[int]:
-    return [int(v) for v in _unpack(blob, _I64)]
+    return _unpack(blob, _I64).tolist()
 
 
 def pack_bools(values: Sequence[bool]) -> Dict[str, Any]:
@@ -73,7 +79,7 @@ def pack_bools(values: Sequence[bool]) -> Dict[str, Any]:
 
 
 def unpack_bools(blob: Dict[str, Any]) -> List[bool]:
-    return [bool(v) for v in _unpack(blob, _U8)]
+    return (_unpack(blob, _U8) != 0).tolist()
 
 
 def pack_optional_floats(values: Sequence[Optional[float]]) -> Dict[str, Any]:
@@ -86,17 +92,95 @@ def pack_optional_floats(values: Sequence[Optional[float]]) -> Dict[str, Any]:
 
 
 def unpack_optional_floats(blob: Dict[str, Any]) -> List[Optional[float]]:
-    return [None if math.isnan(v) else v for v in _unpack(blob, _F64)]
+    return [None if v != v else v for v in _unpack(blob, _F64).tolist()]
+
+
+# ----------------------------------------------------------------------
+# Append-only histories
+# ----------------------------------------------------------------------
+# Contract: a history's rows are only ever appended.  A row already
+# captured is never edited in place, and the list is never shortened
+# in place; an owner that rewrites its history (``load_state_dict``)
+# assigns a new list, which starts the memo over.  Each capture returns
+# fresh containers that share the memo's strings and encoded rows, so
+# the checkpoint writer's base payload holds the same objects and the
+# memo keeps no copy of its own.
+
+
+class PackedColumn:
+    """One packed column of an append-only history, encoded incrementally.
+
+    ``column.pack(history)`` returns exactly
+    ``packer([field(row) for row in history])`` (``field`` defaults to
+    the row itself), where ``packer`` is one of the ``pack_*``
+    functions.  Three rows of any packed dtype fill whole base64
+    quanta, so the data string of the previous capture up to its last
+    multiple of three rows is reused as is and only the rows after it
+    are packed.
+    """
+
+    def __init__(
+        self,
+        packer: Callable[[Sequence[Any]], Dict[str, Any]],
+        field: Optional[Callable[[Any], Any]] = None,
+    ) -> None:
+        self._packer = packer
+        self._field = field
+        self._source: Optional[list] = None
+        self._blob: Optional[Dict[str, Any]] = None
+
+    def pack(self, history: list) -> Dict[str, Any]:
+        blob = self._blob
+        n = len(history)
+        if blob is None or history is not self._source or n < blob["n"]:
+            self._source, sealed = history, 0
+        elif n == blob["n"]:
+            return dict(blob)
+        else:
+            sealed = blob["n"] - blob["n"] % 3
+        tail = history[sealed:]
+        if self._field is not None:
+            tail = [self._field(row) for row in tail]
+        packed = self._packer(tail)
+        if sealed:
+            chars = sealed // 3 * 4 * np.dtype(packed["__packed__"]).itemsize
+            packed["data"] = blob["data"][:chars] + packed["data"]
+            packed["n"] = n
+        self._blob = packed
+        return dict(packed)
+
+
+class EncodedRows:
+    """An append-only history as a list of encoded rows, each encoded once.
+
+    ``rows.encode(history)`` returns ``[encode(row) for row in history]``
+    as a new list whose rows are the objects earlier captures made.
+    """
+
+    def __init__(self, encode: Callable[[Any], Any]) -> None:
+        self._encode = encode
+        self._source: Optional[list] = None
+        self._rows: List[Any] = []
+
+    def encode(self, history: list) -> List[Any]:
+        rows = self._rows
+        if history is not self._source or len(history) < len(rows):
+            self._source, rows = history, []
+        if len(history) > len(rows):
+            rows = rows + [self._encode(row) for row in history[len(rows):]]
+        self._rows = rows
+        return list(rows)
 
 
 # ----------------------------------------------------------------------
 # Tagged values
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
 def _class_registry() -> Dict[str, Type]:
     """Name -> class for everything a checkpoint may instantiate.
 
     Imported lazily so the state package stays import-light and free of
-    cycles (core and monitoring import it back).
+    cycles (core and monitoring import it back); built once per process.
     """
     from repro.climate import profiles as _profiles
     from repro.control import controllers as _controllers

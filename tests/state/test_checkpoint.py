@@ -5,6 +5,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ExperimentConfig
 from repro.state import codec
@@ -142,6 +144,82 @@ class TestPackedColumns:
     def test_dtype_mismatch_rejected(self):
         with pytest.raises(ValueError):
             codec.unpack_ints(codec.pack_floats([1.0]))
+
+
+#: Each packer with values it packs; floats include NaN and infinities.
+_PACKERS = {
+    "floats": (codec.pack_floats, st.floats(width=64)),
+    "ints": (codec.pack_ints, st.integers(-(2**63), 2**63 - 1)),
+    "bools": (codec.pack_bools, st.booleans()),
+    "optional_floats": (
+        codec.pack_optional_floats,
+        st.none() | st.floats(allow_nan=False),
+    ),
+}
+
+
+def _steps(values):
+    """Captures of one history: each step appends 0-7 rows (so the length
+    before a capture runs through every residue mod 3), or replaces the
+    list with a new one."""
+    append = st.tuples(st.just("append"), st.lists(values, max_size=7))
+    replace = st.tuples(st.just("replace"), st.lists(values, max_size=10))
+    return st.lists(append | replace, min_size=1, max_size=12)
+
+
+class TestAppendOnlyHistories:
+    @pytest.mark.parametrize("kind", sorted(_PACKERS))
+    def test_packed_column_equals_packing_the_whole_list(self, kind):
+        packer, values = _PACKERS[kind]
+
+        @settings(max_examples=150, deadline=None)
+        @given(_steps(values))
+        def check(steps):
+            column = codec.PackedColumn(packer)
+            history = []
+            for op, rows in steps:
+                if op == "replace":
+                    history = list(rows)
+                else:
+                    history.extend(rows)
+                blob = column.pack(history)
+                assert blob == packer(history)
+                # The caller owns the blob dict it gets back.
+                blob["n"] = -1
+
+        check()
+
+    def test_packed_column_reads_rows_through_field(self):
+        column = codec.PackedColumn(codec.pack_ints, lambda row: row[1])
+        history = []
+        for i in range(10):
+            history.append((str(i), i * i))
+            assert column.pack(history) == codec.pack_ints([r[1] for r in history])
+
+    def test_unchanged_history_shares_its_data_string(self):
+        column = codec.PackedColumn(codec.pack_floats)
+        history = [1.0, 2.0, 3.0, 4.0]
+        first = column.pack(history)
+        again = column.pack(history)
+        assert again is not first and again["data"] is first["data"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_steps(st.tuples(st.integers(), st.text(max_size=3))))
+    def test_encoded_rows_equal_encoding_the_whole_list(self, steps):
+        rows = codec.EncodedRows(list)
+        history = []
+        previous = None
+        for op, new in steps:
+            if op == "replace":
+                history = list(new)
+            else:
+                history.extend(new)
+            encoded = rows.encode(history)
+            assert encoded == [list(row) for row in history]
+            assert encoded is not previous
+            previous = encoded
+            # The caller owns the list it gets back.
+            encoded.append("junk")
 
 
 class TestTaggedValues:

@@ -1,5 +1,6 @@
 """Delta checkpoint chain: diff/apply algebra, writer cadence, recovery."""
 
+import hashlib
 import json
 import os
 import random
@@ -32,6 +33,28 @@ def _checkpoint(sim_time, components=None, meta=None):
 def _schema(path):
     with open(path) as fh:
         return json.load(fh)["schema"]
+
+
+def _node(kind, **fields):
+    return {"__delta__": kind, **fields}
+
+
+def _lines(node):
+    """A dict node that applies ``node`` to the key ``lines``."""
+    return _node("dict", set={"lines": node}, drop=[])
+
+
+def _rewrite_body(path, **changes):
+    """Edit a delta envelope's body and checksum it again."""
+    with open(path) as fh:
+        envelope = json.load(fh)
+    body = json.loads(envelope["payload"])
+    body.update(changes)
+    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    envelope["payload"] = payload
+    envelope["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
+    with open(path, "w") as fh:
+        json.dump(envelope, fh)
 
 
 class TestDiffApply:
@@ -196,19 +219,35 @@ class TestRecovery:
 
     def test_non_sibling_base_is_rejected(self, tmp_path):
         paths = self._chain(tmp_path, n=2)
-        with open(paths[1]) as fh:
-            envelope = json.load(fh)
-        body = json.loads(envelope["payload"])
-        body["base"] = os.path.join("..", "evil.json")
-        payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        import hashlib
-
-        envelope["payload"] = payload
-        envelope["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
-        with open(paths[1], "w") as fh:
-            json.dump(envelope, fh)
+        _rewrite_body(paths[1], base=os.path.join("..", "evil.json"))
         assert read_checkpoint(paths[1]) is None
         assert os.path.exists(paths[1] + ".corrupt")
+
+    # A checksummed delta whose nodes do not fit the base: each one must
+    # be quarantined, never crash the reader or load a wrong history.
+    # The base cut's component ``t`` is ``{"lines": [0, 1, 2]}``; each
+    # case is the delta node for ``t``.
+    MISFITS = {
+        "dict-over-list": _lines(_node("dict", set={}, drop=[])),
+        "set-not-a-dict": _node("dict", set=[["lines", 1]], drop=[]),
+        "keep-past-end": _lines(_node("tail", keep=99, tail=[5])),
+        "keep-negative": _lines(_node("tail", keep=-1, tail=[5])),
+        "keep-not-an-int": _lines(_node("tail", keep=1.5, tail=[5])),
+        "tail-type-mismatch": _lines(_node("tail", keep=1, tail="x")),
+        "strtail-over-list": _lines(_node("strtail", keep=1, tail="x")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISFITS))
+    def test_misfit_delta_node_is_quarantined(self, tmp_path, case):
+        writer = DeltaCheckpointWriter(rebase_every=16)
+        base, delta = str(tmp_path / "c0.json"), str(tmp_path / "c1.json")
+        writer.write(base, _checkpoint(0.0, {"t": {"lines": [0, 1, 2]}}))
+        writer.write(delta, _checkpoint(1.0, {"t": {"lines": [0, 1, 2, 3]}}))
+        components = _node("dict", set={"t": self.MISFITS[case]}, drop=[])
+        _rewrite_body(delta, delta=_node("dict", set={"components": components}, drop=[]))
+        assert read_checkpoint(delta) is None
+        assert os.path.exists(delta + ".corrupt")
+        assert read_checkpoint(base).components == {"t": {"lines": [0, 1, 2]}}
 
     def test_failed_write_keeps_the_old_base(self, tmp_path):
         writer = DeltaCheckpointWriter(rebase_every=16)
