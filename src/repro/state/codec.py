@@ -163,12 +163,10 @@ class EncodedRows:
         self._rows: List[Any] = []
 
     def encode(self, history: list) -> List[Any]:
+        if history is not self._source or len(history) < len(self._rows):
+            self._source, self._rows = history, []
         rows = self._rows
-        if history is not self._source or len(history) < len(rows):
-            self._source, rows = history, []
-        if len(history) > len(rows):
-            rows = rows + [self._encode(row) for row in history[len(rows):]]
-        self._rows = rows
+        rows.extend(map(self._encode, history[len(rows):]))
         return list(rows)
 
 
