@@ -57,8 +57,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import eq, not_
 from typing import Any, Dict, Optional
 
 from repro.state.codec import decode_value, encode_value
@@ -123,8 +121,6 @@ class CampaignCheckpoint:
 
 def _common_prefix_len(old: str, new: str) -> int:
     """Length of the shared prefix, scanned in slices (fast on MB blobs)."""
-    if new.startswith(old):
-        return len(old)
     limit = min(len(old), len(new))
     lo = 0
     chunk = 1 << 16
@@ -165,11 +161,10 @@ def _diff(old: Any, new: Any) -> Optional[Dict[str, Any]]:
             return None
         return {_DELTA_KEY: "dict", "set": sets, "drop": drops}
     if isinstance(old, list) and isinstance(new, list):
-        # The index of the first pair with ``old[i] != new[i]``, found
-        # in C: unchanged rows are mostly the very same objects.
-        keep = next(
-            compress(count(), map(not_, map(eq, old, new))), min(len(old), len(new))
-        )
+        limit = min(len(old), len(new))
+        keep = 0
+        while keep < limit and old[keep] == new[keep]:
+            keep += 1
         if keep == len(old) == len(new):
             return None
         if keep:
@@ -194,8 +189,6 @@ def _apply(old: Any, delta: Dict[str, Any]) -> Any:
     kind that does not match the base's type, a ``keep`` outside
     ``[0, len(base)]``, or a tail of another type than the base.
     """
-    if not isinstance(delta, dict):
-        raise ValueError("delta node is not an object")
     kind = delta[_DELTA_KEY]
     if kind == "full":
         return delta["value"]
