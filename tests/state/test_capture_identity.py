@@ -36,7 +36,8 @@ def _sha(text: str) -> str:
 
 def payload_sha(snapshot) -> str:
     """Digest of the payload exactly as ``write_checkpoint`` serialises it."""
-    return _sha(json.dumps(snapshot.to_payload(), sort_keys=True, separators=(",", ":")))
+    payload = snapshot.to_payload()
+    return _sha(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def seed7_cuts(directory: str):

@@ -244,7 +244,8 @@ class TestRecovery:
         writer.write(base, _checkpoint(0.0, {"t": {"lines": [0, 1, 2]}}))
         writer.write(delta, _checkpoint(1.0, {"t": {"lines": [0, 1, 2, 3]}}))
         components = _node("dict", set={"t": self.MISFITS[case]}, drop=[])
-        _rewrite_body(delta, delta=_node("dict", set={"components": components}, drop=[]))
+        tree = _node("dict", set={"components": components}, drop=[])
+        _rewrite_body(delta, delta=tree)
         assert read_checkpoint(delta) is None
         assert os.path.exists(delta + ".corrupt")
         assert read_checkpoint(base).components == {"t": {"lines": [0, 1, 2]}}
