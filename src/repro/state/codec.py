@@ -92,7 +92,7 @@ def pack_optional_floats(values: Sequence[Optional[float]]) -> Dict[str, Any]:
 
 
 def unpack_optional_floats(blob: Dict[str, Any]) -> List[Optional[float]]:
-    return [None if v != v else v for v in _unpack(blob, _F64).tolist()]
+    return [None if math.isnan(v) else v for v in _unpack(blob, _F64).tolist()]
 
 
 # ----------------------------------------------------------------------
