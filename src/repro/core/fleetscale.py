@@ -42,7 +42,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,6 +163,9 @@ class FleetScaleCampaign:
         self._p_wrong_dt = 1.0 - (1.0 - self.p_wrong_per_cycle) ** (
             self.tick_interval_s / CYCLE_PERIOD_S
         )
+        # Transient-failure probability at the base rate; a frame
+        # recomputes it only for hosts whose rate it scales.
+        self._p_fail_base = 1.0 - np.exp(self.base_rate_per_hour * (-dt_h))
 
         # Census counters.
         self.transient_failures = 0
@@ -200,9 +203,6 @@ class FleetScaleCampaign:
 
         self.idle_power_w = per_vendor("idle_power_w")
         self.active_power_w = per_vendor("active_power_w")
-        self.cpu_idle_power_w = per_vendor("cpu_idle_power_w")
-        self.case_rise_k_per_w = per_vendor("case_rise_k_per_w")
-        self.cpu_theta_k_per_w = per_vendor("cpu_theta_k_per_w")
         self.compress_mb_per_s = per_vendor("compress_mb_per_s")
         self.defective = np.vectorize(
             {v: vendor(v).defective_series for v in ("A", "B", "C")}.__getitem__,
@@ -225,6 +225,12 @@ class FleetScaleCampaign:
         self.duty = burst_s / CYCLE_PERIOD_S
         self.avg_power_w = self.idle_power_w + self.duty * (
             self.active_power_w - self.idle_power_w
+        )
+        # Tick constants of the hazard pass: case air over intake at the
+        # duty-averaged draw, and the idle die over case air.
+        self.case_rise_c = per_vendor("case_rise_k_per_w") * self.avg_power_w
+        self.cpu_idle_rise_c = per_vendor("cpu_theta_k_per_w") * per_vendor(
+            "cpu_idle_power_w"
         )
         self.page_ops_per_cycle = tree.page_ops_per_cycle()
         ratio = self.config.memory_model.page_fault_ratio
@@ -296,6 +302,7 @@ class FleetScaleCampaign:
             on_feed_restore=self._restore_feed,
         )
         self.shed_reason = np.zeros(self.n_hosts, dtype=np.int8)
+        self._pod_tent = np.bincount(self.pod[self.tent_mask], minlength=self.n_pods)
 
     def _build_series(self, record_series: bool, series_capacity: int) -> None:
         """The observatory's recorder and per-pod cumulative tallies."""
@@ -471,10 +478,10 @@ class FleetScaleCampaign:
         now = self.sim.now
         plant = self.plant
         shed, restore = plant.evaluate(now, dt, self.tents.intake_temp_c)
-        for pod, stage, fraction in shed:
-            self._shed_pod(pod, stage, fraction, now)
-        for pod in restore:
-            self._restore_pod(pod, now)
+        if shed:
+            self._shed_pods(shed, now)
+        if restore:
+            self._restore_pods(restore, now)
         if self._n_shed:
             plant.host_hours_shed += self._n_shed * dt / 3600.0
 
@@ -541,45 +548,59 @@ class FleetScaleCampaign:
                 )
             )
 
-    def _shed_pod(self, pod: int, stage: int, fraction: float, now: float) -> None:
-        """Bring the pod's tent group down to its stage's shed fraction.
+    def _pod_rows(self, pods: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The host indices of ``pods`` as (pods x 19) rows, and the mask
+        of real hosts (a partial last pod's row runs past the cohort)."""
+        hosts = pods[:, None] * POD_SIZE + np.arange(POD_SIZE)
+        real = hosts < self.n_hosts
+        return np.minimum(hosts, self.n_hosts - 1), real
 
-        Lowest host index first, so serial and ``--jobs N`` runs shed
-        the same hosts.
+    def _trip_shed(self, hosts: np.ndarray, real: np.ndarray) -> np.ndarray:
+        """Which of the rows' hosts are down for a trip."""
+        return (
+            real
+            & (self.state[hosts] == SHED)
+            & (self.shed_reason[hosts] == _SHED_TRIP)
+        )
+
+    def _shed_pods(self, shed: List[Tuple[int, int, float]], now: float) -> None:
+        """Bring each pod's tent group down to its stage's shed fraction.
+
+        One array pass over the pods' host rows.  Lowest host index
+        first, so serial and ``--jobs N`` runs shed the same hosts; one
+        ``LoadShed`` per pod that lost hosts, in the plant's order.
         """
-        lo = pod * POD_SIZE
-        seg = slice(lo, min(self.n_hosts, lo + POD_SIZE))
-        tent = self.tent_mask[seg]
-        target = int(math.ceil(fraction * int(tent.sum())))
-        already = int(
-            ((self.state[seg] == SHED) & (self.shed_reason[seg] == _SHED_TRIP)).sum()
-        )
-        need = target - already
-        if need <= 0:
+        pods = np.array([pod for pod, _, _ in shed])
+        hosts, real = self._pod_rows(pods)
+        target = np.ceil(np.array([f for _, _, f in shed]) * self._pod_tent[pods])
+        need = target - self._trip_shed(hosts, real).sum(axis=1)
+        candidates = real & self.tent_mask[hosts] & (self.state[hosts] == RUNNING)
+        take = candidates & (np.cumsum(candidates, axis=1) <= need[:, None])
+        counts = take.sum(axis=1)
+        if not counts.any():
             return
-        candidates = np.flatnonzero(tent & (self.state[seg] == RUNNING)) + lo
-        idx = candidates[:need]
-        if not len(idx):
-            return
-        self._apply_shed(idx, _SHED_TRIP)
-        self.plant._publish(
-            ev.LoadShed(
-                time=now, pod=int(pod), hosts=int(len(idx)), stage=int(stage),
-                reason="trip",
-            )
-        )
+        self._apply_shed(hosts[take], _SHED_TRIP)
+        for (pod, stage, _), count in zip(shed, counts.tolist()):
+            if count:
+                self.plant._publish(
+                    ev.LoadShed(
+                        time=now, pod=pod, hosts=count, stage=stage, reason="trip"
+                    )
+                )
 
-    def _restore_pod(self, pod: int, now: float) -> None:
-        lo = pod * POD_SIZE
-        seg = slice(lo, min(self.n_hosts, lo + POD_SIZE))
-        mask = (self.state[seg] == SHED) & (self.shed_reason[seg] == _SHED_TRIP)
-        idx = np.flatnonzero(mask) + lo
-        if not len(idx):
+    def _restore_pods(self, restore: List[int], now: float) -> None:
+        """Power every trip-shed host of the ``restore`` pods back up."""
+        hosts, real = self._pod_rows(np.array(restore))
+        back = self._trip_shed(hosts, real)
+        counts = back.sum(axis=1)
+        if not counts.any():
             return
-        self._apply_restore(idx)
-        self.plant._publish(
-            ev.LoadRestored(time=now, pod=int(pod), hosts=int(len(idx)), reason="trip")
-        )
+        self._apply_restore(hosts[back])
+        for pod, count in zip(restore, counts.tolist()):
+            if count:
+                self.plant._publish(
+                    ev.LoadRestored(time=now, pod=pod, hosts=count, reason="trip")
+                )
 
     def _frame_hazards(self) -> None:
         dt = self.tick_interval_s
@@ -588,8 +609,8 @@ class FleetScaleCampaign:
         running = self.state == RUNNING
         n = self.n_hosts
 
-        case = self.intake_temp_c + self.case_rise_k_per_w * self.avg_power_w
-        cpu_idle = case + self.cpu_theta_k_per_w * self.cpu_idle_power_w
+        case = self.intake_temp_c + self.case_rise_c
+        cpu_idle = case + self.cpu_idle_rise_c
 
         # Sensor cold-latch: healthy chips below the threshold accrue
         # the same 0.035/h hazard as SensorChip.exposure_step.
@@ -605,18 +626,25 @@ class FleetScaleCampaign:
 
         # Transient system failures: TransientFaultModel.rate_per_hour,
         # vectorized (frailty folded into base_rate_per_hour at build).
-        rate = self.base_rate_per_hour
-        hot = case > model.temp_reference_c
+        # Only hot (and, with a cold multiplier, sub-zero) hosts leave
+        # the base rate, so only they need a fresh exp.
+        scaled = case > model.temp_reference_c
         cold = model.cold_multiplier != 1.0
-        if hot.any() or cold:
-            rate = rate.copy()
-            if hot.any():
-                rate[hot] *= 2.0 ** (
-                    (case[hot] - model.temp_reference_c) / model.temp_doubling_c
-                )
+        if cold:
+            scaled = scaled | (self.intake_temp_c < 0.0)
+        sub = np.flatnonzero(scaled)
+        p_fail = self._p_fail_base
+        if len(sub):
+            rate = self.base_rate_per_hour[sub]
+            case_sub = case[sub]
+            hot = case_sub > model.temp_reference_c
+            rate[hot] *= 2.0 ** (
+                (case_sub[hot] - model.temp_reference_c) / model.temp_doubling_c
+            )
             if cold:
-                rate[self.intake_temp_c < 0.0] *= model.cold_multiplier
-        p_fail = 1.0 - np.exp(rate * (-dt / 3600.0))
+                rate[self.intake_temp_c[sub] < 0.0] *= model.cold_multiplier
+            p_fail = p_fail.copy()
+            p_fail[sub] = 1.0 - np.exp(rate * (-dt / 3600.0))
         struck = running & (self._rng.random(n) < p_fail)
 
         # Disk attrition: 500k-hour MTBF per healthy drive, doubling
@@ -686,7 +714,7 @@ class FleetScaleCampaign:
         running = self.state == RUNNING
         n_run = int(running.sum())
         cycles = dt / CYCLE_PERIOD_S
-        self.uptime_s[running] += dt
+        np.add(self.uptime_s, dt, out=self.uptime_s, where=running)
         self.workload_runs += n_run * cycles
         self.energy_kwh += float(self.avg_power_w[running].sum()) * dt / 3.6e6
         if self._pod_energy is not None:

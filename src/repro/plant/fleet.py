@@ -13,10 +13,12 @@ the survival-census counters.  Two adapters carry its decisions out:
   and applies them to the paper campaign's host and enclosure objects.
 
 The adapter calls :meth:`advance` once per tick (after weather, before
-thermal) and :meth:`evaluate` after thermal.  Both are vector
-arithmetic plus short python loops over *transitions* (faults striking,
-trips firing), and both return at once on a tick with nothing due, so
-the per-tick cost of a quiet plant is a few comparisons.
+thermal) and :meth:`evaluate` after thermal.  :meth:`advance` walks the
+fault schedule one due fault at a time; :meth:`evaluate` applies each
+trip transition (fire, escalate, clear, restore) to all its pods as one
+masked array update, and its python loops only publish events, one per
+pod, in transition order.  Both return at once on a tick with nothing
+due, so the per-tick cost of a quiet plant is a few comparisons.
 
 Determinism: storm coins are stateless (pure functions of
 ``(seed, kind, domain, day)``, see :class:`~repro.plant.faults.PlantStorm`),
@@ -434,70 +436,72 @@ class FleetPlant:
             return _NO_ACTIONS
         hot = pod_intake_c >= threshold
 
+        hold_until = now + pol.stage_hold_s
+        publish = self._publish
         shed: List[Tuple[int, int, float]] = []
-        restore: List[int] = []
-        intake = pod_intake_c
 
-        fire = (~self.tripped) & hot
-        for pod in np.flatnonzero(fire):
-            p = int(pod)
-            self.tripped[p] = True
-            if self.stage[p] == 0:
-                self.stage[p] = 1
-            self.stage_deadline[p] = now + pol.stage_hold_s
-            self.restore_at[p] = np.inf
-            self.trips += 1
-            stage = int(self.stage[p])
-            self._publish(
-                ev.ThermalTrip(
-                    time=now, pod=p, intake_c=float(intake[p]), stage=stage
-                )
-            )
-            if pol.emergency_flap and not self.flap[p]:
-                self.flap[p] = True
-                self._publish(ev.EmergencyFlapOpened(time=now, pod=p))
-            shed.append((p, stage, pol.stage_fraction(stage)))
+        # Each transition updates its pods in one masked pass; the loops
+        # only publish, pod by pod, in the order the plant decided.
+        # ndarray.nonzero skips np.flatnonzero's wrappers (one-pod ticks).
+        fire = (~self.tripped & hot).nonzero()[0]
+        if len(fire):
+            self.tripped[fire] = True
+            self.stage[fire] = np.maximum(self.stage[fire], 1)
+            self.stage_deadline[fire] = hold_until
+            self.restore_at[fire] = np.inf
+            self.trips += len(fire)
+            opened = ~self.flap[fire] & pol.emergency_flap
+            self.flap[fire[opened]] = True
+            for p, intake_c, stage, flap_opened in zip(
+                fire.tolist(),
+                pod_intake_c[fire].tolist(),
+                self.stage[fire].tolist(),
+                opened.tolist(),
+            ):
+                publish(ev.ThermalTrip(time=now, pod=p, intake_c=intake_c, stage=stage))
+                if flap_opened:
+                    publish(ev.EmergencyFlapOpened(time=now, pod=p))
+                shed.append((p, stage, pol.stage_fraction(stage)))
 
         escalate = (
             self.tripped
             & hot
             & (self.stage_deadline <= now)
             & (self.stage < pol.max_stage)
-        )
-        for pod in np.flatnonzero(escalate):
-            p = int(pod)
-            self.stage[p] += 1
-            self.stage_deadline[p] = now + pol.stage_hold_s
-            stage = int(self.stage[p])
-            self._publish(
-                ev.ThermalTrip(
-                    time=now, pod=p, intake_c=float(intake[p]), stage=stage
-                )
-            )
-            shed.append((p, stage, pol.stage_fraction(stage)))
+        ).nonzero()[0]
+        if len(escalate):
+            self.stage[escalate] += 1
+            self.stage_deadline[escalate] = hold_until
+            for p, intake_c, stage in zip(
+                escalate.tolist(),
+                pod_intake_c[escalate].tolist(),
+                self.stage[escalate].tolist(),
+            ):
+                publish(ev.ThermalTrip(time=now, pod=p, intake_c=intake_c, stage=stage))
+                shed.append((p, stage, pol.stage_fraction(stage)))
 
-        clear = self.tripped & (intake <= pol.clear_c)
-        for pod in np.flatnonzero(clear):
-            p = int(pod)
-            self.tripped[p] = False
-            self.stage_deadline[p] = np.inf
-            self.restore_at[p] = now + pol.cooldown_s
-            self.trip_clears += 1
-            self._publish(
-                ev.ThermalTripCleared(time=now, pod=p, intake_c=float(intake[p]))
-            )
-            if self.flap[p]:
-                self.flap[p] = False
-                self._publish(ev.EmergencyFlapClosed(time=now, pod=p))
+        clear = (self.tripped & (pod_intake_c <= pol.clear_c)).nonzero()[0]
+        if len(clear):
+            self.tripped[clear] = False
+            self.stage_deadline[clear] = np.inf
+            self.restore_at[clear] = now + pol.cooldown_s
+            self.trip_clears += len(clear)
+            closed = self.flap[clear]
+            self.flap[clear] = False
+            for p, intake_c, flap_closed in zip(
+                clear.tolist(), pod_intake_c[clear].tolist(), closed.tolist()
+            ):
+                publish(ev.ThermalTripCleared(time=now, pod=p, intake_c=intake_c))
+                if flap_closed:
+                    publish(ev.EmergencyFlapClosed(time=now, pod=p))
 
-        due = (~self.tripped) & (self.stage > 0) & (self.restore_at <= now)
-        for pod in np.flatnonzero(due):
-            p = int(pod)
-            self.stage[p] = 0
-            self.restore_at[p] = np.inf
-            restore.append(p)
+        due = (~self.tripped & (self.stage > 0) & (self.restore_at <= now)).nonzero()[0]
+        if len(due):
+            self.stage[due] = 0
+            self.restore_at[due] = np.inf
+        restore = due.tolist()
 
-        if shed or clear.any() or restore:
+        if shed or len(clear) or restore:
             self._compose_factors(now)  # flap changes feed back into airflow
             self._trip_gates()
         return shed, restore
