@@ -197,28 +197,26 @@ class FleetScaleCampaign:
         self.tent_mask = groups == "tent"
         self.basement_mask = groups == "basement"
 
+        # Every host column is one value per pod slot, gathered by slot.
+        specs = [vendor(p.vendor_id) for p in plans]
+
+        def per_slot(values: List[Any], dtype: Any = np.float64) -> np.ndarray:
+            return np.array(values, dtype=dtype)[slot]
+
         def per_vendor(attr: str) -> np.ndarray:
-            table = {v: float(getattr(vendor(v), attr)) for v in ("A", "B", "C")}
-            return np.vectorize(table.__getitem__, otypes=[np.float64])(vendor_ids)
+            return per_slot([float(getattr(spec, attr)) for spec in specs])
 
         self.idle_power_w = per_vendor("idle_power_w")
         self.active_power_w = per_vendor("active_power_w")
         self.compress_mb_per_s = per_vendor("compress_mb_per_s")
-        self.defective = np.vectorize(
-            {v: vendor(v).defective_series for v in ("A", "B", "C")}.__getitem__,
-            otypes=[np.bool_],
-        )(vendor_ids)
-        self.ecc = np.vectorize(
-            {v: vendor(v).ecc_memory for v in ("A", "B", "C")}.__getitem__,
-            otypes=[np.bool_],
-        )(vendor_ids)
-        self.n_disks = np.vectorize(
-            {v: vendor(v).disk_layout.disk_count for v in ("A", "B", "C")}.__getitem__,
-            otypes=[np.int64],
-        )(vendor_ids)
-        self.disk_tolerance = np.vectorize(
-            _DISK_TOLERANCE.__getitem__, otypes=[np.int64]
-        )(vendor_ids)
+        self.defective = per_slot([spec.defective_series for spec in specs], np.bool_)
+        self.ecc = per_slot([spec.ecc_memory for spec in specs], np.bool_)
+        self.n_disks = per_slot(
+            [spec.disk_layout.disk_count for spec in specs], np.int64
+        )
+        self.disk_tolerance = per_slot(
+            [_DISK_TOLERANCE[p.vendor_id] for p in plans], np.int64
+        )
 
         tree = KernelSourceTree()
         burst_s = (tree.total_bytes / 1e6) / self.compress_mb_per_s
