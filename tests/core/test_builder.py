@@ -6,6 +6,7 @@ import pytest
 
 from repro import Experiment, ExperimentConfig
 from repro.core.builder import Campaign, CampaignBuilder, DEFAULT_INSTRUMENTS
+from repro.runner.records import record_from_results
 from repro.sim.events import HostInstalled
 
 
@@ -155,3 +156,62 @@ class TestFacadeEquivalence:
         assert list(plain.outside_temperature().values) == list(
             instrumented.outside_temperature().values
         )
+
+
+class TestSteppedDriver:
+    """The contract ``begin``/``advance_to``/``finish`` shares with ``run``."""
+
+    UNTIL = dt.datetime(2010, 2, 26)
+
+    def _record(self, results):
+        return record_from_results(7, results, until=self.UNTIL).canonical_json()
+
+    def test_stepped_run_matches_one_shot(self):
+        straight = CampaignBuilder(ExperimentConfig(seed=7)).build().run(until=self.UNTIL)
+        stepped = CampaignBuilder(ExperimentConfig(seed=7)).build()
+        end = stepped.begin(until=self.UNTIL)
+        assert end == stepped.clock.to_seconds(self.UNTIL)
+        # Uneven segments, as datetimes and as simulated seconds.
+        stepped.advance_to(dt.datetime(2010, 2, 19, 12, 0, 1))
+        stepped.advance_to(stepped.clock.to_seconds(dt.datetime(2010, 2, 20, 3, 17)))
+        stepped.advance_to(dt.datetime(2010, 2, 23, 23, 59))
+        stepped.advance_to(end)
+        assert self._record(stepped.finish()) == self._record(straight)
+
+    def test_begin_after_run_rejected(self):
+        campaign = CampaignBuilder(ExperimentConfig(seed=1)).build()
+        campaign.run(until=dt.datetime(2010, 2, 16))
+        with pytest.raises(RuntimeError):
+            campaign.begin(until=dt.datetime(2010, 2, 17))
+
+    def test_run_after_begin_rejected(self):
+        campaign = CampaignBuilder(ExperimentConfig(seed=1)).build()
+        campaign.begin(until=dt.datetime(2010, 2, 16))
+        with pytest.raises(RuntimeError):
+            campaign.run(until=dt.datetime(2010, 2, 17))
+
+    def test_begin_before_prototype_end_rejected(self):
+        campaign = CampaignBuilder(ExperimentConfig(seed=1)).build()
+        with pytest.raises(ValueError):
+            campaign.begin(until=dt.datetime(2010, 2, 14))
+
+    def test_traced_continue_run_records_one_run_span(self):
+        cuts = []
+        campaign = CampaignBuilder(ExperimentConfig(seed=7)).with_telemetry().build()
+        campaign.run(
+            until=self.UNTIL,
+            checkpoint_every=2 * 86_400.0,
+            on_checkpoint=lambda path, snapshot: cuts.append(snapshot),
+        )
+        resumed = Campaign.restore(cuts[0])
+        results = resumed.continue_run()
+        telemetry = resumed.telemetry
+        assert telemetry.spans.counts()["campaign.run"] == 1
+        gauges = {gauge.name: gauge.value for gauge in telemetry.metrics.gauges()}
+        assert gauges["engine.sim_end_s"] == results.end_time
+        assert gauges["engine.events_fired"] == resumed.sim.events_fired
+        assert {
+            "engine.events_cancelled",
+            "engine.pending_at_end",
+            "engine.heap_compactions",
+        } <= set(gauges)
