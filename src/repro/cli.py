@@ -73,11 +73,31 @@ heartbeats on stderr) or ``--progress-out FILE``; ``sweep`` accepts
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import datetime as _dt
+import functools
+import json
+import os
 import sys
-from typing import List, Optional
+import time
+from typing import Callable, List, Optional
 
 from repro import Experiment, ExperimentConfig
+from repro.analysis.outliers import DEFAULT_Z_THRESHOLD
+from repro.analysis.scorecard import CLIMATES, render_scorecard, run_scorecard
+from repro.control.controllers import CONTROLLERS, controller_doc
+from repro.core.builder import Campaign, CampaignBuilder
+from repro.core.scenarios import SCENARIOS
+from repro.monitoring.health import HealthPolicy
+from repro.monitoring.transport import LinkFaultPlan
+from repro.plant.faults import PlantFaultPlan
+from repro.plant.trip import ThermalTripPolicy
+from repro.runner import RetryPolicy, sweep_records
+from repro.sim.clock import DAY
+from repro.state.protocol import StateError
+from repro.telemetry import JsonlRunLog, Telemetry
+from repro.telemetry.progress import ProgressMeter, SweepProgress
 
 
 def _parse_date(text: str) -> _dt.datetime:
@@ -87,18 +107,6 @@ def _parse_date(text: str) -> _dt.datetime:
         raise argparse.ArgumentTypeError(
             f"expected YYYY-MM-DD, got {text!r}"
         ) from None
-
-
-def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("need at least one worker process")
-    return jobs
 
 
 def _parse_seeds(text: str) -> List[int]:
@@ -113,97 +121,74 @@ def _parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def _parse_retries(text: str) -> int:
-    try:
-        retries = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if retries < 0:
-        raise argparse.ArgumentTypeError("retries cannot be negative")
-    return retries
+def _number(kind: type, quantity: str, minimum: float, strict: bool = False):
+    """An argparse type: a ``kind`` value of ``quantity`` that is at least
+    ``minimum`` (above it when ``strict``)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(
+                f"expected {noun}, got {text!r}"
+            ) from None
+        if not (value > minimum if strict else value >= minimum):
+            bound = "above" if strict else "at least"
+            raise argparse.ArgumentTypeError(
+                f"{quantity} must be {bound} {minimum}, got {text}"
+            )
+        return value
+
+    return parse
 
 
-def _parse_timeout(text: str) -> float:
-    try:
-        timeout = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of seconds, got {text!r}"
-        ) from None
-    if timeout <= 0:
-        raise argparse.ArgumentTypeError("timeout must be positive")
-    return timeout
+# Count and duration flags, each validated at parse time.
+_HOSTS = _number(int, "hosts", 1)
+_ROWS = _number(int, "rows", 1)
+_RETRIES = _number(int, "retries", 0)
+_WIDTH = _number(int, "width", 1)
+_JOBS = _number(int, "worker processes", 1)
+_DAYS = _number(float, "checkpoint cadence (days)", 0, strict=True)
+_SITES = _number(int, "sites", 1)
+_ROUNDS = _number(int, "confirmation rounds", 1)
+_RISK_SITES = _number(int, "sites to stress", 1)
+_SECONDS = _number(float, "timeout (seconds)", 0, strict=True)
 
 
-def _parse_sites(text: str) -> int:
-    try:
-        sites = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if sites < 1:
-        raise argparse.ArgumentTypeError("need at least one site")
-    return sites
+def _plan(parse: Callable[[str], object]):
+    """An argparse type from a spec grammar's ``parse`` (``ValueError`` on
+    malformed text)."""
+
+    def adapt(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return adapt
 
 
-def _parse_confirm_rounds(text: str) -> int:
-    try:
-        rounds = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if rounds < 1:
-        raise argparse.ArgumentTypeError("need at least one confirmation round")
-    return rounds
+_LINK_FAULTS = _plan(LinkFaultPlan.parse)
+_PLANT_FAULTS = _plan(PlantFaultPlan.parse)
+_TRIP_POLICY = _plan(ThermalTripPolicy.parse)
 
 
-def _parse_link_faults(text: str):
-    from repro.monitoring.transport import LinkFaultPlan
-
-    try:
-        return LinkFaultPlan.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_plant_faults(text: str):
-    from repro.plant.faults import PlantFaultPlan
-
-    try:
-        return PlantFaultPlan.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_trip_policy(text: str):
-    from repro.plant.trip import ThermalTripPolicy
-
-    try:
-        return ThermalTripPolicy.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _default_cache_dir() -> str:
-    import os
-
+def _default_cache_dir(*subdir: str) -> str:
+    """``$REPRO_CACHE_DIR/<subdir>``, else ``~/.cache/repro/<subdir or runs>``."""
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro", "runs")
+        return os.path.join(env, *subdir)
+    return os.path.join(
+        os.path.expanduser("~"), ".cache", "repro", *(subdir or ("runs",))
+    )
 
 
-def _default_atlas_cache_dir() -> str:
-    import os
-
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return os.path.join(env, "atlas")
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro", "atlas")
+def _add_until(parser: argparse.ArgumentParser, scope: str = "the campaign") -> None:
+    parser.add_argument(
+        "--until", type=_parse_date, default=None,
+        help=f"truncate {scope} at this date (YYYY-MM-DD)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,12 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the experiment and print results")
     run.add_argument("--seed", type=int, default=7, help="master seed")
+    _add_until(run)
     run.add_argument(
-        "--until", type=_parse_date, default=None,
-        help="truncate the campaign at this date (YYYY-MM-DD)",
-    )
-    run.add_argument(
-        "--hosts", type=int, default=None, metavar="N",
+        "--hosts", type=_HOSTS, default=None, metavar="N",
         help="run the vectorized fleet-scale cohort with N hosts (pods of "
         "19 replicating the paper's vendor mix) instead of the per-event "
         "paper campaign; approximate batch mode, incompatible with "
@@ -247,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one JSON line per campaign event (JSONL)",
     )
     run.add_argument(
-        "--link-faults", type=_parse_link_faults, default=None, metavar="SPEC",
+        "--link-faults", type=_LINK_FAULTS, default=None, metavar="SPEC",
         help="inject transport faults into the monitoring rounds; SPEC is "
         "comma-separated clauses: 'storm:P[:seed=S][:action=A]...' for a "
         "seeded per-(host,round) storm, or 'HOST:ROUND:ACTION[:key=val]...' "
         "for an explicit fault (actions: ssh-timeout, partial, slow)",
     )
     run.add_argument(
-        "--plant-faults", type=_parse_plant_faults, default=None, metavar="SPEC",
+        "--plant-faults", type=_PLANT_FAULTS, default=None, metavar="SPEC",
         help="inject cooling/power plant faults; SPEC is ';'-separated "
         "clauses: 'COMPONENT:EVENT@WHEN[,key=value...]' for a scheduled "
         "fault (components: fan, crac, intake, heater, feed; WHEN is "
@@ -263,22 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
         "and the --hosts fleet cohort",
     )
     run.add_argument(
-        "--trip-policy", type=_parse_trip_policy, default=None, metavar="SPEC",
+        "--trip-policy", type=_TRIP_POLICY, default=None, metavar="SPEC",
         help="protective thermal-trip policy; SPEC is comma-separated "
         "key=value pairs (trip=, clear=, shed=F1+F2+.., hold=, cooldown=, "
         "flap=on|off); an empty SPEC arms the stock policy",
     )
     run.add_argument(
-        "--confirm-rounds", type=_parse_confirm_rounds, default=1, metavar="N",
+        "--confirm-rounds", type=_ROUNDS, default=1, metavar="N",
         help="consecutive failed rounds before a host outage is confirmed "
         "and the operator is involved (default: 1, the historical behaviour)",
     )
     run.add_argument(
-        "--monitor-retries", type=_parse_retries, default=0, metavar="N",
+        "--monitor-retries", type=_RETRIES, default=0, metavar="N",
         help="extra SSH attempts per host within a round (default: 0)",
     )
     run.add_argument(
-        "--checkpoint-every", type=_parse_timeout, default=None, metavar="DAYS",
+        "--checkpoint-every", type=_DAYS, default=None, metavar="DAYS",
         help="flush a resumable campaign checkpoint every DAYS simulated days",
     )
     run.add_argument(
@@ -303,11 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser("figures", help="render Figs. 1-4 in the terminal")
     figures.add_argument("--seed", type=int, default=7)
-    figures.add_argument("--width", type=int, default=90)
-    figures.add_argument(
-        "--until", type=_parse_date, default=None,
-        help="truncate the campaign at this date (YYYY-MM-DD)",
-    )
+    figures.add_argument("--width", type=_WIDTH, default=90)
+    _add_until(figures)
 
     sub.add_parser("pue", help="the Section 5 PUE arithmetic")
 
@@ -323,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-site free-cooling economics: rank N synthetic sites",
     )
     atlas.add_argument(
-        "--sites", type=_parse_sites, default=100, metavar="N",
+        "--sites", type=_SITES, default=100, metavar="N",
         help="synthetic sites to sample and score (default: 100)",
     )
     atlas.add_argument(
@@ -331,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="master seed; site i of a seed's atlas is the same at any N",
     )
     atlas.add_argument(
-        "--jobs", type=_parse_jobs, default=1,
+        "--jobs", type=_JOBS, default=1,
         help="worker processes (1 = serial in this process)",
     )
     atlas.add_argument(
@@ -339,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed server intake temperature ceiling (degC)",
     )
     atlas.add_argument(
-        "--top", type=int, default=None, metavar="N",
+        "--top", type=_ROWS, default=None, metavar="N",
         help="print only the best N sites (ranking still covers all)",
     )
     atlas.add_argument(
@@ -354,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a byte-identical table",
     )
     atlas.add_argument(
-        "--retries", type=_parse_retries, default=0, metavar="N",
+        "--retries", type=_RETRIES, default=0, metavar="N",
         help="re-score a crashed site up to N extra times",
     )
     atlas.add_argument(
@@ -374,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a survival-census column to the table",
     )
     atlas.add_argument(
-        "--risk-sites", type=int, default=10, metavar="K",
+        "--risk-sites", type=_RISK_SITES, default=10, metavar="K",
         help="how many top-ranked sites get the --risk stress run "
         "(default: 10)",
     )
@@ -382,10 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="dump a run to flat files")
     export.add_argument("directory", help="output directory")
     export.add_argument("--seed", type=int, default=7)
-    export.add_argument(
-        "--until", type=_parse_date, default=None,
-        help="truncate the campaign at this date (YYYY-MM-DD)",
-    )
+    _add_until(export)
 
     sweep = sub.add_parser(
         "sweep", help="run several seeds (optionally parallel) and aggregate"
@@ -395,15 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated master seeds (default: 7,11,13,17)",
     )
     sweep.add_argument(
-        "--jobs", type=_parse_jobs, default=1,
+        "--jobs", type=_JOBS, default=1,
         help="worker processes (1 = serial in this process)",
     )
+    _add_until(sweep, "every campaign")
     sweep.add_argument(
-        "--until", type=_parse_date, default=None,
-        help="truncate every campaign at this date (YYYY-MM-DD)",
-    )
-    sweep.add_argument(
-        "--scenario", choices=sorted(_scenario_names()), default="paper",
+        "--scenario", choices=sorted(SCENARIOS), default="paper",
         help="named scenario to sweep (default: paper)",
     )
     sweep.add_argument(
@@ -419,12 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect metrics in every worker and print the merged tallies",
     )
     sweep.add_argument(
-        "--retries", type=_parse_retries, default=0, metavar="N",
+        "--retries", type=_RETRIES, default=0, metavar="N",
         help="re-run a crashed or timed-out seed up to N extra times "
         "(deterministic exponential backoff between attempts)",
     )
     sweep.add_argument(
-        "--timeout", type=_parse_timeout, default=None, metavar="SECONDS",
+        "--timeout", type=_SECONDS, default=None, metavar="SECONDS",
         help="wall-clock budget per attempt; enforced with --jobs >= 2",
     )
     sweep.add_argument(
@@ -439,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of simulated t=0 (needs the cache; pair with --retries)",
     )
     sweep.add_argument(
-        "--checkpoint-every", type=_parse_timeout, default=None, metavar="DAYS",
+        "--checkpoint-every", type=_DAYS, default=None, metavar="DAYS",
         help="checkpoint cadence for --resumable in simulated days "
         "(default: 14)",
     )
@@ -453,12 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry", help="run with telemetry on and print the hot-label report"
     )
     telemetry.add_argument("--seed", type=int, default=7, help="master seed")
+    _add_until(telemetry)
     telemetry.add_argument(
-        "--until", type=_parse_date, default=None,
-        help="truncate the campaign at this date (YYYY-MM-DD)",
-    )
-    telemetry.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_ROWS, default=10,
         help="rows per report section (default: 10)",
     )
     telemetry.add_argument(
@@ -471,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         ".report_json) instead of the text report",
     )
     telemetry.add_argument(
-        "--hosts", type=int, default=None, metavar="N",
+        "--hosts", type=_HOSTS, default=None, metavar="N",
         help="profile the vectorized fleet-scale cohort with N hosts "
         "(per-phase frame spans) instead of the per-event paper campaign",
     )
@@ -481,14 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet observatory: per-pod series dashboard with anomaly flags",
     )
     observe.add_argument(
-        "--hosts", type=int, default=1900, metavar="N",
+        "--hosts", type=_HOSTS, default=1900, metavar="N",
         help="fleet size in hosts, grouped into pods of 19 (default: 1900)",
     )
     observe.add_argument("--seed", type=int, default=7, help="master seed")
-    observe.add_argument(
-        "--until", type=_parse_date, default=None,
-        help="truncate the campaign at this date (YYYY-MM-DD)",
-    )
+    _add_until(observe)
     observe.add_argument(
         "--pod", type=int, default=None, metavar="P",
         help="also chart pod P against the fleet median (see --signal)",
@@ -503,10 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of growing past this (default: 512)",
     )
     observe.add_argument(
-        "--width", type=int, default=60, help="chart width in columns"
+        "--width", type=_WIDTH, default=60, help="chart width in columns"
     )
     observe.add_argument(
-        "--top", type=int, default=5,
+        "--top", type=_ROWS, default=5,
         help="rows in the pod anomaly table (default: 5)",
     )
     observe.add_argument(
@@ -514,13 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="robust |z| for a pod anomaly flag (default: 3.5)",
     )
     observe.add_argument(
-        "--plant-faults", type=_parse_plant_faults, default=None, metavar="SPEC",
+        "--plant-faults", type=_PLANT_FAULTS, default=None, metavar="SPEC",
         help="inject cooling/power plant faults into the observed fleet "
         "(same grammar as 'run --plant-faults'); the dashboard gains a "
         "shed-hosts row and an incident log",
     )
     observe.add_argument(
-        "--trip-policy", type=_parse_trip_policy, default=None, metavar="SPEC",
+        "--trip-policy", type=_TRIP_POLICY, default=None, metavar="SPEC",
         help="protective thermal-trip policy for the observed fleet "
         "(same grammar as 'run --trip-policy')",
     )
@@ -559,22 +526,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A,B,..", help="comma-separated climate names",
     )
     compare.add_argument("--seed", type=int, default=7, help="master seed")
-    compare.add_argument(
-        "--until", type=_parse_date, default=None,
-        help="truncate each campaign at this date (YYYY-MM-DD)",
-    )
+    _add_until(compare, "each campaign")
     return parser
 
 
-def _scenario_names() -> List[str]:
-    from repro.core.scenarios import SCENARIOS
-
-    return list(SCENARIOS)
+class _UsageError(Exception):
+    """A flag value or combination a verb cannot honour: ``main`` prints
+    one ``error:`` line and exits 2."""
 
 
 def _checkpoint_kwargs(args: argparse.Namespace) -> dict:
-    from repro.sim.clock import DAY
-
     if args.checkpoint_every is None:
         if args.checkpoint_dir:
             raise SystemExit("error: --checkpoint-dir needs --checkpoint-every")
@@ -587,232 +548,33 @@ def _checkpoint_kwargs(args: argparse.Namespace) -> dict:
 
 def _make_progress(args: argparse.Namespace, **kwargs):
     """A :class:`ProgressMeter` per the --progress/--progress-out flags."""
-    if not (getattr(args, "progress", False) or args.progress_out):
+    progress_out = getattr(args, "progress_out", None)
+    if not (getattr(args, "progress", False) or progress_out):
         return None
-    from repro.telemetry.progress import ProgressMeter
-
-    if args.progress_out:
-        return ProgressMeter.open(args.progress_out, **kwargs)
+    if progress_out:
+        return ProgressMeter.open(progress_out, **kwargs)
     return ProgressMeter(sys.stderr, **kwargs)
 
 
-def _cmd_run_resume(args: argparse.Namespace) -> int:
-    from repro.core.builder import Campaign
-    from repro.state.protocol import StateError
+def _print_outcome(
+    args: argparse.Namespace,
+    campaign,
+    results=None,
+    note: Optional[str] = None,
+    degraded: bool = False,
+    telemetry=None,
+    run_log=None,
+    progress=None,
+) -> int:
+    """The output tail of every ``run`` mode.
 
-    if args.progress or args.progress_out:
-        print(
-            "error: --progress/--progress-out cannot hook a resumed "
-            "campaign; re-run without them",
-            file=sys.stderr,
-        )
-        return 2
-
-    try:
-        campaign, results = Campaign.resume(
-            args.resume, until=args.until, **_checkpoint_kwargs(args)
-        )
-    except StateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.report:
-        from repro.core.reporting import full_report
-
-        print(full_report(results))
-    else:
-        print(results.summary())
-    if campaign.plant is not None:
-        from repro.analysis.survival import SurvivalCensus, render_survival
-
-        print("survival census:")
-        print(render_survival(SurvivalCensus.from_campaign(campaign), indent="  "))
-    print(f"resumed from {args.resume}")
-    for path in campaign.checkpoints_written:
-        print(f"checkpoint -> {path}")
-    return 0
-
-
-def _fleet_sample(campaign, telemetry):
-    """Heartbeat extras for a fleet run: failure count + hottest phase."""
-
-    def sample():
-        summary = campaign.summary()
-        extra = {
-            "failures": summary["transient_failures"]
-            + summary["storage_failures"],
-            "hosts_running": summary["running"],
-        }
-        if telemetry is not None:
-            labels = [
-                label
-                for label in telemetry.spans.labels()
-                if label.startswith("fleetscale.")
-            ]
-            if labels:
-                extra["hottest_span"] = max(
-                    labels, key=lambda l: telemetry.spans.stats(l).total_s
-                )
-        return extra
-
-    return sample
-
-
-def _cmd_run_fleetscale(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.core.fleetscale import FleetScaleCampaign
-
-    incompatible = [
-        name
-        for name, value in (
-            ("--resume", args.resume),
-            ("--link-faults", args.link_faults),
-            ("--checkpoint-every", args.checkpoint_every),
-            ("--checkpoint-dir", args.checkpoint_dir),
-            ("--run-log", args.run_log),
-            ("--report", args.report or None),
-            ("--controller", args.controller),
-        )
-        if value
-    ]
-    if incompatible:
-        print(
-            f"error: --hosts is a batch cohort mode; {', '.join(incompatible)} "
-            "only apply to the per-event paper campaign",
-            file=sys.stderr,
-        )
-        return 2
-    config = ExperimentConfig(seed=args.seed)
-    until = args.until if args.until is not None else config.end_date
-    days = (until - config.test_start).total_seconds() / 86_400.0
-    if days <= 0:
-        print("error: --until precedes the campaign start", file=sys.stderr)
-        return 2
-    telemetry = None
-    if args.telemetry_out:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
-    campaign = FleetScaleCampaign(
-        args.hosts,
-        config,
-        telemetry=telemetry,
-        plant_faults=args.plant_faults,
-        trip_policy=args.trip_policy,
-    )
-    progress = _make_progress(
-        args,
-        source="fleet",
-        clock=campaign.clock,
-        sim_end_s=campaign.clock.to_seconds(until),
-        sample=_fleet_sample(campaign, telemetry),
-    )
-    campaign.progress = progress
-    wall_start = time.perf_counter()
-    try:
-        campaign.run(days)
-    finally:
-        if progress is not None:
-            progress.finish(campaign.sim.now)
-            progress.close()
-    wall_s = time.perf_counter() - wall_start
-    print(campaign.format_summary())
-    if campaign.plant is not None:
-        from repro.analysis.survival import SurvivalCensus, render_survival
-
-        census = SurvivalCensus.from_campaign(campaign)
-        print("survival census:")
-        print(render_survival(census, indent="  "))
-    simulated_days = campaign.summary()["simulated_s"] / 86_400.0
-    print(
-        f"wall: {wall_s:.2f}s for {simulated_days:.1f} sim-days "
-        f"({wall_s / max(simulated_days, 1e-9):.4f} s/sim-day)"
-    )
-    if telemetry is not None:
-        import json
-
-        with open(args.telemetry_out, "w", encoding="utf-8") as fh:
-            json.dump(telemetry.to_json_dict(), fh, indent=2, sort_keys=True)
-        print(f"telemetry -> {args.telemetry_out}")
-    if args.progress_out and progress is not None:
-        print(f"progress  -> {args.progress_out} ({progress.lines_emitted} heartbeats)")
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.core.builder import CampaignBuilder
-
-    if args.hosts is not None:
-        return _cmd_run_fleetscale(args)
-    if args.resume:
-        return _cmd_run_resume(args)
-    builder = CampaignBuilder(ExperimentConfig(seed=args.seed))
-    if args.controller is not None:
-        try:
-            builder.with_controller(args.controller)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    degraded = args.link_faults is not None or args.confirm_rounds > 1 or args.monitor_retries
-    if args.link_faults is not None:
-        builder.with_link_faults(args.link_faults)
-    if args.plant_faults is not None:
-        builder.with_plant_faults(args.plant_faults)
-    if args.trip_policy is not None:
-        builder.with_trip_policy(args.trip_policy)
-    if degraded:
-        from repro.monitoring.health import HealthPolicy
-        from repro.runner.policy import RetryPolicy
-
-        builder.with_health_policy(
-            HealthPolicy(
-                confirm_rounds=args.confirm_rounds,
-                retry=RetryPolicy(max_attempts=args.monitor_retries + 1),
-            )
-        )
-    telemetry = None
-    if args.telemetry_out:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
-        builder.with_telemetry(telemetry)
-    run_log = None
-    if args.run_log:
-        from repro.telemetry import JsonlRunLog
-
-        run_log = JsonlRunLog.open(args.run_log)
-        builder.with_subscriber(run_log.subscribe)
-    campaign = builder.build()
-    end_date = args.until if args.until is not None else campaign.config.end_date
-
-    def sample():
-        extra = {"failures": len(campaign.fault_log.events)}
-        if telemetry is not None:
-            labels = telemetry.spans.labels()
-            if labels:
-                extra["hottest_span"] = max(
-                    labels, key=lambda l: telemetry.spans.stats(l).total_s
-                )
-        return extra
-
-    progress = _make_progress(
-        args,
-        source="run",
-        clock=campaign.clock,
-        sim_end_s=campaign.clock.to_seconds(end_date),
-        sample=sample,
-    )
-    if progress is not None:
-        campaign.sim.on_event = progress.on_event
-    try:
-        results = campaign.run(until=args.until, **_checkpoint_kwargs(args))
-    finally:
-        if run_log is not None:
-            run_log.close()
-        if progress is not None:
-            progress.finish(campaign.sim.now)
-            progress.close()
-    if args.report:
+    Prints the summary or report of ``results`` (a batch cohort, which
+    has none, prints its own summary), the degraded-mode line, the
+    survival census, an optional ``note``, then the artifact lines.
+    """
+    if results is None:
+        print(campaign.format_summary())
+    elif args.report:
         from repro.core.reporting import full_report
 
         print(full_report(results))
@@ -833,9 +595,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         print("survival census:")
         print(render_survival(SurvivalCensus.from_campaign(campaign), indent="  "))
+    if note is not None:
+        print(note)
     if telemetry is not None:
-        import json
-
         with open(args.telemetry_out, "w", encoding="utf-8") as fh:
             json.dump(telemetry.to_json_dict(), fh, indent=2, sort_keys=True)
         print(f"telemetry -> {args.telemetry_out}")
@@ -843,39 +605,221 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"run log   -> {args.run_log} ({run_log.lines_written} events)")
     if args.progress_out and progress is not None:
         print(f"progress  -> {args.progress_out} ({progress.lines_emitted} heartbeats)")
-    for path in campaign.checkpoints_written:
-        print(f"checkpoint -> {path}")
+    if results is not None:
+        for path in campaign.checkpoints_written:
+            print(f"checkpoint -> {path}")
     return 0
 
 
+def _cmd_run_resume(args: argparse.Namespace) -> int:
+    if args.progress or args.progress_out:
+        raise _UsageError(
+            "--progress/--progress-out cannot hook a resumed campaign; "
+            "re-run without them"
+        )
+    try:
+        campaign, results = Campaign.resume(
+            args.resume, until=args.until, **_checkpoint_kwargs(args)
+        )
+    except StateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return _print_outcome(
+        args, campaign, results, note=f"resumed from {args.resume}"
+    )
+
+
+def _heartbeat_sample(counts: Callable[[], dict], telemetry, prefix: str = ""):
+    """Heartbeat extras: ``counts()`` plus the hottest span under ``prefix``."""
+
+    def sample():
+        extra = counts()
+        if telemetry is not None:
+            labels = [
+                label for label in telemetry.spans.labels() if label.startswith(prefix)
+            ]
+            if labels:
+                extra["hottest_span"] = max(
+                    labels, key=lambda l: telemetry.spans.stats(l).total_s
+                )
+        return extra
+
+    return sample
+
+
+def _run_batch(
+    args: argparse.Namespace,
+    telemetry=None,
+    source: str = "fleet",
+    check: Optional[Callable[[object], None]] = None,
+    **options,
+):
+    """Build the batch cohort the flags describe and drive it to --until.
+
+    ``run --hosts``, ``telemetry --hosts`` and ``observe`` all come
+    through here.  ``options`` go to :class:`FleetScaleCampaign`; its
+    ``ValueError`` is a usage error, and ``check(campaign)`` may raise
+    one before anything runs.  Returns the campaign and the run's wall
+    seconds.
+    """
+    from repro.core.fleetscale import FleetScaleCampaign
+
+    config = ExperimentConfig(seed=args.seed)
+    until = args.until if args.until is not None else config.end_date
+    days = (until - config.test_start).total_seconds() / 86_400.0
+    if days <= 0:
+        raise _UsageError("--until precedes the campaign start")
+    try:
+        campaign = FleetScaleCampaign(
+            args.hosts, config, telemetry=telemetry, **options
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if check is not None:
+        check(campaign)
+
+    def counts() -> dict:
+        summary = campaign.summary()
+        return {
+            "failures": summary["transient_failures"] + summary["storage_failures"],
+            "hosts_running": summary["running"],
+        }
+
+    campaign.progress = _make_progress(
+        args,
+        source=source,
+        clock=campaign.clock,
+        sim_end_s=campaign.clock.to_seconds(until),
+        sample=_heartbeat_sample(counts, telemetry, "fleetscale."),
+    )
+    wall_start = time.perf_counter()
+    try:
+        campaign.run(days)
+    finally:
+        # run() itself emits the final heartbeat, even when it raises.
+        if campaign.progress is not None:
+            campaign.progress.close()
+    return campaign, time.perf_counter() - wall_start
+
+
+def _cmd_run_fleetscale(args: argparse.Namespace) -> int:
+    incompatible = [
+        name
+        for name, value in (
+            ("--resume", args.resume),
+            ("--link-faults", args.link_faults),
+            ("--monitor-retries", args.monitor_retries),
+            ("--confirm-rounds", args.confirm_rounds > 1),
+            ("--checkpoint-every", args.checkpoint_every),
+            ("--checkpoint-dir", args.checkpoint_dir),
+            ("--run-log", args.run_log),
+            ("--report", args.report),
+            ("--controller", args.controller),
+        )
+        if value
+    ]
+    if incompatible:
+        raise _UsageError(
+            f"--hosts is a batch cohort mode; {', '.join(incompatible)} "
+            "only apply to the per-event paper campaign"
+        )
+    telemetry = Telemetry() if args.telemetry_out else None
+    campaign, wall_s = _run_batch(
+        args,
+        telemetry,
+        plant_faults=args.plant_faults,
+        trip_policy=args.trip_policy,
+    )
+    simulated_days = campaign.summary()["simulated_s"] / 86_400.0
+    return _print_outcome(
+        args,
+        campaign,
+        note=f"wall: {wall_s:.2f}s for {simulated_days:.1f} sim-days "
+        f"({wall_s / max(simulated_days, 1e-9):.4f} s/sim-day)",
+        telemetry=telemetry,
+        progress=campaign.progress,
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.hosts is not None:
+        return _cmd_run_fleetscale(args)
+    if args.resume:
+        return _cmd_run_resume(args)
+    builder = CampaignBuilder(ExperimentConfig(seed=args.seed))
+    if args.controller is not None:
+        try:
+            builder.with_controller(args.controller)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+    degraded = args.link_faults is not None or args.confirm_rounds > 1 or args.monitor_retries
+    if args.link_faults is not None:
+        builder.with_link_faults(args.link_faults)
+    if args.plant_faults is not None:
+        builder.with_plant_faults(args.plant_faults)
+    if args.trip_policy is not None:
+        builder.with_trip_policy(args.trip_policy)
+    if degraded:
+        builder.with_health_policy(
+            HealthPolicy(
+                confirm_rounds=args.confirm_rounds,
+                retry=RetryPolicy(max_attempts=args.monitor_retries + 1),
+            )
+        )
+    telemetry = None
+    if args.telemetry_out:
+        telemetry = Telemetry()
+        builder.with_telemetry(telemetry)
+    run_log = None
+    if args.run_log:
+        run_log = JsonlRunLog.open(args.run_log)
+        builder.with_subscriber(run_log.subscribe)
+    campaign = builder.build()
+    end_date = args.until if args.until is not None else campaign.config.end_date
+    progress = _make_progress(
+        args,
+        source="run",
+        clock=campaign.clock,
+        sim_end_s=campaign.clock.to_seconds(end_date),
+        sample=_heartbeat_sample(
+            lambda: {"failures": len(campaign.fault_log.events)}, telemetry
+        ),
+    )
+    if progress is not None:
+        campaign.sim.on_event = progress.on_event
+    try:
+        results = campaign.run(until=args.until, **_checkpoint_kwargs(args))
+    finally:
+        if run_log is not None:
+            run_log.close()
+        if progress is not None:
+            progress.finish(campaign.sim.now)
+            progress.close()
+    return _print_outcome(
+        args,
+        campaign,
+        results,
+        degraded=degraded,
+        telemetry=telemetry,
+        run_log=run_log,
+        progress=progress,
+    )
+
+
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from repro.telemetry import Telemetry
     from repro.telemetry.report import render_report, report_json
 
     if args.prometheus and args.json:
-        print("error: pick one of --prometheus / --json", file=sys.stderr)
-        return 2
+        raise _UsageError("pick one of --prometheus / --json")
     telemetry = Telemetry()
     if args.hosts is not None:
-        from repro.core.fleetscale import FleetScaleCampaign
-
-        config = ExperimentConfig(seed=args.seed)
-        until = args.until if args.until is not None else config.end_date
-        days = (until - config.test_start).total_seconds() / 86_400.0
-        if days <= 0:
-            print("error: --until precedes the campaign start", file=sys.stderr)
-            return 2
-        FleetScaleCampaign(args.hosts, config, telemetry=telemetry).run(days)
+        _run_batch(args, telemetry)
     else:
-        from repro.core.builder import CampaignBuilder
-
         builder = CampaignBuilder(ExperimentConfig(seed=args.seed))
         builder.with_telemetry(telemetry).build().run(until=args.until)
     if args.prometheus:
         print(telemetry.to_prometheus_text(), end="")
     elif args.json:
-        import json
-
         print(json.dumps(report_json(telemetry, top=args.top), sort_keys=True))
     else:
         print(render_report(telemetry, top=args.top))
@@ -886,63 +830,36 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     from repro.analysis.observatory import (
         render_observatory,
         render_phase_profile,
+        render_plant_incidents,
         render_pod_drilldown,
+        render_pod_incidents,
     )
-    from repro.analysis.outliers import DEFAULT_Z_THRESHOLD
-    from repro.core.fleetscale import FleetScaleCampaign
-    from repro.telemetry import Telemetry
 
-    config = ExperimentConfig(seed=args.seed)
-    until = args.until if args.until is not None else config.end_date
-    days = (until - config.test_start).total_seconds() / 86_400.0
-    if days <= 0:
-        print("error: --until precedes the campaign start", file=sys.stderr)
-        return 2
+    def check(campaign) -> None:
+        if args.pod is None:
+            return
+        if not 0 <= args.pod < campaign.n_pods:
+            raise _UsageError(
+                f"--pod must be in [0, {campaign.n_pods}) for {args.hosts} hosts"
+            )
+        if args.signal not in campaign.series.signals:
+            known = ", ".join(sorted(campaign.series.signals))
+            raise _UsageError(f"unknown signal {args.signal!r} (one of: {known})")
+
+    telemetry = Telemetry()
+    campaign, _ = _run_batch(
+        args,
+        telemetry,
+        source="observe",
+        check=check,
+        record_series=True,
+        series_capacity=args.capacity,
+        plant_faults=args.plant_faults,
+        trip_policy=args.trip_policy,
+    )
     z_threshold = (
         args.z_threshold if args.z_threshold is not None else DEFAULT_Z_THRESHOLD
     )
-    telemetry = Telemetry()
-    try:
-        campaign = FleetScaleCampaign(
-            args.hosts,
-            config,
-            record_series=True,
-            series_capacity=args.capacity,
-            telemetry=telemetry,
-            plant_faults=args.plant_faults,
-            trip_policy=args.trip_policy,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.pod is not None and not 0 <= args.pod < campaign.n_pods:
-        print(
-            f"error: --pod must be in [0, {campaign.n_pods}) for "
-            f"{args.hosts} hosts",
-            file=sys.stderr,
-        )
-        return 2
-    if args.pod is not None and args.signal not in campaign.series.signals:
-        known = ", ".join(sorted(campaign.series.signals))
-        print(
-            f"error: unknown signal {args.signal!r} (one of: {known})",
-            file=sys.stderr,
-        )
-        return 2
-    progress = _make_progress(
-        args,
-        source="observe",
-        clock=campaign.clock,
-        sim_end_s=campaign.clock.to_seconds(until),
-        sample=_fleet_sample(campaign, telemetry),
-    )
-    campaign.progress = progress
-    try:
-        campaign.run(days)
-    finally:
-        if progress is not None:
-            progress.finish(campaign.sim.now)
-            progress.close()
     print(
         render_observatory(
             campaign.series,
@@ -953,8 +870,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         )
     )
     if campaign.plant_events is not None:
-        from repro.analysis.observatory import render_plant_incidents
-
         print()
         print(
             render_plant_incidents(
@@ -969,8 +884,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
             )
         )
         if campaign.plant_events is not None:
-            from repro.analysis.observatory import render_pod_incidents
-
             print()
             print(
                 render_pod_incidents(
@@ -979,8 +892,9 @@ def _cmd_observe(args: argparse.Namespace) -> int:
             )
     print()
     print(render_phase_profile(telemetry, campaign.summary()["engine"]["frames"]))
-    if args.progress_out and progress is not None:
-        print(f"progress  -> {args.progress_out} ({progress.lines_emitted} heartbeats)")
+    if args.progress_out:
+        lines = campaign.progress.lines_emitted
+        print(f"progress  -> {args.progress_out} ({lines} heartbeats)")
     return 0
 
 
@@ -1042,52 +956,74 @@ def _cmd_sites(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _sweep_progress(args: argparse.Namespace, total: int):
+    """A :class:`SweepProgress` on --progress-out (``None`` without it)."""
+    if not args.progress_out:
+        yield None
+        return
+    progress = SweepProgress.open(args.progress_out, total=total)
+    try:
+        yield progress
+    finally:
+        progress.close()
+
+
+def _cache_note(result) -> str:
+    return (
+        f"{result.cache_hits} from cache, {result.cache_misses} "
+        f"computed in {result.elapsed_s:.1f} s"
+    )
+
+
+def _print_sweep_tail(args: argparse.Namespace, progress, failures) -> int:
+    """The tail ``sweep`` and ``atlas`` share: the progress artifact line
+    and the failure table.  Returns the exit code."""
+    if progress is not None:
+        print(f"progress -> {args.progress_out} ({progress.lines_emitted} events)")
+    if failures:
+        print()
+        print(f"failures ({len(failures)}):")
+        for failure in failures:
+            print(f"  {failure.describe()}")
+    return 1 if failures else 0
+
+
 def _cmd_atlas(args: argparse.Namespace) -> int:
-    from repro.atlas import render_atlas_table, run_atlas, specs_for_sites
-    from repro.runner import RetryPolicy
+    from repro.atlas import (
+        rank_records,
+        render_atlas_table,
+        risk_specs,
+        run_atlas,
+        specs_for_sites,
+    )
 
     cache_dir = args.cache_dir
     if cache_dir is None and args.resumable:
-        cache_dir = _default_atlas_cache_dir()
+        cache_dir = _default_cache_dir("atlas")
     policy = None
     if args.retries:
         policy = RetryPolicy(max_attempts=args.retries + 1)
     specs = specs_for_sites(
         args.sites, seed=args.seed, intake_limit_c=args.intake_limit
     )
-    progress = None
-    if args.progress_out:
-        from repro.telemetry.progress import SweepProgress
-
-        progress = SweepProgress.open(args.progress_out, total=len(specs))
-    try:
-        result = run_atlas(
-            specs,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            policy=policy,
-            strict=not args.keep_going,
-            progress=progress.sink if progress is not None else None,
+    sweep = functools.partial(
+        run_atlas,
+        jobs=args.jobs,
+        cache_dir=cache_dir,
+        policy=policy,
+        strict=not args.keep_going,
+    )
+    with _sweep_progress(args, len(specs)) as progress:
+        result = sweep(
+            specs, progress=progress.sink if progress is not None else None
         )
-    finally:
-        if progress is not None:
-            progress.close()
     records = list(result.records)
     risk_failures = []
     if args.risk and records:
-        import dataclasses
-
-        from repro.atlas import rank_records, risk_specs
-
         ranked = rank_records(records)
         chosen = [r.site for r in ranked[: args.risk_sites]]
-        stress = run_atlas(
-            risk_specs(specs, chosen),
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            policy=policy,
-            strict=not args.keep_going,
-        )
+        stress = sweep(risk_specs(specs, chosen))
         survival_by_site = {r.site: r.survival for r in stress.records}
         records = [
             dataclasses.replace(r, survival=survival_by_site[r.site])
@@ -1096,11 +1032,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
             for r in records
         ]
         risk_failures = list(stress.failures)
-        print(
-            f"risk stress: top {len(chosen)} site(s), "
-            f"{stress.cache_hits} from cache, {stress.cache_misses} "
-            f"computed in {stress.elapsed_s:.1f} s"
-        )
+        print(f"risk stress: top {len(chosen)} site(s), {_cache_note(stress)}")
     if records:
         print(
             f"Free-cooling atlas: {args.sites} sites, seed {args.seed}, "
@@ -1109,20 +1041,8 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         print(render_atlas_table(records, top=args.top))
     else:
         print("no site survived the sweep")
-    print(
-        f"{len(result.records)} site(s), {result.cache_hits} from cache, "
-        f"{result.cache_misses} computed in {result.elapsed_s:.1f} s "
-        f"(jobs={args.jobs})"
-    )
-    if args.progress_out and progress is not None:
-        print(f"progress -> {args.progress_out} ({progress.lines_emitted} events)")
-    failures = list(result.failures) + risk_failures
-    if failures:
-        print()
-        print(f"failures ({len(failures)}):")
-        for failure in failures:
-            print(f"  {failure.describe()}")
-    return 1 if failures else 0
+    print(f"{len(result.records)} site(s), {_cache_note(result)} (jobs={args.jobs})")
+    return _print_sweep_tail(args, progress, list(result.failures) + risk_failures)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -1136,30 +1056,21 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core.scenarios import SCENARIOS
-    from repro.runner import RetryPolicy, sweep_records
-
     cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir if args.cache_dir else _default_cache_dir()
     if args.resumable and cache_dir is None:
-        print("error: --resumable needs the cache; drop --no-cache", file=sys.stderr)
-        return 2
+        raise _UsageError("--resumable needs the cache; drop --no-cache")
+    if args.checkpoint_every is not None and not args.resumable:
+        raise _UsageError("--checkpoint-every needs --resumable")
     policy = None
     if args.retries or args.timeout is not None:
         policy = RetryPolicy(max_attempts=args.retries + 1, timeout_s=args.timeout)
     checkpoint_every_s = None
     if args.checkpoint_every is not None:
-        from repro.sim.clock import DAY
-
         checkpoint_every_s = args.checkpoint_every * DAY
     factory = SCENARIOS[args.scenario]
-    progress = None
-    if args.progress_out:
-        from repro.telemetry.progress import SweepProgress
-
-        progress = SweepProgress.open(args.progress_out, total=len(args.seeds))
-    try:
+    with _sweep_progress(args, len(args.seeds)) as progress:
         result = sweep_records(
             args.seeds,
             until=args.until,
@@ -1173,9 +1084,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             checkpoint_every_s=checkpoint_every_s,
             progress=progress.sink if progress is not None else None,
         )
-    finally:
-        if progress is not None:
-            progress.close()
     if result.records:
         print(result.summary.describe())
     else:
@@ -1186,17 +1094,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if result.checkpoint_resumes:
         fault_note += f", {result.checkpoint_resumes} resumed from checkpoint"
     print(
-        f"{len(result.records)} record(s), {result.cache_hits} from cache, "
-        f"{result.cache_misses} computed in {result.elapsed_s:.1f} s "
+        f"{len(result.records)} record(s), {_cache_note(result)} "
         f"(jobs={args.jobs}, scenario={args.scenario}{fault_note})"
     )
-    if args.progress_out and progress is not None:
-        print(f"progress -> {args.progress_out} ({progress.lines_emitted} events)")
-    if result.failures:
-        print()
-        print(f"failures ({len(result.failures)}):")
-        for failure in result.failures:
-            print(f"  {failure.describe()}")
+    code = _print_sweep_tail(args, progress, result.failures)
     if args.telemetry:
         merged = result.merged_telemetry()
         if merged is not None:
@@ -1206,7 +1107,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             width = max(len(label) for label, _ in hottest) if hottest else 0
             for label, count in hottest:
                 print(f"  {label:<{width}}  {count}")
-    return 1 if result.failures else 0
+    return code
 
 
 def _first_doc_line(obj) -> str:
@@ -1214,40 +1115,36 @@ def _first_doc_line(obj) -> str:
     return doc.splitlines()[0] if doc else ""
 
 
-def _cmd_scenarios(_args: argparse.Namespace) -> int:
-    from repro.control.controllers import CONTROLLERS, controller_doc
-    from repro.core.scenarios import SCENARIOS
+def _print_controllers(indent: str = "") -> None:
+    width = max(len(name) for name in CONTROLLERS)
+    for name in sorted(CONTROLLERS):
+        print(f"{indent}{name:<{width}}  {controller_doc(name)}")
 
+
+def _cmd_scenarios(_args: argparse.Namespace) -> int:
     print("scenarios (run with: repro sweep --scenario NAME):")
     width = max(len(name) for name in SCENARIOS)
     for name, factory in SCENARIOS.items():
         print(f"  {name:<{width}}  {_first_doc_line(factory)}")
     print()
     print("controllers (run with: repro run --controller NAME):")
-    width = max(len(name) for name in CONTROLLERS)
-    for name in sorted(CONTROLLERS):
-        print(f"  {name:<{width}}  {controller_doc(name)}")
+    _print_controllers("  ")
     return 0
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
-    from repro.control.controllers import CONTROLLERS, controller_doc
-
     if args.control_command == "list":
-        width = max(len(name) for name in CONTROLLERS)
-        for name in sorted(CONTROLLERS):
-            print(f"{name:<{width}}  {controller_doc(name)}")
+        _print_controllers()
         return 0
-
-    from repro.analysis.scorecard import CLIMATES, render_scorecard, run_scorecard
 
     controllers = [c.strip() for c in args.controllers.split(",") if c.strip()]
     climates = [c.strip() for c in args.climates.split(",") if c.strip()]
+    if not controllers or not climates:
+        raise _UsageError("--controllers and --climates each need at least one name")
     unknown = [c for c in controllers if c not in CONTROLLERS]
     unknown += [c for c in climates if c not in CLIMATES]
     if unknown:
-        print(f"error: unknown name(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown name(s): {', '.join(unknown)}")
     scores = run_scorecard(
         controllers=controllers, climates=climates, seed=args.seed, until=args.until
     )
@@ -1277,7 +1174,11 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

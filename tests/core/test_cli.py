@@ -486,3 +486,45 @@ class TestObservabilityCommands:
         assert [l["kind"] for l in lines] == ["completed", "completed"]
         assert lines[-1]["done"] == 2
         assert lines[-1]["total"] == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects at parse time
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["run", "--hosts", "0"], "hosts"),
+        (["telemetry", "--hosts", "0"], "hosts"),
+        (["observe", "--hosts", "0"], "hosts"),
+        (["atlas", "--risk-sites", "-1"], "sites to stress"),
+        (["atlas", "--top", "-1"], "rows"),
+        (["telemetry", "--top", "0"], "rows"),
+        (["observe", "--top", "0"], "rows"),
+        (["observe", "--width", "0"], "width"),
+        (["figures", "--width", "0"], "width"),
+        (["run", "--checkpoint-every", "0"], "checkpoint cadence"),
+        (["sweep", "--checkpoint-every", "0", "--resumable"], "checkpoint cadence"),
+        (
+            ["run", "--hosts", "19", "--monitor-retries", "3", "--confirm-rounds", "2"],
+            "--monitor-retries, --confirm-rounds",
+        ),
+        (["sweep", "--checkpoint-every", "2"], "--checkpoint-every needs --resumable"),
+        (["control", "compare", "--controllers", ","], "--controllers"),
+        (["control", "compare", "--climates", ","], "--climates"),
+    ],
+)
+def test_invalid_counts_and_ignored_flags_exit_2(
+    argv, fragment, capsys, monkeypatch, tmp_path
+):
+    # A regression must not fill the home cache before failing.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and fragment in errors[0]
+    assert "Traceback" not in err
