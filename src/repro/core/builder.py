@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import os
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.climate.generator import WeatherGenerator
@@ -253,21 +254,34 @@ class Campaign:
         never perturbs the simulation: a checkpointed run's results are
         byte-identical to an uninterrupted one.
         """
+        end = self._claim(until)
+        self._configure_checkpoints(checkpoint_every, checkpoint_dir, on_checkpoint)
+        return self._traced_run(end, begin=True)
+
+    def _claim(self, until: Optional[_dt.datetime]) -> float:
+        """The run-once guard and horizon check of :meth:`run` and
+        :meth:`begin`; returns the horizon in simulated seconds."""
         if self._ran:
             raise RuntimeError("a Campaign instance runs exactly once")
         self._ran = True
         end_date = until if until is not None else self.config.end_date
         end = self.clock.to_seconds(end_date)
-        proto_end = self.clock.to_seconds(self.config.prototype_end)
-        if end < proto_end:
+        if end < self.clock.to_seconds(self.config.prototype_end):
             raise ValueError("campaign end precedes the prototype weekend")
-        self._configure_checkpoints(checkpoint_every, checkpoint_dir, on_checkpoint)
+        return end
 
-        if self.telemetry is None:
-            return self._drive(end)
-        with self.telemetry.span("campaign.run"):
-            results = self._drive(end)
-        self._record_run_metrics()
+    def _traced_run(self, end: float, begin: bool) -> ExperimentResults:
+        """Drive to ``end`` (scheduling the campaign first when ``begin``)
+        and build the results: one ``campaign.run`` span and the end-of-run
+        gauges when the campaign is traced."""
+        traced = self.telemetry is not None
+        with self.telemetry.span("campaign.run") if traced else nullcontext():
+            if begin:
+                self._begin(end)
+            self._run_to(end)
+            results = self._build_results(end)
+        if traced:
+            self._record_run_metrics()
         return results
 
     def _configure_checkpoints(
@@ -286,11 +300,6 @@ class Campaign:
         # Fresh chain per configured run: the first cut is always a full
         # schema-1 file, later cuts are deltas against their predecessor.
         self._checkpoint_writer = DeltaCheckpointWriter()
-
-    def _drive(self, end: float) -> ExperimentResults:
-        self._begin(end)
-        self._run_to(end)
-        return self._build_results(end)
 
     def _begin(self, end: float) -> None:
         """Attach the station, run the prototype, schedule the campaign."""
@@ -311,14 +320,7 @@ class Campaign:
     def begin(self, until: Optional[_dt.datetime] = None) -> float:
         """Schedule the full campaign without running it; returns the
         horizon in simulated seconds.  Drive with :meth:`advance_to`."""
-        if self._ran:
-            raise RuntimeError("a Campaign instance runs exactly once")
-        self._ran = True
-        end_date = until if until is not None else self.config.end_date
-        end = self.clock.to_seconds(end_date)
-        proto_end = self.clock.to_seconds(self.config.prototype_end)
-        if end < proto_end:
-            raise ValueError("campaign end precedes the prototype weekend")
+        end = self._claim(until)
         self._configure_checkpoints(None, None, None)
         self._begin(end)
         return end
@@ -776,14 +778,7 @@ class Campaign:
             raise ValueError("resume horizon precedes the checkpoint cut")
         self._end = end
         self._configure_checkpoints(checkpoint_every, checkpoint_dir, on_checkpoint)
-        if self.telemetry is None:
-            self._run_to(end)
-            return self._build_results(end)
-        with self.telemetry.span("campaign.run"):
-            self._run_to(end)
-            results = self._build_results(end)
-        self._record_run_metrics()
-        return results
+        return self._traced_run(end, begin=False)
 
     @classmethod
     def resume(

@@ -31,6 +31,7 @@ import datetime as _dt
 import multiprocessing
 import os
 import time
+from contextlib import nullcontext
 from typing import Callable, Optional
 
 from repro.core.builder import Campaign, CampaignBuilder
@@ -84,15 +85,7 @@ def run_recorded(
                 hub = Telemetry()
                 builder.with_telemetry(hub)
             campaign = builder.build()
-            if hub is not None:
-                with hub.span("runner.run"):
-                    results = campaign.run(
-                        until=until,
-                        checkpoint_every=checkpoint_every,
-                        checkpoint_dir=checkpoint_dir,
-                        on_checkpoint=on_checkpoint,
-                    )
-            else:
+            with hub.span("runner.run") if hub is not None else nullcontext():
                 results = campaign.run(
                     until=until,
                     checkpoint_every=checkpoint_every,
