@@ -956,17 +956,12 @@ def _cmd_sites(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextlib.contextmanager
 def _sweep_progress(args: argparse.Namespace, total: int):
-    """A :class:`SweepProgress` on --progress-out (``None`` without it)."""
+    """A :class:`SweepProgress` on --progress-out (``None`` without it),
+    closed when the ``with`` block exits."""
     if not args.progress_out:
-        yield None
-        return
-    progress = SweepProgress.open(args.progress_out, total=total)
-    try:
-        yield progress
-    finally:
-        progress.close()
+        return contextlib.nullcontext()
+    return contextlib.closing(SweepProgress.open(args.progress_out, total=total))
 
 
 def _cache_note(result) -> str:
