@@ -10,7 +10,6 @@ layer can consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -20,16 +19,13 @@ from repro.climate.psychro import relative_humidity_from_dewpoint
 from repro.sim.clock import MINUTE
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import PackedColumn, pack_floats, unpack_floats
+from repro.state.codec import History
 from repro.state.protocol import check_version, parsing
 
 #: Version 2 stores the next observation time; version 1 (a
 #: ``station.observe`` periodic task) is upgraded by
 #: :mod:`repro.core.legacy`.
 _STATE_VERSION = 2
-
-#: The reading columns, in :class:`StationReading` field order.
-_COLUMNS = ("time", "temp_c", "rh_percent", "wind_ms", "solar_wm2")
 
 
 @dataclass(frozen=True)
@@ -41,6 +37,18 @@ class StationReading:
     rh_percent: float
     wind_ms: float
     solar_wm2: float
+
+
+_READINGS = History(
+    StationReading,
+    [
+        ("time", float),
+        ("temp_c", float),
+        ("rh_percent", float),
+        ("wind_ms", float),
+        ("solar_wm2", float),
+    ],
+)
 
 
 class WeatherStation:
@@ -90,9 +98,7 @@ class WeatherStation:
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("station.noise")
         self._readings: List[StationReading] = []
-        self._packed = {
-            name: PackedColumn(pack_floats, attrgetter(name)) for name in _COLUMNS
-        }
+        self._packed = _READINGS.packer()
         self._sim: Optional[Simulator] = None
         #: Next observation time while attached.
         self._next: Optional[float] = None
@@ -177,10 +183,7 @@ class WeatherStation:
         return {
             "version": _STATE_VERSION,
             "next": self._next,
-            "readings": {
-                name: column.pack(self._readings)
-                for name, column in self._packed.items()
-            },
+            "readings": self._packed.pack(self._readings),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -188,11 +191,7 @@ class WeatherStation:
         nothing.  :meth:`rebind` links the restored simulator."""
         with parsing("station"):
             check_version("station", state, _STATE_VERSION)
-            readings = state["readings"]
-            columns = [unpack_floats(readings[name]) for name in _COLUMNS]
-            if len({len(values) for values in columns}) != 1:
-                raise ValueError("reading columns differ in length")
-            restored = list(map(StationReading, *columns))
+            restored = _READINGS.restore(state["readings"])
             next_time = state["next"]
             next_time = None if next_time is None else float(next_time)
         self._readings = restored

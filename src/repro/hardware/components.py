@@ -13,22 +13,13 @@ Only the behaviour the paper's fault census exercises is modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.hardware.vendors import VendorSpec
-from repro.state.codec import (
-    PackedColumn,
-    pack_bools,
-    pack_floats,
-    pack_ints,
-    unpack_bools,
-    unpack_floats,
-    unpack_ints,
-)
-from repro.state.protocol import check_version
+from repro.state.codec import History
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -72,6 +63,11 @@ class MemoryFaultRecord:
     corrected: bool
 
 
+_FAULTS = History(
+    MemoryFaultRecord, [("time", float), ("page_index", int), ("corrected", bool)]
+)
+
+
 class MemoryBank:
     """Installed RAM: page-operation accounting and bit-flip faults.
 
@@ -99,14 +95,7 @@ class MemoryBank:
         self._rng = rng
         self.page_ops_total = 0
         self.faults: "list[MemoryFaultRecord]" = []
-        self._packed_faults = {
-            name: PackedColumn(packer, attrgetter(name))
-            for name, packer in (
-                ("time", pack_floats),
-                ("page_index", pack_ints),
-                ("corrected", pack_bools),
-            )
-        }
+        self._packed_faults = _FAULTS.packer()
 
     def __repr__(self) -> str:
         ecc = "ECC" if self.spec.ecc_memory else "non-ECC"
@@ -160,24 +149,16 @@ class MemoryBank:
         return {
             "version": _STATE_VERSION,
             "page_ops_total": self.page_ops_total,
-            "faults": {
-                name: column.pack(self.faults)
-                for name, column in self._packed_faults.items()
-            },
+            "faults": self._packed_faults.pack(self.faults),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("memory", state, _STATE_VERSION)
-        self.page_ops_total = int(state["page_ops_total"])
-        faults = state["faults"]
-        self.faults = [
-            MemoryFaultRecord(time=t, page_index=p, corrected=c)
-            for t, p, c in zip(
-                unpack_floats(faults["time"]),
-                unpack_ints(faults["page_index"]),
-                unpack_bools(faults["corrected"]),
-            )
-        ]
+        with parsing("memory"):
+            check_version("memory", state, _STATE_VERSION)
+            page_ops_total = int(state["page_ops_total"])
+            faults = _FAULTS.restore(state["faults"])
+        self.page_ops_total = page_ops_total
+        self.faults = faults
 
 
 @dataclass(frozen=True)

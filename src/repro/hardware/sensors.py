@@ -18,22 +18,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.hardware.faults import hazard_probability
-from repro.state.codec import (
-    PackedColumn,
-    pack_floats,
-    pack_ints,
-    pack_optional_floats,
-    unpack_floats,
-    unpack_ints,
-    unpack_optional_floats,
-)
-from repro.state.protocol import check_version
+from repro.state.codec import History
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -50,15 +41,6 @@ class SensorState(enum.Enum):
     UNDETECTED = "undetected"  # gone from the bus after re-detection
 
 
-#: Stable small-int codes for packing reading histories into checkpoints.
-_STATE_CODES = {
-    SensorState.OK: 0,
-    SensorState.ERRATIC: 1,
-    SensorState.UNDETECTED: 2,
-}
-_STATES_BY_CODE = {code: state for state, code in _STATE_CODES.items()}
-
-
 @dataclass(frozen=True)
 class SensorReading:
     """One polled value, or ``None`` if the chip is off the bus."""
@@ -71,6 +53,18 @@ class SensorReading:
     def plausible(self) -> bool:
         """False for the -111 degC erratic readings and for absent chips."""
         return self.cpu_temp_c is not None and self.cpu_temp_c > -60.0
+
+
+#: A checkpoint stores each reading's state as its index in the tuple,
+#: so the tuple is part of the format: extend it, never reorder it.
+_HISTORY = History(
+    SensorReading,
+    [
+        ("time", float),
+        ("cpu_temp_c", Optional[float]),
+        ("state", (SensorState.OK, SensorState.ERRATIC, SensorState.UNDETECTED)),
+    ],
+)
 
 
 class SensorChip:
@@ -104,11 +98,7 @@ class SensorChip:
         self.state = SensorState.OK
         self.cold_exposure_s = 0.0
         self.history: List[SensorReading] = []
-        self._packed_history = {
-            "time": PackedColumn(pack_floats, attrgetter("time")),
-            "cpu_temp_c": PackedColumn(pack_optional_floats, attrgetter("cpu_temp_c")),
-            "state": PackedColumn(pack_ints, lambda r: _STATE_CODES[r.state]),
-        }
+        self._packed_history = _HISTORY.packer()
         self.latch_time: Optional[float] = None
 
     def __repr__(self) -> str:
@@ -185,28 +175,21 @@ class SensorChip:
             "state": self.state.value,
             "cold_exposure_s": self.cold_exposure_s,
             "latch_time": self.latch_time,
-            "history": {
-                name: column.pack(self.history)
-                for name, column in self._packed_history.items()
-            },
+            "history": self._packed_history.pack(self.history),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("sensor", state, _STATE_VERSION)
-        self.state = SensorState(state["state"])
-        self.cold_exposure_s = float(state["cold_exposure_s"])
-        self.latch_time = (
-            None if state["latch_time"] is None else float(state["latch_time"])
-        )
-        history = state["history"]
-        self.history = [
-            SensorReading(time=t, cpu_temp_c=v, state=_STATES_BY_CODE[code])
-            for t, v, code in zip(
-                unpack_floats(history["time"]),
-                unpack_optional_floats(history["cpu_temp_c"]),
-                unpack_ints(history["state"]),
-            )
-        ]
+        with parsing("sensor"):
+            check_version("sensor", state, _STATE_VERSION)
+            chip_state = SensorState(state["state"])
+            cold_exposure_s = float(state["cold_exposure_s"])
+            latch_time = state["latch_time"]
+            latch_time = None if latch_time is None else float(latch_time)
+            history = _HISTORY.restore(state["history"])
+        self.state = chip_state
+        self.cold_exposure_s = cold_exposure_s
+        self.latch_time = latch_time
+        self.history = history
 
     # ------------------------------------------------------------------
     # Census helpers

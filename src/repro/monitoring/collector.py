@@ -41,7 +41,6 @@ reduces to the historical behaviour, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,17 +60,8 @@ from repro.sim.events import (
     SensorAnomalyObserved,
     SensorMuteObserved,
 )
-from repro.state.codec import (
-    EncodedRows,
-    PackedColumn,
-    pack_floats,
-    pack_ints,
-    pack_optional_floats,
-    unpack_floats,
-    unpack_ints,
-    unpack_optional_floats,
-)
-from repro.state.protocol import check_version
+from repro.state.codec import EncodedRows, History
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -79,6 +69,11 @@ _STATE_VERSION = 1
 COLLECTION_PERIOD_S = 20 * MINUTE
 #: Readings at/below this are flagged as sensor anomalies.
 _ANOMALY_THRESHOLD_C = -60.0
+
+_SENSOR_RECORDS = History(
+    SensorRecord,
+    [("time", float), ("host_id", int), ("cpu_temp_c", Optional[float])],
+)
 
 
 class NetworkPath:
@@ -231,11 +226,7 @@ class MonitoringHost:
         self._sorted_ids: Optional[List[int]] = None
         self.sensor_records: List[SensorRecord] = []
         self.rounds: List[CollectionRound] = []
-        self._packed_sensor_records = {
-            "time": PackedColumn(pack_floats, attrgetter("time")),
-            "host_id": PackedColumn(pack_ints, attrgetter("host_id")),
-            "cpu_temp_c": PackedColumn(pack_optional_floats, attrgetter("cpu_temp_c")),
-        }
+        self._packed_sensor_records = _SENSOR_RECORDS.packer()
         self._encoded_rounds = EncodedRows(_encode_round)
         self.on_down_host = on_down_host
         self.on_unreachable = on_unreachable
@@ -562,10 +553,7 @@ class MonitoringHost:
                 str(host_id): [s.name for s in path.switches]
                 for host_id, path in sorted(self.paths.items())
             },
-            "sensor_records": {
-                name: column.pack(self.sensor_records)
-                for name, column in self._packed_sensor_records.items()
-            },
+            "sensor_records": self._packed_sensor_records.pack(self.sensor_records),
             "rounds": self._encoded_rounds.encode(self.rounds),
             "totals": [
                 self.retries_total,
@@ -581,30 +569,43 @@ class MonitoringHost:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore archive and totals; topology is re-cabled by the campaign."""
-        check_version("collector", state, _STATE_VERSION)
-        records = state["sensor_records"]
-        self.sensor_records = [
-            SensorRecord(time=t, host_id=h, cpu_temp_c=c)
-            for t, h, c in zip(
-                unpack_floats(records["time"]),
-                unpack_ints(records["host_id"]),
-                unpack_optional_floats(records["cpu_temp_c"]),
+        """Restore archive and totals; topology is re-cabled by the campaign.
+
+        A malformed blob raises :class:`StateError` and changes nothing.
+        """
+        with parsing("collector"):
+            check_version("collector", state, _STATE_VERSION)
+            sensor_records = _SENSOR_RECORDS.restore(state["sensor_records"])
+            rounds = [
+                CollectionRound(
+                    time=float(time),
+                    collected_host_ids=tuple(int(i) for i in collected),
+                    unreachable_host_ids=tuple(int(i) for i in unreachable),
+                    down_host_ids=tuple(int(i) for i in down),
+                    sensor_anomaly_host_ids=tuple(int(i) for i in anomalies),
+                    degraded_host_ids=tuple(int(i) for i in degraded),
+                    sensor_mute_host_ids=tuple(int(i) for i in mutes),
+                    retries=int(retries),
+                )
+                for time, collected, unreachable, down, anomalies, degraded, mutes, retries in state["rounds"]
+            ]
+            totals = state["totals"]
+            totals = (
+                int(totals[0]),
+                float(totals[1]),
+                int(totals[2]),
+                int(totals[3]),
+                int(totals[4]),
+                float(totals[5]),
+                int(totals[6]),
+                int(totals[7]),
             )
-        ]
-        self.rounds = [
-            CollectionRound(
-                time=float(time),
-                collected_host_ids=tuple(int(i) for i in collected),
-                unreachable_host_ids=tuple(int(i) for i in unreachable),
-                down_host_ids=tuple(int(i) for i in down),
-                sensor_anomaly_host_ids=tuple(int(i) for i in anomalies),
-                degraded_host_ids=tuple(int(i) for i in degraded),
-                sensor_mute_host_ids=tuple(int(i) for i in mutes),
-                retries=int(retries),
-            )
-            for time, collected, unreachable, down, anomalies, degraded, mutes, retries in state["rounds"]
-        ]
+            task_id = state["task_id"]
+            task_id = None if task_id is None else int(task_id)
+            # Last: the tracker itself loads all or nothing.
+            self._tracker.load_state_dict(state["tracker"])
+        self.sensor_records = sensor_records
+        self.rounds = rounds
         (
             self.retries_total,
             self.retry_backoff_s_total,
@@ -614,23 +615,13 @@ class MonitoringHost:
             self.slow_session_s_total,
             self.sensor_mute_total,
             self.sensor_erratic_total,
-        ) = (
-            int(state["totals"][0]),
-            float(state["totals"][1]),
-            int(state["totals"][2]),
-            int(state["totals"][3]),
-            int(state["totals"][4]),
-            float(state["totals"][5]),
-            int(state["totals"][6]),
-            int(state["totals"][7]),
-        )
-        self._tracker.load_state_dict(state["tracker"])
-        self._restore_task_id = state["task_id"]
+        ) = totals
+        self._restore_task_id = task_id
 
     def rebind(self, sim: Simulator) -> None:
         """Re-link the periodic task after the engine's state is loaded."""
         if self._restore_task_id is not None:
-            self._handle = sim.periodic_task(int(self._restore_task_id))
+            self._handle = sim.periodic_task(self._restore_task_id)
             self._restore_task_id = None
 
     # ------------------------------------------------------------------

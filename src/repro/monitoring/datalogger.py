@@ -23,7 +23,7 @@ import numpy as np
 from repro.sim.clock import DAY, MINUTE
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import PackedColumn, pack_floats, unpack_floats
+from repro.state.codec import History
 from repro.state.protocol import check_version, parsing
 from repro.thermal.enclosure import Enclosure
 
@@ -44,6 +44,11 @@ class LoggerReading:
     time: float
     temp_c: float
     rh_percent: float
+
+
+_READINGS = History(
+    LoggerReading, [("time", float), ("temp_c", float), ("rh_percent", float)]
+)
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,7 @@ class LascarDataLogger:
         self._temps: List[float] = []
         self._rhs: List[float] = []
         self._readings: List[LoggerReading] = []
-        self._packed = {
-            "time": PackedColumn(pack_floats),
-            "temp_c": PackedColumn(pack_floats),
-            "rh_percent": PackedColumn(pack_floats),
-        }
+        self._packed = _READINGS.packer()
         # Samples taken but not yet drawn: time and true intake pair.
         self._pending: List[float] = []
         self._batch = max(1, int(DAY // period_s))
@@ -234,11 +235,9 @@ class LascarDataLogger:
         return {
             "version": _STATE_VERSION,
             "next": self._restore_next if self._next is None else self._next[:3],
-            "readings": {
-                "time": self._packed["time"].pack(self._times),
-                "temp_c": self._packed["temp_c"].pack(self._temps),
-                "rh_percent": self._packed["rh_percent"].pack(self._rhs),
-            },
+            "readings": self._packed.pack_columns(
+                [self._times, self._temps, self._rhs]
+            ),
             "removal_episodes": [
                 [ep.start, ep.end] for ep in self.removal_episodes
             ],
@@ -249,12 +248,7 @@ class LascarDataLogger:
         nothing.  The next sample is queued again by :meth:`rebind`."""
         with parsing("lascar"):
             check_version("lascar", state, _STATE_VERSION)
-            readings = state["readings"]
-            times = unpack_floats(readings["time"])
-            temps = unpack_floats(readings["temp_c"])
-            rhs = unpack_floats(readings["rh_percent"])
-            if not len(times) == len(temps) == len(rhs):
-                raise ValueError("reading columns differ in length")
+            times, temps, rhs = _READINGS.restore_columns(state["readings"])
             episodes = [
                 RemovalEpisode(start=float(start), end=float(end))
                 for start, end in state["removal_episodes"]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.runner.policy import RetryPolicy
-from repro.state.protocol import check_version
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -177,14 +177,17 @@ class HealthTracker:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("health_tracker", state, _STATE_VERSION)
-        self.false_alarms_suppressed = int(state["false_alarms_suppressed"])
-        self._hosts = {
-            int(host_id): HostHealth(
-                state=HostHealthState(value), streak=int(streak)
-            )
-            for host_id, (value, streak) in state["hosts"].items()
-        }
+        with parsing("health_tracker"):
+            check_version("health_tracker", state, _STATE_VERSION)
+            false_alarms_suppressed = int(state["false_alarms_suppressed"])
+            hosts = {
+                int(host_id): HostHealth(
+                    state=HostHealthState(value), streak=int(streak)
+                )
+                for host_id, (value, streak) in state["hosts"].items()
+            }
+        self.false_alarms_suppressed = false_alarms_suppressed
+        self._hosts = hosts
 
     def state_of(self, host_id: int) -> HostHealthState:
         """The host's current believed state (UP if never observed)."""

@@ -11,7 +11,6 @@ error and 1 W display resolution, and integrates energy in kWh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -20,8 +19,8 @@ from repro.hardware.host import Host
 from repro.sim.clock import HOUR, MINUTE
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import PackedColumn, pack_floats, unpack_floats
-from repro.state.protocol import check_version
+from repro.state.codec import History
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -32,6 +31,9 @@ class PowerReading:
 
     time: float
     watts: float
+
+
+_READINGS = History(PowerReading, [("time", float), ("watts", float)])
 
 
 class TechnolineCostControl:
@@ -69,10 +71,7 @@ class TechnolineCostControl:
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("powermeter.noise")
         self.readings: List[PowerReading] = []
-        self._packed_readings = {
-            name: PackedColumn(pack_floats, attrgetter(name))
-            for name in ("time", "watts")
-        }
+        self._packed_readings = _READINGS.packer()
         self.energy_kwh = 0.0
         self._last_sample_time: Optional[float] = None
         self._handle: Optional[PeriodicTask] = None
@@ -148,35 +147,30 @@ class TechnolineCostControl:
             "host_ids": [h.host_id for h in self.hosts],
             "energy_kwh": self.energy_kwh,
             "last_sample_time": self._last_sample_time,
-            "readings": {
-                name: column.pack(self.readings)
-                for name, column in self._packed_readings.items()
-            },
+            "readings": self._packed_readings.pack(self.readings),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore everything except the host objects (campaign-resolved)."""
-        check_version("powermeter", state, _STATE_VERSION)
-        self.energy_kwh = float(state["energy_kwh"])
-        self._last_sample_time = (
-            None
-            if state["last_sample_time"] is None
-            else float(state["last_sample_time"])
-        )
-        readings = state["readings"]
-        self.readings = [
-            PowerReading(time=t, watts=w)
-            for t, w in zip(
-                unpack_floats(readings["time"]),
-                unpack_floats(readings["watts"]),
+        with parsing("powermeter"):
+            check_version("powermeter", state, _STATE_VERSION)
+            energy_kwh = float(state["energy_kwh"])
+            last_sample_time = state["last_sample_time"]
+            last_sample_time = (
+                None if last_sample_time is None else float(last_sample_time)
             )
-        ]
-        self._restore_task_id = state["task_id"]
+            readings = _READINGS.restore(state["readings"])
+            task_id = state["task_id"]
+            task_id = None if task_id is None else int(task_id)
+        self.energy_kwh = energy_kwh
+        self._last_sample_time = last_sample_time
+        self.readings = readings
+        self._restore_task_id = task_id
 
     def rebind(self, sim: Simulator) -> None:
         """Re-link the periodic task after the engine's state is loaded."""
         if self._restore_task_id is not None:
-            self._handle = sim.periodic_task(int(self._restore_task_id))
+            self._handle = sim.periodic_task(self._restore_task_id)
             self._restore_task_id = None
 
     # ------------------------------------------------------------------

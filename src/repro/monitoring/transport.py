@@ -53,19 +53,10 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.state.codec import (
-    PackedColumn,
-    pack_bools,
-    pack_floats,
-    pack_ints,
-    unpack_bools,
-    unpack_floats,
-    unpack_ints,
-)
-from repro.state.protocol import check_version
+from repro.state.codec import History
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -95,6 +86,19 @@ class TransferRecord:
     def __post_init__(self) -> None:
         if min(self.new_md5_lines, self.new_sensor_samples, self.bytes_moved) < 0:
             raise ValueError("transfer counts cannot be negative")
+
+
+_RECORDS = History(
+    TransferRecord,
+    [
+        ("time", float),
+        ("host_id", int),
+        ("new_md5_lines", int),
+        ("new_sensor_samples", int),
+        ("bytes_moved", int),
+        ("complete", bool),
+    ],
+)
 
 
 class RsyncChannel:
@@ -183,17 +187,7 @@ class TransferLedger:
 
     def __init__(self) -> None:
         self.records: List[TransferRecord] = []
-        self._packed_records = {
-            name: PackedColumn(packer, attrgetter(name))
-            for name, packer in (
-                ("time", pack_floats),
-                ("host_id", pack_ints),
-                ("new_md5_lines", pack_ints),
-                ("new_sensor_samples", pack_ints),
-                ("bytes_moved", pack_ints),
-                ("complete", pack_bools),
-            )
-        }
+        self._packed_records = _RECORDS.packer()
         self._channels: Dict[int, RsyncChannel] = {}
         self._total_bytes = 0
         self._bytes_by_host: Dict[int, int] = {}
@@ -252,46 +246,31 @@ class TransferLedger:
                 ]
                 for host_id, chan in sorted(self._channels.items())
             },
-            "records": {
-                name: column.pack(self.records)
-                for name, column in self._packed_records.items()
-            },
+            "records": self._packed_records.pack(self.records),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("transfer_ledger", state, _STATE_VERSION)
-        self.partial_sessions = int(state["partial_sessions"])
-        self._total_bytes = int(state["total_bytes"])
-        self._bytes_by_host = {
-            int(host_id): int(n) for host_id, n in state["bytes_by_host"].items()
-        }
-        self._channels = {}
-        for host_id, (md5, samples, total, sessions) in state["channels"].items():
-            chan = RsyncChannel(int(host_id))
-            chan._synced_md5_lines = int(md5)
-            chan._synced_sensor_samples = int(samples)
-            chan.total_bytes = int(total)
-            chan.sessions = int(sessions)
-            self._channels[int(host_id)] = chan
-        records = state["records"]
-        self.records = [
-            TransferRecord(
-                time=t,
-                host_id=h,
-                new_md5_lines=m,
-                new_sensor_samples=s,
-                bytes_moved=b,
-                complete=c,
-            )
-            for t, h, m, s, b, c in zip(
-                unpack_floats(records["time"]),
-                unpack_ints(records["host_id"]),
-                unpack_ints(records["new_md5_lines"]),
-                unpack_ints(records["new_sensor_samples"]),
-                unpack_ints(records["bytes_moved"]),
-                unpack_bools(records["complete"]),
-            )
-        ]
+        with parsing("transfer_ledger"):
+            check_version("transfer_ledger", state, _STATE_VERSION)
+            partial_sessions = int(state["partial_sessions"])
+            total_bytes = int(state["total_bytes"])
+            bytes_by_host = {
+                int(host_id): int(n) for host_id, n in state["bytes_by_host"].items()
+            }
+            channels = {}
+            for host_id, (md5, samples, total, sessions) in state["channels"].items():
+                chan = RsyncChannel(int(host_id))
+                chan._synced_md5_lines = int(md5)
+                chan._synced_sensor_samples = int(samples)
+                chan.total_bytes = int(total)
+                chan.sessions = int(sessions)
+                channels[int(host_id)] = chan
+            records = _RECORDS.restore(state["records"])
+        self.partial_sessions = partial_sessions
+        self._total_bytes = total_bytes
+        self._bytes_by_host = bytes_by_host
+        self._channels = channels
+        self.records = records
 
     @property
     def total_bytes(self) -> int:

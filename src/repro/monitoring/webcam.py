@@ -17,7 +17,6 @@ that is independent of the thermal chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -26,14 +25,8 @@ from repro.climate.generator import WeatherGenerator
 from repro.sim.clock import HOUR
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import (
-    PackedColumn,
-    pack_bools,
-    pack_floats,
-    unpack_bools,
-    unpack_floats,
-)
-from repro.state.protocol import check_version
+from repro.state.codec import History
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -65,6 +58,17 @@ class WebcamFrame:
         return self.brightness < 0.05
 
 
+_FRAMES = History(
+    WebcamFrame,
+    [
+        ("time", float),
+        ("brightness", float),
+        ("snowing", bool),
+        ("tent_snow_cover", float),
+    ],
+)
+
+
 class TerraceWebcam:
     """Hourly frame-metadata producer for the roof terrace.
 
@@ -91,15 +95,7 @@ class TerraceWebcam:
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("webcam.noise")
         self.frames: List[WebcamFrame] = []
-        self._packed_frames = {
-            name: PackedColumn(packer, attrgetter(name))
-            for name, packer in (
-                ("time", pack_floats),
-                ("brightness", pack_floats),
-                ("snowing", pack_bools),
-                ("tent_snow_cover", pack_floats),
-            )
-        }
+        self._packed_frames = _FRAMES.packer()
         self._snow_cover = 0.0
         self._last_time: Optional[float] = None
         self._handle: Optional[PeriodicTask] = None
@@ -176,34 +172,27 @@ class TerraceWebcam:
             "task_id": self._handle.task_id if self._handle is not None else None,
             "snow_cover": self._snow_cover,
             "last_time": self._last_time,
-            "frames": {
-                name: column.pack(self.frames)
-                for name, column in self._packed_frames.items()
-            },
+            "frames": self._packed_frames.pack(self.frames),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("webcam", state, _STATE_VERSION)
-        self._snow_cover = float(state["snow_cover"])
-        self._last_time = (
-            None if state["last_time"] is None else float(state["last_time"])
-        )
-        frames = state["frames"]
-        self.frames = [
-            WebcamFrame(time=t, brightness=b, snowing=s, tent_snow_cover=c)
-            for t, b, s, c in zip(
-                unpack_floats(frames["time"]),
-                unpack_floats(frames["brightness"]),
-                unpack_bools(frames["snowing"]),
-                unpack_floats(frames["tent_snow_cover"]),
-            )
-        ]
-        self._restore_task_id = state["task_id"]
+        with parsing("webcam"):
+            check_version("webcam", state, _STATE_VERSION)
+            snow_cover = float(state["snow_cover"])
+            last_time = state["last_time"]
+            last_time = None if last_time is None else float(last_time)
+            frames = _FRAMES.restore(state["frames"])
+            task_id = state["task_id"]
+            task_id = None if task_id is None else int(task_id)
+        self._snow_cover = snow_cover
+        self._last_time = last_time
+        self.frames = frames
+        self._restore_task_id = task_id
 
     def rebind(self, sim: Simulator) -> None:
         """Re-link the periodic task after the engine's state is loaded."""
         if self._restore_task_id is not None:
-            self._handle = sim.periodic_task(int(self._restore_task_id))
+            self._handle = sim.periodic_task(self._restore_task_id)
             self._restore_task_id = None
 
     # ------------------------------------------------------------------

@@ -7,11 +7,16 @@ Three layers:
   base64-encoded little-endian ``float64``/``int64`` columns instead of
   JSON number lists (``docs/architecture.md``, "State & checkpoints",
   gives the measured flush cost).
-- **Append-only histories** -- :class:`PackedColumn` and
-  :class:`EncodedRows` encode a history that only ever grows, packing
-  or encoding only the rows added since the previous capture, so a
-  checkpoint cut costs O(new data) rather than O(history).  Their
-  output is exactly what encoding the whole list gives.
+- **Append-only histories** -- each record history (sensor polls,
+  instrument readings, transfers, memory faults) declares its record
+  type and ``(field, dtype)`` columns once, as a :class:`History`.  That
+  one declaration drives the capture, which packs only the rows added
+  since the previous capture so a checkpoint cut costs O(new data)
+  rather than O(history), and the restore, which checks that every
+  column is present, of its dtype and of one length before it builds
+  the rows column-wise.  :class:`EncodedRows` does the capture half for
+  histories stored as encoded rows.  Either way the output is exactly
+  what encoding the whole list gives.
 - **Tagged values** -- configs, bus events, and fault plans are frozen
   dataclasses, enums, and datetimes.  :func:`encode_value` reduces them
   to tagged plain data and :func:`decode_value` rebuilds them against a
@@ -27,7 +32,8 @@ import datetime as _dt
 import enum
 import functools
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -106,30 +112,126 @@ def unpack_optional_floats(blob: Dict[str, Any]) -> List[Optional[float]]:
 # the checkpoint writer's base payload holds the same objects and the
 # memo keeps no copy of its own.
 
+#: Column dtype -> (packer, unpacker).
+_COLUMN_CODECS: Dict[Any, Tuple[Callable, Callable]] = {
+    float: (pack_floats, unpack_floats),
+    int: (pack_ints, unpack_ints),
+    bool: (pack_bools, unpack_bools),
+    Optional[float]: (pack_optional_floats, unpack_optional_floats),
+}
 
-class PackedColumn:
+
+def _code_table(values: Tuple[Any, ...]) -> Tuple[Callable, Callable]:
+    """Packer and unpacker of a column storing each value's index in
+    ``values`` as an ``int64``."""
+    codes = {value: code for code, value in enumerate(values)}
+
+    def pack(column: Sequence[Any]) -> Dict[str, Any]:
+        return pack_ints([codes[value] for value in column])
+
+    def unpack(blob: Dict[str, Any]) -> List[Any]:
+        column = unpack_ints(blob)
+        if column and not 0 <= min(column) <= max(column) < len(values):
+            raise ValueError("code column holds an unknown code")
+        return [values[code] for code in column]
+
+    return pack, unpack
+
+
+class History:
+    """The packed-column format of one append-only record history.
+
+    Declared once per owner, e.g.
+    ``History(PowerReading, [("time", float), ("watts", float)])``:
+    ``record`` is the row dataclass and ``columns`` names every one of
+    its fields, in order, with its dtype -- ``float``, ``int``,
+    ``bool``, ``Optional[float]`` (``None`` rides as NaN), or a tuple of
+    values stored as their index in it.  :meth:`packer` captures the
+    history, :meth:`restore` rebuilds it.
+    """
+
+    def __init__(self, record: Type, columns: Sequence[Tuple[str, Any]]) -> None:
+        names = tuple(name for name, _ in columns)
+        fields = tuple(f.name for f in dataclasses.fields(record) if f.init)
+        if names != fields:
+            raise TypeError(
+                f"{record.__name__} history columns {names} are not its fields {fields}"
+            )
+        self.record = record
+        self.names = names
+        self._codecs = [
+            _code_table(dtype) if isinstance(dtype, tuple) else _COLUMN_CODECS[dtype]
+            for _, dtype in columns
+        ]
+
+    def packer(self) -> "HistoryPacker":
+        """A capture memo for one owner's history."""
+        return HistoryPacker(self)
+
+    def restore_columns(self, blob: Dict[str, Any]) -> List[List[Any]]:
+        """The columns of a captured history, in declared order.
+
+        Raises ``KeyError`` for a missing column and ``ValueError`` for
+        a column of the wrong dtype or length; callers parse inside
+        :func:`repro.state.protocol.parsing`.
+        """
+        columns = [
+            unpack(blob[name]) for name, (_, unpack) in zip(self.names, self._codecs)
+        ]
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError(f"{self.record.__name__} history columns differ in length")
+        return columns
+
+    def restore(self, blob: Dict[str, Any]) -> list:
+        """The rows of a captured history, built column-wise."""
+        return list(map(self.record, *self.restore_columns(blob)))
+
+
+class HistoryPacker:
+    """Captures one owner's history in its :class:`History` format.
+
+    ``pack(rows)`` returns exactly what packing each column of the whole
+    list gives; ``pack_columns(columns)`` does the same for an owner
+    that stores the history as one list per column.
+    """
+
+    def __init__(self, history: History) -> None:
+        self._names = history.names
+        self._getters = [attrgetter(name) for name in history.names]
+        self._columns = [_PackedColumn(pack) for pack, _ in history._codecs]
+
+    def pack(self, rows: list) -> Dict[str, Any]:
+        return {
+            name: column.pack(rows, field)
+            for name, column, field in zip(self._names, self._columns, self._getters)
+        }
+
+    def pack_columns(self, columns: Sequence[list]) -> Dict[str, Any]:
+        return {
+            name: column.pack(values)
+            for name, column, values in zip(self._names, self._columns, columns)
+        }
+
+
+class _PackedColumn:
     """One packed column of an append-only history, encoded incrementally.
 
-    ``column.pack(history)`` returns exactly
+    ``column.pack(history, field)`` returns exactly
     ``packer([field(row) for row in history])`` (``field`` defaults to
-    the row itself), where ``packer`` is one of the ``pack_*``
-    functions.  Three rows of any packed dtype fill whole base64
+    the row itself).  Three rows of any packed dtype fill whole base64
     quanta, so the data string of the previous capture up to its last
     multiple of three rows is reused as is and only the rows after it
     are packed.
     """
 
-    def __init__(
-        self,
-        packer: Callable[[Sequence[Any]], Dict[str, Any]],
-        field: Optional[Callable[[Any], Any]] = None,
-    ) -> None:
+    def __init__(self, packer: Callable[[Sequence[Any]], Dict[str, Any]]) -> None:
         self._packer = packer
-        self._field = field
         self._source: Optional[list] = None
         self._blob: Optional[Dict[str, Any]] = None
 
-    def pack(self, history: list) -> Dict[str, Any]:
+    def pack(
+        self, history: list, field: Optional[Callable[[Any], Any]] = None
+    ) -> Dict[str, Any]:
         blob = self._blob
         n = len(history)
         if blob is None or history is not self._source or n < blob["n"]:
@@ -139,8 +241,8 @@ class PackedColumn:
         else:
             sealed = blob["n"] - blob["n"] % 3
         tail = history[sealed:]
-        if self._field is not None:
-            tail = [self._field(row) for row in tail]
+        if field is not None:
+            tail = [field(row) for row in tail]
         packed = self._packer(tail)
         if sealed:
             chars = sealed // 3 * 4 * np.dtype(packed["__packed__"]).itemsize

@@ -18,7 +18,12 @@ Rules every implementation follows:
   the restoring orchestrator resolves them against the reconstructed
   campaign;
 - ``load_state_dict`` assumes a *freshly constructed* component (the
-  restore-by-reconstruction contract) and overwrites, never merges.
+  restore-by-reconstruction contract) and overwrites, never merges;
+- ``load_state_dict`` parses the whole blob into locals inside
+  :func:`parsing` and assigns only after it, so a malformed blob raises
+  :class:`StateError` and changes nothing
+  (``tests/state/test_malformed_blobs.py`` holds each loader it covers
+  to this).
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Tests for the checkpoint envelope, tagged codec, and crash-safe IO."""
 
 import datetime as dt
+import enum
 import json
 import os
+from dataclasses import dataclass
+from typing import Any, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -146,16 +149,45 @@ class TestPackedColumns:
             codec.unpack_ints(codec.pack_floats([1.0]))
 
 
-#: Each packer with values it packs; floats include NaN and infinities.
+#: Each column dtype with its packer and values it packs; floats include
+#: NaN and infinities.
 _PACKERS = {
-    "floats": (codec.pack_floats, st.floats(width=64)),
-    "ints": (codec.pack_ints, st.integers(-(2**63), 2**63 - 1)),
-    "bools": (codec.pack_bools, st.booleans()),
+    "floats": (float, codec.pack_floats, st.floats(width=64)),
+    "ints": (int, codec.pack_ints, st.integers(-(2**63), 2**63 - 1)),
+    "bools": (bool, codec.pack_bools, st.booleans()),
     "optional_floats": (
+        Optional[float],
         codec.pack_optional_floats,
         st.none() | st.floats(allow_nan=False),
     ),
 }
+
+
+@dataclass(frozen=True)
+class _Value:
+    value: Any
+
+
+class _Phase(enum.Enum):
+    DAY = "day"
+    NIGHT = "night"
+
+
+@dataclass(frozen=True)
+class _Row:
+    time: float
+    temp_c: Optional[float]
+    phase: _Phase
+
+
+_ROWS = codec.History(
+    _Row,
+    [
+        ("time", float),
+        ("temp_c", Optional[float]),
+        ("phase", (_Phase.DAY, _Phase.NIGHT)),
+    ],
+)
 
 
 def _steps(values):
@@ -170,38 +202,51 @@ def _steps(values):
 class TestAppendOnlyHistories:
     @pytest.mark.parametrize("kind", sorted(_PACKERS))
     def test_packed_column_equals_packing_the_whole_list(self, kind):
-        packer, values = _PACKERS[kind]
+        dtype, packer, values = _PACKERS[kind]
+        history_format = codec.History(_Value, [("value", dtype)])
 
         @settings(max_examples=150, deadline=None)
         @given(_steps(values))
         def check(steps):
-            column = codec.PackedColumn(packer)
+            capture = history_format.packer()
             history = []
             for op, rows in steps:
                 if op == "replace":
                     history = list(rows)
                 else:
                     history.extend(rows)
-                blob = column.pack(history)
-                assert blob == packer(history)
+                blob = capture.pack_columns([history])
+                assert blob == {"value": packer(history)}
                 # The caller owns the blob dict it gets back.
-                blob["n"] = -1
+                blob["value"]["n"] = -1
 
         check()
 
     def test_packed_column_reads_rows_through_field(self):
-        column = codec.PackedColumn(codec.pack_ints, lambda row: row[1])
+        capture = _ROWS.packer()
         history = []
         for i in range(10):
-            history.append((str(i), i * i))
-            assert column.pack(history) == codec.pack_ints([r[1] for r in history])
+            phase = _Phase.NIGHT if i % 4 else _Phase.DAY
+            history.append(_Row(i * 600.0, None if i == 3 else -i / 2, phase))
+            assert capture.pack(history) == {
+                "time": codec.pack_floats([r.time for r in history]),
+                "temp_c": codec.pack_optional_floats([r.temp_c for r in history]),
+                "phase": codec.pack_ints(
+                    [0 if r.phase is _Phase.DAY else 1 for r in history]
+                ),
+            }
+            assert _ROWS.restore(capture.pack(history)) == history
 
     def test_unchanged_history_shares_its_data_string(self):
-        column = codec.PackedColumn(codec.pack_floats)
+        capture = codec.History(_Value, [("value", float)]).packer()
         history = [1.0, 2.0, 3.0, 4.0]
-        first = column.pack(history)
-        again = column.pack(history)
+        first = capture.pack_columns([history])["value"]
+        again = capture.pack_columns([history])["value"]
         assert again is not first and again["data"] is first["data"]
+
+    def test_columns_must_name_the_record_fields(self):
+        with pytest.raises(TypeError):
+            codec.History(_Row, [("time", float), ("temp_c", Optional[float])])
 
     @settings(max_examples=150, deadline=None)
     @given(_steps(st.tuples(st.integers(), st.text(max_size=3))))

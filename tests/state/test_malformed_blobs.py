@@ -2,7 +2,10 @@
 
 Each loader parses the whole blob before it assigns anything, so a blob
 that fails half-way (a bad removal episode after good readings, a bad
-cycle start after a good phase) leaves the component as it was.
+cycle start after a good phase, a bad history column after a good
+scalar) leaves the component as it was.  Every packed record history
+is checked for a missing column, a column of the wrong dtype and a
+column shorter than the others.
 """
 
 import copy
@@ -14,11 +17,15 @@ from repro.climate.station import WeatherStation
 from repro.hardware.faults import TransientFaultModel
 from repro.hardware.host import Host
 from repro.hardware.vendors import VENDOR_A
+from repro.monitoring.collector import MonitoringHost
 from repro.monitoring.datalogger import LascarDataLogger
+from repro.monitoring.powermeter import TechnolineCostControl
+from repro.monitoring.transport import TransferLedger
+from repro.monitoring.webcam import TerraceWebcam
 from repro.sim.clock import HOUR, SimClock
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import pack_floats
+from repro.state.codec import pack_floats, pack_ints
 from repro.state.protocol import StateError
 from repro.thermal.enclosure import BasementMachineRoom
 from repro.workload.archiver import ArchiverProcess, WorkloadLedger
@@ -67,17 +74,56 @@ def _host_rig():
     ledger = WorkloadLedger()
     archiver = ArchiverProcess(sim, host, ledger)
     sim.run_until(START + 2 * HOUR)
-    return archiver, ledger
+    return sim, host, archiver, ledger
 
 
 def _archiver():
-    return _host_rig()[0]
+    return _host_rig()[2]
 
 
 def _ledger():
-    ledger = _host_rig()[1]
+    ledger = _host_rig()[3]
     assert ledger.wrong_hash_results, "the rig should produce a wrong hash"
     return ledger
+
+
+def _memory():
+    memory = _host_rig()[1].memory
+    assert memory.faults, "the rig should produce a memory fault"
+    return memory
+
+
+def _collector():
+    sim, host, _, ledger = _host_rig()
+    collector = MonitoringHost(sim, transport=TransferLedger(), workload_ledger=ledger)
+    collector.register(host, [])
+    for _ in range(3):
+        collector.collect_round()
+        sim.run_until(sim.now + HOUR)
+    return collector
+
+
+def _sensor():
+    return _collector().paths[1].host.sensor
+
+
+def _transfers():
+    return _collector().transport
+
+
+def _webcam():
+    _, weather, _ = _rig()
+    webcam = TerraceWebcam(weather, RngStreams(3))
+    for hour in range(3):
+        webcam.capture(START + hour * HOUR)
+    return webcam
+
+
+def _powermeter():
+    meter = TechnolineCostControl(RngStreams(3))
+    for minutes in range(3):
+        meter.sample(START + minutes * 600.0)
+    return meter
 
 
 def _set(path, value):
@@ -98,6 +144,17 @@ def _then(*breakages):
     def apply(blob):
         for breakage in breakages:
             blob = breakage(blob)
+        return blob
+
+    return apply
+
+
+def _drop(path):
+    def apply(blob):
+        target = blob
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
         return blob
 
     return apply
@@ -148,6 +205,80 @@ CASES = [
             _set(["stored_archives"], [[1, 1.0, 396, [400]]]),
         ),
     ),
+    # Each packed record history: a column shorter than the others, a
+    # column of the wrong dtype, a missing column, and a good (different)
+    # scalar before a broken column.
+    ("sensor", _sensor, _set(["history", "time"], pack_floats([]))),
+    ("sensor", _sensor, _set(["history", "state"], pack_floats([0.0]))),
+    ("sensor", _sensor, _set(["history", "state"], pack_ints([7]))),
+    ("sensor", _sensor, _set(["history", "state"], pack_ints([-1]))),
+    ("sensor", _sensor, _drop(["history", "cpu_temp_c"])),
+    (
+        "sensor",
+        _sensor,
+        _then(_set(["state"], "erratic"), _set(["history", "time"], pack_ints([0]))),
+    ),
+    ("memory", _memory, _set(["faults", "page_index"], pack_ints([]))),
+    ("memory", _memory, _set(["faults", "corrected"], pack_floats([1.0]))),
+    ("memory", _memory, _drop(["faults", "time"])),
+    (
+        "memory",
+        _memory,
+        _then(_set(["page_ops_total"], 5), _set(["faults", "time"], pack_ints([0]))),
+    ),
+    ("collector", _collector, _set(["sensor_records", "host_id"], pack_ints([1]))),
+    ("collector", _collector, _set(["sensor_records", "time"], pack_ints([0]))),
+    ("collector", _collector, _drop(["sensor_records", "cpu_temp_c"])),
+    ("collector", _collector, _set(["task_id"], "next")),
+    (
+        "collector",
+        _collector,
+        _then(
+            _set(["totals"], [1, 2.0, 3, 4, 5, 6.0, 7, 8]),
+            _set(["sensor_records", "host_id"], pack_floats([1.0])),
+        ),
+    ),
+    # Good (different) records, then a tracker host in an unknown state.
+    (
+        "collector",
+        _collector,
+        _then(
+            _set(["rounds"], []),
+            _set(["tracker", "hosts"], {"1": ["dazed", 0]}),
+        ),
+    ),
+    ("transfers", _transfers, _set(["records", "bytes_moved"], pack_ints([]))),
+    ("transfers", _transfers, _set(["records", "complete"], pack_ints([1]))),
+    ("transfers", _transfers, _drop(["records", "new_md5_lines"])),
+    (
+        "transfers",
+        _transfers,
+        _then(
+            _set(["partial_sessions"], 9),
+            _set(["records", "time"], pack_ints([0])),
+        ),
+    ),
+    ("webcam", _webcam, _set(["frames", "brightness"], pack_floats([0.5]))),
+    ("webcam", _webcam, _set(["frames", "snowing"], pack_floats([0.0]))),
+    ("webcam", _webcam, _drop(["frames", "tent_snow_cover"])),
+    ("webcam", _webcam, _set(["task_id"], "soon")),
+    (
+        "webcam",
+        _webcam,
+        _then(_set(["snow_cover"], 0.5), _set(["frames", "time"], pack_ints([0]))),
+    ),
+    ("powermeter", _powermeter, _set(["readings", "watts"], pack_floats([]))),
+    ("powermeter", _powermeter, _set(["readings", "time"], pack_ints([0]))),
+    ("powermeter", _powermeter, _drop(["readings", "watts"])),
+    ("powermeter", _powermeter, _set(["task_id"], [3])),
+    (
+        "powermeter",
+        _powermeter,
+        _then(
+            _set(["energy_kwh"], 1.5),
+            _set(["readings", "watts"], {"__packed__": "f8"}),
+        ),
+    ),
 ]
 
 
@@ -165,7 +296,21 @@ def test_malformed_blob_raises_and_changes_nothing(build, breakage):
     assert component.state_dict() == before
 
 
-@pytest.mark.parametrize("build", [_lascar, _station, _archiver, _ledger])
+@pytest.mark.parametrize(
+    "build",
+    [
+        _lascar,
+        _station,
+        _archiver,
+        _ledger,
+        _sensor,
+        _memory,
+        _collector,
+        _transfers,
+        _webcam,
+        _powermeter,
+    ],
+)
 def test_well_formed_blob_round_trips(build):
     component = build()
     blob = component.state_dict()
