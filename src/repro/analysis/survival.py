@@ -10,7 +10,7 @@ and the atlas risk column, plus a renderer for the CLI.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,3 @@ def render_survival(census: SurvivalCensus, indent: str = "") -> str:
         f"{indent}hosts lost        {census.hosts_lost}",
     ]
     return "\n".join(lines)
-
-
-def survival_from_json(data: Optional[Mapping[str, Any]]) -> Optional[SurvivalCensus]:
-    """Decode an optional census dict (None passes through)."""
-    if data is None:
-        return None
-    return SurvivalCensus.from_mapping(data)

@@ -32,7 +32,7 @@ import datetime as _dt
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -243,8 +243,3 @@ def profile_from_csv(
         diurnal_amplitude_c=amplitude,
         **kwargs,
     )
-
-
-def profiles_for_sites(sites: Sequence[SiteParameters]) -> List[ClimateProfile]:
-    """Expand a batch of parameter records into generator profiles."""
-    return [site.to_profile() for site in sites]

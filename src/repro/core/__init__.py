@@ -25,7 +25,6 @@ from repro.core.scenarios import (
     harsher_winter,
     no_modifications,
     paper_campaign,
-    scenario_config,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "conditioned_tent",
     "extended_year",
     "harsher_winter",
-    "scenario_config",
 ]

@@ -101,14 +101,3 @@ SCENARIOS = {
     "extended-year": extended_year,
     "harsher-winter": harsher_winter,
 }
-
-
-def scenario_config(name: str, seed: int = 7) -> ExperimentConfig:
-    """Build a named scenario's configuration."""
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; choose from {', '.join(sorted(SCENARIOS))}"
-        ) from None
-    return factory(seed=seed)

@@ -6,8 +6,6 @@ Everything in the reproduction runs on this small, dependency-free engine:
 - :class:`repro.sim.rng.RngStreams` hands out named, independent random
   streams derived from one master seed,
 - :class:`repro.sim.engine.Simulator` is the event loop,
-- :class:`repro.sim.process.Process` wraps Python generators as simulated
-  processes that ``yield`` delays,
 - :class:`repro.sim.events.EventBus` is the typed campaign event bus
   subsystems publish structured events on.
 """
@@ -15,7 +13,6 @@ Everything in the reproduction runs on this small, dependency-free engine:
 from repro.sim.clock import DAY, HOUR, MINUTE, SECOND, WEEK, SimClock
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.events import Event, EventBus, EventRecorder
-from repro.sim.process import Process, wait_until
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -30,7 +27,5 @@ __all__ = [
     "Event",
     "EventBus",
     "EventRecorder",
-    "Process",
-    "wait_until",
     "RngStreams",
 ]
