@@ -538,7 +538,7 @@ class _UsageError(Exception):
 def _checkpoint_kwargs(args: argparse.Namespace) -> dict:
     if args.checkpoint_every is None:
         if args.checkpoint_dir:
-            raise SystemExit("error: --checkpoint-dir needs --checkpoint-every")
+            raise _UsageError("--checkpoint-dir needs --checkpoint-every")
         return {}
     return {
         "checkpoint_every": args.checkpoint_every * DAY,
@@ -612,10 +612,19 @@ def _print_outcome(
 
 
 def _cmd_run_resume(args: argparse.Namespace) -> int:
-    if args.progress or args.progress_out:
+    hooks = [
+        name
+        for name, value in (
+            ("--progress", args.progress),
+            ("--progress-out", args.progress_out),
+            ("--telemetry-out", args.telemetry_out),
+            ("--run-log", args.run_log),
+        )
+        if value
+    ]
+    if hooks:
         raise _UsageError(
-            "--progress/--progress-out cannot hook a resumed campaign; "
-            "re-run without them"
+            f"{', '.join(hooks)} cannot hook a resumed campaign; re-run without them"
         )
     try:
         campaign, results = Campaign.resume(
@@ -746,6 +755,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _cmd_run_fleetscale(args)
     if args.resume:
         return _cmd_run_resume(args)
+    checkpoint = _checkpoint_kwargs(args)
     builder = CampaignBuilder(ExperimentConfig(seed=args.seed))
     if args.controller is not None:
         try:
@@ -788,7 +798,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if progress is not None:
         campaign.sim.on_event = progress.on_event
     try:
-        results = campaign.run(until=args.until, **_checkpoint_kwargs(args))
+        results = campaign.run(until=args.until, **checkpoint)
     finally:
         if run_log is not None:
             run_log.close()

@@ -516,6 +516,9 @@ def _exit_code(argv):
         (["sweep", "--checkpoint-every", "2"], "--checkpoint-every needs --resumable"),
         (["control", "compare", "--controllers", ","], "--controllers"),
         (["control", "compare", "--climates", ","], "--climates"),
+        (["run", "--checkpoint-dir", "ck"], "--checkpoint-dir needs --checkpoint-every"),
+        (["run", "--resume", "ck.json", "--telemetry-out", "t.json"], "--telemetry-out"),
+        (["run", "--resume", "ck.json", "--run-log", "r.jsonl"], "--run-log"),
     ],
 )
 def test_invalid_counts_and_ignored_flags_exit_2(
