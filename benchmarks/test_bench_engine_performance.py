@@ -24,8 +24,9 @@ _EVENTS = 50_000
 
 def drain_event_queue():
     sim = Simulator()
+    sim.register("noop", lambda: None)
     for i in range(_EVENTS):
-        sim.schedule(float(i % 1000), lambda: None)
+        sim.schedule_key(float(i % 1000), "noop")
     sim.run()
     return sim.events_fired
 

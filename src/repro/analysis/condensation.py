@@ -13,7 +13,7 @@ minimum idle load for free-air gear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -90,15 +90,3 @@ def minimum_safe_rise_c(
         if point.safe:
             return point.case_rise_c
     raise ValueError(f"no safe case rise below {ceiling_c} degC")
-
-
-def describe_sweep(points: Sequence[CondensationPoint]) -> str:
-    """Plain-text sweep table."""
-    lines = [f"{'case rise':<12}{'condensing':>12}{'min margin':>12}"]
-    for point in points:
-        lines.append(
-            f"{point.case_rise_c:>7.1f} degC"
-            f"{100 * point.condensing_fraction:>11.2f}%"
-            f"{point.min_margin_c:>10.1f} C"
-        )
-    return "\n".join(lines)

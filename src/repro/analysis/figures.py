@@ -180,21 +180,3 @@ def fig4_humidities(results: ExperimentResults) -> Fig4Data:
         inside=inside_rh,
         lascar_arrival=results.lascar.arrival_time,
     )
-
-
-@dataclass(frozen=True)
-class DailyEnvelope:
-    """Daily min/mean/max triple used by plotting examples."""
-
-    days: np.ndarray
-    minimum: np.ndarray
-    mean: np.ndarray
-    maximum: np.ndarray
-
-
-def daily_envelope(series: TimeSeries, clock) -> DailyEnvelope:
-    """Daily aggregation of a series (compact form of the figure lines)."""
-    lo = series.daily_aggregate(clock, np.min)
-    mid = series.daily_aggregate(clock, np.mean)
-    hi = series.daily_aggregate(clock, np.max)
-    return DailyEnvelope(days=lo.times, minimum=lo.values, mean=mid.values, maximum=hi.values)

@@ -18,7 +18,7 @@ equipment survives exactly those climates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -186,20 +186,3 @@ def compare_sites(
         key=lambda a: (-a.free_fraction, -a.cooling_energy_savings, a.site)
     )
     return assessments
-
-
-def intake_limit_sensitivity(
-    profile: ClimateProfile,
-    limits_c: Sequence[float],
-    approach_c: float = DEFAULT_APPROACH_C,
-    seed: int = 0,
-) -> "list[tuple[float, float]]":
-    """``(limit, free_fraction)`` per candidate ceiling -- the knob a
-    Greenfield designer actually turns (hotter-rated gear buys hours)."""
-    out = []
-    for limit in limits_c:
-        assessment = assess_site(
-            profile, intake_limit_c=limit, approach_c=approach_c, seed=seed
-        )
-        out.append((float(limit), assessment.free_fraction))
-    return out

@@ -18,12 +18,11 @@ parameters that generated the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.outliers import remove_removal_outliers
-from repro.analysis.series import TimeSeries
 
 #: Gaps smaller than this are dominated by sensor noise; skip them.
 _MIN_GAP_C = 2.0
@@ -101,28 +100,6 @@ def estimate_ua_by_era(results, min_gap_c: float = _MIN_GAP_C) -> List[EraEstima
             )
         )
     return estimates
-
-
-def conductance_increased_after(
-    estimates: List[EraEstimate], letter: str
-) -> Optional[bool]:
-    """Did the era after modification ``letter`` show a higher UA?
-
-    Returns ``None`` when either side lacks a usable estimate.
-    """
-    target = f"after-{letter}"
-    previous: Optional[EraEstimate] = None
-    for estimate in estimates:
-        if estimate.label == target:
-            if (
-                previous is None
-                or previous.ua_w_per_k is None
-                or estimate.ua_w_per_k is None
-            ):
-                return None
-            return estimate.ua_w_per_k > previous.ua_w_per_k
-        previous = estimate
-    return None
 
 
 def summarize(estimates: List[EraEstimate], clock) -> str:

@@ -10,7 +10,7 @@ one :class:`~repro.core.results.SnapshotCensus`-like point per period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro.analysis.failures import census_from_events
 from typing import TYPE_CHECKING
@@ -126,19 +126,3 @@ def _runs_until(results: "ExperimentResults", t: float) -> int:
         recorded = results.ledger.runs_per_host.get(plan.host_id, 0)
         total += min(estimate, recorded)
     return total
-
-
-def describe_timeline(points: Sequence[CensusPoint], clock) -> str:
-    """Weekly table of the censuses."""
-    lines = [
-        f"{'date':<12}{'hosts':>7}{'failed':>8}{'rate':>8}{'wrong':>7}{'runs':>9}"
-        f"{'observed':>10}"
-    ]
-    for point in points:
-        lines.append(
-            f"{clock.format(point.time)[:10]:<12}{point.hosts_installed:>7}"
-            f"{point.hosts_failed:>8}{point.failure_rate_percent:>7.1f}%"
-            f"{point.wrong_hashes:>7}{point.runs:>9}"
-            f"{100.0 * point.observed_fraction:>9.1f}%"
-        )
-    return "\n".join(lines)

@@ -12,7 +12,6 @@ humidity g/m^3, relative humidity percent in ``[0, 100]``.
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 import numpy as np
@@ -23,7 +22,7 @@ ArrayLike = Union[float, np.ndarray]
 _A_WATER = 6.112
 _B_WATER = 17.62
 _C_WATER = 243.12
-# Over ice (for frost point / sub-zero saturation):
+# Over ice (sub-zero saturation):
 _B_ICE = 22.46
 _C_ICE = 272.62
 
@@ -142,33 +141,3 @@ def condenses(
 ) -> bool:
     """True when ``surface_temp_c`` is at/below the ambient dewpoint."""
     return condensation_margin(surface_temp_c, ambient_temp_c, ambient_rh_percent) <= 0.0
-
-
-def mix_air(
-    temp_a: float, rh_a: float, temp_b: float, rh_b: float, fraction_b: float
-) -> "tuple[float, float]":
-    """Adiabatically mix two air parcels; return (temp_c, rh_percent).
-
-    Used by the tent model when ventilation mixes outside air into the
-    tent volume.  ``fraction_b`` is the mass fraction of parcel B.
-    """
-    if not 0.0 <= fraction_b <= 1.0:
-        raise ValueError(f"fraction_b must be in [0, 1], got {fraction_b}")
-    temp = (1.0 - fraction_b) * temp_a + fraction_b * temp_b
-    ah = (1.0 - fraction_b) * absolute_humidity(temp_a, rh_a) + fraction_b * absolute_humidity(
-        temp_b, rh_b
-    )
-    return temp, float(rh_from_absolute_humidity(temp, ah))
-
-
-def frost_point(temp_c: float, rh_percent: float) -> float:
-    """Frost-point temperature (degC): dewpoint computed over ice.
-
-    Below 0 degC deposition happens at the frost point, slightly above the
-    over-water dewpoint; relevant for the tent's sub-zero months.
-    """
-    rh = min(max(rh_percent, 0.1), 100.0)
-    e = vapor_pressure(temp_c, rh)
-    # Invert the ice-branch Magnus formula.
-    ln_ratio = math.log(e / _A_WATER)
-    return _C_ICE * ln_ratio / (_B_ICE - ln_ratio)

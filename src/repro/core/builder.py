@@ -204,8 +204,8 @@ class Campaign:
         self._snapshot = None
         self._ran = False
 
-        # Prototype-phase scratch state (attribute-held so the prototype
-        # tick can run through the engine registry instead of a closure).
+        # Prototype-phase scratch state, attribute-held so the registered
+        # prototype tick key can reach it.
         self._proto_host: Optional[Host] = None
         self._proto_shelter: Optional[PlasticBoxShelter] = None
         self._proto_cpu_temps: List[float] = []
@@ -515,10 +515,11 @@ class Campaign:
 
         # Extra instruments attach strictly after the defaults, so their
         # presence never renumbers the defaults' same-tick tie-breaks.
-        for name, instrument in self.instruments.items():
-            self.sim.schedule_at(
+        for name in self.instruments:
+            self.sim.schedule_at_key(
                 test_start,
-                lambda i=instrument: i.attach(self.sim),
+                "campaign.instrument_attach",
+                args=(name,),
                 label=f"instrument.{name}",
             )
 
@@ -549,8 +550,12 @@ class Campaign:
         sim.register("campaign.collector_attach", self._attach_collector)
         sim.register("campaign.weekly_review", self.policy.weekly_review)
         sim.register("campaign.snapshot", self._freeze_snapshot)
+        sim.register("campaign.instrument_attach", self._attach_instrument)
         if self.plant is not None:
             self.plant.register_keys(sim)
+
+    def _attach_instrument(self, name: str) -> None:
+        self.instruments[name].attach(self.sim)
 
     def _attach_lascar(self) -> None:
         self.lascar.attach(self.sim)
@@ -841,7 +846,9 @@ class CampaignBuilder:
         campaign = CampaignBuilder(ExperimentConfig(seed=7)).build()
         results = campaign.run()
 
-    A stripped-down build with a custom instrument and a bus observer::
+    A stripped-down build with a custom instrument and a bus observer
+    (``Co2Meter.attach(sim)`` registers its own keys on the engine and
+    schedules its samples through them)::
 
         failures = []
         campaign = (
@@ -881,8 +888,9 @@ class CampaignBuilder:
         """Register an extra instrument.
 
         ``factory(campaign)`` is called at build time and must return an
-        object with the standard ``attach(sim)`` method; the campaign
-        schedules the attach at test start, after every default.
+        object with the standard ``attach(sim)`` method, which schedules
+        its work through keys it registers on ``sim``; the campaign
+        fires the attach at test start, after every default.
         """
         if name in DEFAULT_INSTRUMENTS:
             raise ValueError(f"{name!r} is a default instrument; use without() to drop it")

@@ -254,19 +254,25 @@ class FleetScaleCampaign:
         first = self.weather.sample(self._start_s)
         self.tents = TwoNodeTentBank(self.n_pods, first.temp_c)
         cfg = self.config
-        for plan in cfg.modification_plans:
+        self.sim.register("fleetscale.modify", self._apply_modification)
+        for index, plan in enumerate(cfg.modification_plans):
             when = self.clock.to_seconds(plan.date)
             if when <= self._start_s:
                 self.tents.apply_modification(plan.modification)
                 continue
-            self.sim.schedule_at(
+            self.sim.schedule_at_key(
                 when,
-                lambda mod=plan.modification: self.tents.apply_modification(mod),
+                "fleetscale.modify",
+                args=(index,),
                 label=f"fleetscale.mod.{plan.modification.name}",
             )
         self._sample = first
         self._basement_c = 21.0
         self.intake_temp_c = np.full(self.n_hosts, first.temp_c, dtype=np.float64)
+
+    def _apply_modification(self, index: int) -> None:
+        plan = self.config.modification_plans[index]
+        self.tents.apply_modification(plan.modification)
 
     def _build_plant(
         self,

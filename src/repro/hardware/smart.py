@@ -10,10 +10,10 @@ reallocated sectors, and the long self-test verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
-from repro.state.protocol import check_version
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -137,16 +137,21 @@ class SmartTable:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("smart", state, _STATE_VERSION)
-        for attr_id, (value, worst, raw) in state["attrs"].items():
-            attr = self._attrs[int(attr_id)]
-            attr.value = int(value)
-            attr.worst = int(worst)
-            attr.raw = float(raw)
-        self.self_tests = [
-            SelfTestResult(time=float(t), passed=bool(p), detail=str(d))
-            for t, p, d in state["self_tests"]
-        ]
+        with parsing("smart"):
+            check_version("smart", state, _STATE_VERSION)
+            rows = [
+                (self._attrs[int(attr_id)], int(value), int(worst), float(raw))
+                for attr_id, (value, worst, raw) in state["attrs"].items()
+            ]
+            self_tests = [
+                SelfTestResult(time=float(t), passed=bool(p), detail=str(d))
+                for t, p, d in state["self_tests"]
+            ]
+        for attr, value, worst, raw in rows:
+            attr.value = value
+            attr.worst = worst
+            attr.raw = raw
+        self.self_tests = self_tests
 
     # ------------------------------------------------------------------
     def run_long_self_test(self, time: float, media_healthy: bool) -> SelfTestResult:

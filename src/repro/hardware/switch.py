@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Set
 import numpy as np
 
 from repro.hardware.faults import hazard_probability
-from repro.state.protocol import check_version
+from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -144,16 +144,24 @@ class NetworkSwitch:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version(f"switch.{self.name}", state, _STATE_VERSION)
-        self.state = SwitchState(state["state"])
-        self.failed_at = (
-            None if state["failed_at"] is None else float(state["failed_at"])
-        )
-        self.powered_hours = float(state["powered_hours"])
-        self.inherent_defect = bool(state["inherent_defect"])
-        self.whines = bool(state["whines"])
-        self._rate_per_hour = float(state["rate_per_hour"])
-        self._ports = set(state["ports"])
+        component = f"switch.{self.name}"
+        with parsing(component):
+            check_version(component, state, _STATE_VERSION)
+            switch_state = SwitchState(state["state"])
+            failed_at = state["failed_at"]
+            failed_at = None if failed_at is None else float(failed_at)
+            powered_hours = float(state["powered_hours"])
+            inherent_defect = bool(state["inherent_defect"])
+            whines = bool(state["whines"])
+            rate_per_hour = float(state["rate_per_hour"])
+            ports = set(state["ports"])
+        self.state = switch_state
+        self.failed_at = failed_at
+        self.powered_hours = powered_hours
+        self.inherent_defect = inherent_defect
+        self.whines = whines
+        self._rate_per_hour = rate_per_hour
+        self._ports = ports
 
     def bench_test(self, duration_hours: float, time: float) -> bool:
         """Power the unit on a bench for ``duration_hours``.

@@ -1,6 +1,6 @@
 """The discrete-event engine.
 
-A :class:`Simulator` owns a priority queue of timestamped callbacks and a
+A :class:`Simulator` owns a priority queue of timestamped events and a
 :class:`~repro.sim.clock.SimClock`.  Components schedule one-shot or periodic
 events; the experiment driver calls :meth:`Simulator.run_until`.
 
@@ -13,18 +13,15 @@ Determinism rules:
 
 Snapshotting
 ------------
-The queue used to hold raw closures, which made a mid-flight simulator
-unserialisable.  Work scheduled through the *registry* instead carries a
-stable ``(key, args)`` spec: :meth:`register` binds a key to a callable
-once per process, :meth:`schedule_key` / :meth:`every_key` enqueue specs,
-and the callable is resolved at fire time.  :meth:`state_dict` then
-externalises the whole engine -- clock position, counters, sequence
-numbers, the heap (cancelled tombstones included, so the
-``events_cancelled`` tally stays byte-identical across a resume), and
-the periodic-task table -- and :meth:`load_state_dict` rebuilds it into
-a fresh simulator whose registry has been populated the same way.
-Closure-scheduled events still work for ad-hoc use; they simply make
-``state_dict`` raise.
+Every queued event is a stable ``(key, args)`` spec: :meth:`register`
+binds a key to a callable once per process, :meth:`schedule_key` /
+:meth:`every_key` enqueue specs, and the callable is resolved at fire
+time.  So :meth:`state_dict` can always externalise the whole engine --
+clock position, counters, sequence numbers, the heap (cancelled
+tombstones included, so the ``events_cancelled`` tally stays
+byte-identical across a resume), and the periodic-task table -- and
+:meth:`load_state_dict` rebuilds it into a fresh simulator whose
+registry has been populated the same way.
 
 Quiet steps
 -----------
@@ -81,24 +78,18 @@ class EventHandle:
 
     Cancellation is lazy: the heap entry stays queued and is discarded when
     it surfaces (or swept by a compaction pass).  ``handle.cancelled`` is
-    readable at any time.  ``key``/``args`` hold the registry spec for
-    snapshot-safe events; closure events have ``key is None``.
+    readable at any time.  ``key``/``args`` hold the registry spec; a
+    cancelled tombstone loaded from an older snapshot may have
+    ``key is None``.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "label", "key", "args", "_sim")
+    __slots__ = ("time", "seq", "cancelled", "label", "key", "args", "_sim")
 
     def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Optional[Callable[[], None]],
-        label: str,
-        key: Optional[str] = None,
-        args: Tuple = (),
+        self, time: float, seq: int, label: str, key: Optional[str], args: Tuple
     ) -> None:
         self.time = time
         self.seq = seq
-        self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
         self.label = label
         self.key = key
@@ -108,7 +99,6 @@ class EventHandle:
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
         self.cancelled = True
-        self.callback = None
         sim = self._sim
         if sim is not None:
             self._sim = None
@@ -140,8 +130,7 @@ class PeriodicTask:
     def cancel(self) -> None:
         """Stop the recurrence.  Idempotent.
 
-        Matches the closure-based :meth:`Simulator.every` semantics: the
-        already-queued next occurrence still surfaces (and counts as
+        The already-queued next occurrence still surfaces (and counts as
         fired), sees the flag, and does nothing.
         """
         self._sim._periodic[self.task_id]["cancelled"] = True
@@ -164,10 +153,11 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> seen = []
-    >>> _ = sim.schedule(10.0, lambda: seen.append(sim.now))
+    >>> sim.register("mark", lambda tag: seen.append((sim.now, tag)))
+    >>> _ = sim.schedule_key(10.0, "mark", ("ping",))
     >>> sim.run_until(60.0)
     >>> seen
-    [10.0]
+    [(10.0, 'ping')]
     """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
@@ -228,56 +218,6 @@ class Simulator:
         """Times the queue was swept of cancelled tombstones in one pass."""
         return self._heap_compactions
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None], label: str = ""
-    ) -> EventHandle:
-        """Run ``callback`` after ``delay`` simulated seconds."""
-        return self.schedule_at(self.now + delay, callback, label)
-
-    def schedule_at(
-        self, time: float, callback: Callable[[], None], label: str = ""
-    ) -> EventHandle:
-        """Run ``callback`` at absolute simulated time ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule {label or callback!r} at {time:.1f}s, "
-                f"which is before now ({self.now:.1f}s)"
-            )
-        return self._push(EventHandle(time, self._next_seq(), callback, label))
-
-    def schedule_datetime(
-        self, when: Any, callback: Callable[[], None], label: str = ""
-    ) -> EventHandle:
-        """Run ``callback`` at the calendar instant ``when`` (a datetime)."""
-        return self.schedule_at(self.clock.to_seconds(when), callback, label)
-
-    def every(
-        self,
-        period: float,
-        callback: Callable[[], None],
-        start: Optional[float] = None,
-        label: str = "",
-    ) -> EventHandle:
-        """Run ``callback`` periodically, first at ``start`` (default: now + period).
-
-        Returns the handle of the *first* occurrence; cancelling it stops
-        the whole recurrence (each firing re-checks the shared handle).
-        Closure-based and therefore not snapshot-safe; long-lived
-        campaign recurrences use :meth:`every_key`.
-        """
-        first = self.now + period if start is None else start
-        control = EventHandle(first, -1, lambda: None, label or "periodic")
-
-        def fire() -> None:
-            if control.cancelled:
-                return
-            callback()
-            if not control.cancelled:
-                self.schedule(period, fire, label)
-
-        self.schedule_at(first, fire, label)
-        return control
-
     def schedule_quiet(
         self,
         time: float,
@@ -311,7 +251,7 @@ class Simulator:
         return entry
 
     # ------------------------------------------------------------------
-    # Registry (snapshot-safe scheduling)
+    # Registry
     # ------------------------------------------------------------------
     def register(self, key: str, fn: Callable[..., None]) -> None:
         """Bind ``key`` to ``fn`` for spec-based scheduling.
@@ -331,13 +271,13 @@ class Simulator:
     def schedule_key(
         self, delay: float, key: str, args: Tuple = (), label: str = ""
     ) -> EventHandle:
-        """Registry-dispatched :meth:`schedule`."""
+        """Fire ``key(*args)`` after ``delay`` simulated seconds."""
         return self.schedule_at_key(self.now + delay, key, args, label)
 
     def schedule_at_key(
         self, time: float, key: str, args: Tuple = (), label: str = ""
     ) -> EventHandle:
-        """Registry-dispatched :meth:`schedule_at`: snapshot-safe."""
+        """Fire ``key(*args)`` at absolute simulated time ``time``."""
         if key not in self._registry:
             raise SimulationError(f"no callback registered under {key!r}")
         if time < self.now:
@@ -349,7 +289,7 @@ class Simulator:
         self._seq = seq + 1
         if type(args) is not tuple:
             args = tuple(args)
-        handle = EventHandle(time, seq, None, label, key, args)
+        handle = EventHandle(time, seq, label, key, args)
         handle._sim = self
         heappush(self._queue, (time, seq, handle))
         return handle
@@ -362,11 +302,11 @@ class Simulator:
         start: Optional[float] = None,
         label: str = "",
     ) -> PeriodicTask:
-        """Snapshot-safe :meth:`every`: the recurrence lives in the task table.
+        """Fire ``key(*args)`` every ``period`` seconds, first at ``start``
+        (default: now + period).
 
-        Sequence-number consumption matches :meth:`every` exactly (one
-        per occurrence), so converting a recurrence from closures to
-        keys does not perturb tie-breaking anywhere else in the run.
+        The recurrence lives in the task table, so it survives a
+        snapshot; each occurrence consumes one ``seq``.
         """
         if period <= 0:
             raise SimulationError("periodic events need a positive period")
@@ -422,18 +362,6 @@ class Simulator:
         if task_id not in self._periodic:
             raise SimulationError(f"no periodic task {task_id}")
         return PeriodicTask(self, task_id)
-
-    def find_key_handles(
-        self, key: str, args: Optional[Tuple] = None
-    ) -> List[EventHandle]:
-        """Live queued handles for ``key`` (restore-time re-linking)."""
-        return [
-            h
-            for _, _, h in self._queue
-            if h.key == key
-            and not h.cancelled
-            and (args is None or h.args == tuple(args))
-        ]
 
     def _fire_periodic(self, task_id: int) -> None:
         task = self._periodic[task_id]
@@ -508,29 +436,23 @@ class Simulator:
         time, seq, handle = heappop(self._queue)
         handle._sim = None
         self.now = time
-        callback = handle.callback
-        handle.callback = None
         self._events_fired += 1
         if self.on_event is not None:
             self.on_event(time, handle.label)
         key = handle.key
-        if key is None:
-            fn, args = callback, ()
-        else:
-            fn = self._registry.get(key)
-            if fn is None:
-                raise SimulationError(
-                    f"event {handle.label or key!r} fired but "
-                    f"{key!r} is no longer registered"
-                )
-            args = handle.args
+        fn = self._registry.get(key)
+        if fn is None:
+            raise SimulationError(
+                f"event {handle.label or key!r} fired but "
+                f"{key!r} is no longer registered"
+            )
         tracer = self.tracer
         started = perf_counter() if tracer is not None else 0.0
         try:
             quiet = self._quiet
             if quiet and quiet[0][0] <= time:
                 self._settle_before(time, seq, handle)
-            fn(*args)
+            fn(*handle.args)
         finally:
             if tracer is not None:
                 tracer.record(
@@ -584,10 +506,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_until_datetime(self, when: Any) -> None:
-        """:meth:`run_until` with a calendar instant."""
-        self.run_until(self.clock.to_seconds(when))
-
     def run(self) -> None:
         """Fire every queued event (including newly spawned ones) until empty."""
         while self.step():
@@ -597,25 +515,7 @@ class Simulator:
     # Snapshot protocol
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Serialise clock position, counters, heap, and task table.
-
-        Raises :class:`SimulationError` if the queue still holds live
-        closure-scheduled events -- only registry specs re-materialise.
-        Cancelled closure tombstones are fine: they serialise as counted
-        tombstones and never fire.
-        """
-        opaque = sorted(
-            {
-                h.label or "<unlabeled>"
-                for _, _, h in self._queue
-                if not h.cancelled and h.key is None
-            }
-        )
-        if opaque:
-            raise SimulationError(
-                "cannot snapshot: queue holds closure-scheduled events "
-                f"without registry keys: {', '.join(opaque)}"
-            )
+        """Serialise clock position, counters, heap, and task table."""
         return {
             "version": _STATE_VERSION,
             "now": self.now,
@@ -657,9 +557,12 @@ class Simulator:
         left alone; every key named by the snapshot must already be
         registered.
 
-        The whole snapshot is parsed before anything is assigned: a
-        missing or ill-typed field raises :class:`SimulationError` and
-        leaves the simulator exactly as it was.
+        The whole snapshot is checked before anything is assigned: a
+        missing or ill-typed field, a live event without a key, a
+        periodic occurrence whose task the table lacks, or a task with
+        an unregistered key or a period that is not positive raises
+        :class:`SimulationError` and leaves the simulator exactly as it
+        was.
         """
         if not isinstance(state, dict):
             raise SimulationError("engine snapshot is not a mapping")
@@ -672,6 +575,11 @@ class Simulator:
             where = f"engine queue[{i}]"
             key = _field(entry, "key", (str, type(None)), where)
             label = _field(entry, "label", str, where)
+            cancelled = _field(entry, "cancelled", bool, where)
+            # Older builds could queue closures; their cancelled
+            # tombstones were stored with a null key and never fire.
+            if key is None and not cancelled:
+                raise SimulationError(f"{where}: live event {label!r} has no key")
             if key is not None and key not in self._registry:
                 raise SimulationError(
                     f"snapshot queue entry {label or key!r} needs "
@@ -679,15 +587,9 @@ class Simulator:
                 )
             time = float(_field(entry, "time", _REAL, where))
             seq = int(_field(entry, "seq", _INTEGRAL, where))
-            handle = EventHandle(
-                time,
-                seq,
-                None,
-                label,
-                key=key,
-                args=tuple(_field(entry, "args", (list, tuple), where)),
-            )
-            handle.cancelled = _field(entry, "cancelled", bool, where)
+            args = tuple(_field(entry, "args", (list, tuple), where))
+            handle = EventHandle(time, seq, label, key, args)
+            handle.cancelled = cancelled
             queue.append((time, seq, handle))
         periodic: Dict[int, Dict[str, Any]] = {}
         for task_id, task in _field(state, "periodic", dict, "engine").items():
@@ -696,13 +598,31 @@ class Simulator:
                 tid = int(task_id)
             except (TypeError, ValueError):
                 raise SimulationError(f"{where}: task id is not an integer") from None
+            period = float(_field(task, "period", _REAL, where))
+            if not period > 0:
+                raise SimulationError(f"{where}: period {period!r} is not positive")
+            key = _field(task, "key", str, where)
+            if key not in self._registry:
+                raise SimulationError(f"{where} needs unregistered key {key!r}")
             periodic[tid] = {
-                "period": float(_field(task, "period", _REAL, where)),
-                "key": _field(task, "key", str, where),
+                "period": period,
+                "key": key,
                 "args": tuple(_field(task, "args", (list, tuple), where)),
                 "label": _field(task, "label", str, where),
                 "cancelled": _field(task, "cancelled", bool, where),
             }
+        for _, _, h in queue:
+            if h.key == _PERIODIC_KEY and not h.cancelled:
+                args = h.args
+                if not (
+                    len(args) == 1
+                    and isinstance(args[0], _INTEGRAL)
+                    and args[0] in periodic
+                ):
+                    raise SimulationError(
+                        f"snapshot queue entry {h.label or h.key!r} re-fires "
+                        f"periodic task {list(args)!r}, which the task table lacks"
+                    )
         now = float(_field(state, "now", _REAL, "engine"))
         seq = int(_field(state, "seq", _INTEGRAL, "engine"))
         fired = int(_field(state, "events_fired", _INTEGRAL, "engine"))
@@ -738,16 +658,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def _push(self, handle: EventHandle) -> EventHandle:
-        handle._sim = self
-        heappush(self._queue, (handle.time, handle.seq, handle))
-        return handle
-
     def _note_cancel(self) -> None:
         """A queued handle was cancelled; maybe compact the heap."""
         self._cancelled_pending += 1

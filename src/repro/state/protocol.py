@@ -35,9 +35,9 @@ from typing import Any, Dict, Iterator, Protocol, runtime_checkable
 class StateError(RuntimeError):
     """A component cannot be snapshotted or a state dict cannot be loaded.
 
-    Raised, for example, when the simulator's queue still holds raw
-    closure callbacks (only key-registered work serialises), or when a
-    state dict's ``version`` is newer than the running code.
+    Raised, for example, when a campaign with extra instruments is
+    checkpointed, when a state dict's ``version`` is newer than the
+    running code, or when a malformed blob is loaded.
     """
 
 

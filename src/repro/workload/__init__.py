@@ -14,21 +14,19 @@ verification that fails precisely when at least one block is corrupted.
 
 from repro.workload.archiver import ArchiverProcess, CycleResult, WorkloadLedger
 from repro.workload.bzip2 import Archive, Bzip2Model, bzip2recover
-from repro.workload.digest import block_digest, reference_digest, verify_archive
+from repro.workload.digest import block_digest, reference_digest
 from repro.workload.kernel_tree import KernelSourceTree
-from repro.workload.tar import FileCensus, census_for_tree, synthetic_kernel_census
+from repro.workload.tar import FileCensus, synthetic_kernel_census
 
 __all__ = [
     "KernelSourceTree",
     "FileCensus",
-    "census_for_tree",
     "synthetic_kernel_census",
     "Bzip2Model",
     "Archive",
     "bzip2recover",
     "block_digest",
     "reference_digest",
-    "verify_archive",
     "ArchiverProcess",
     "CycleResult",
     "WorkloadLedger",

@@ -13,7 +13,7 @@ for it -- grounding :class:`~repro.workload.kernel_tree.KernelSourceTree`'s
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -109,10 +109,3 @@ def synthetic_kernel_census(
             adjusted[int(np.argmax(adjusted))] += deficit
             census = FileCensus(sizes=adjusted)
     return census
-
-
-def census_for_tree(tree) -> FileCensus:
-    """The census matching a :class:`KernelSourceTree`'s stated totals."""
-    return synthetic_kernel_census(
-        file_count=tree.file_count, target_content_bytes=tree.total_bytes
-    )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.condensation import (
-    describe_sweep,
     minimum_safe_rise_c,
     sweep_case_rises,
 )
@@ -83,10 +82,3 @@ class TestMinimumSafeRise:
         with pytest.raises(ValueError):
             minimum_safe_rise_c(temp, rh, resolution_c=0.0)
 
-
-class TestDescribe:
-    def test_table_renders(self):
-        temp, rh = humid_cold_series()
-        table = describe_sweep(sweep_case_rises(temp, rh, [0.0, 4.0]))
-        assert "case rise" in table
-        assert "min margin" in table

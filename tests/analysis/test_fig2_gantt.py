@@ -50,24 +50,27 @@ class TestFig2Gantt:
 class TestEngineTrace:
     def test_trace_hook_sees_labels_in_order(self):
         sim = Simulator()
+        sim.register("noop", lambda: None)
         trace = []
         sim.on_event = lambda t, label: trace.append((t, label))
-        sim.schedule(10.0, lambda: None, label="first")
-        sim.schedule(20.0, lambda: None, label="second")
+        sim.schedule_key(10.0, "noop", label="first")
+        sim.schedule_key(20.0, "noop", label="second")
         sim.run()
         assert trace == [(10.0, "first"), (20.0, "second")]
 
     def test_cancelled_events_not_traced(self):
         sim = Simulator()
+        sim.register("noop", lambda: None)
         trace = []
         sim.on_event = lambda t, label: trace.append(label)
-        handle = sim.schedule(10.0, lambda: None, label="gone")
+        handle = sim.schedule_key(10.0, "noop", label="gone")
         handle.cancel()
         sim.run()
         assert trace == []
 
     def test_no_hook_no_overhead(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.register("noop", lambda: None)
+        sim.schedule_key(1.0, "noop")
         sim.run()  # simply must not raise
         assert sim.events_fired == 1

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.figures import (
-    daily_envelope,
     fig2_timeline,
     fig3_temperatures,
     fig4_humidities,
@@ -96,11 +95,3 @@ class TestFig4:
         after = data.inside.window(clock.at(2010, 4, 1), clock.at(2010, 5, 10))
         assert after.std() > before.std()
 
-
-class TestDailyEnvelope:
-    def test_envelope_ordering(self, full_results):
-        outside = full_results.outside_temperature()
-        envelope = daily_envelope(outside, full_results.clock)
-        assert (envelope.minimum <= envelope.mean).all()
-        assert (envelope.mean <= envelope.maximum).all()
-        assert len(envelope.days) > 80

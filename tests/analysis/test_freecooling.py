@@ -8,7 +8,6 @@ from repro.analysis.freecooling import (
     SiteAssessment,
     assess_site,
     compare_sites,
-    intake_limit_sensitivity,
 )
 from repro.climate.sites import (
     ALL_SITES,
@@ -153,26 +152,28 @@ class TestCompareSites:
 
 
 class TestSensitivity:
+    """The free fraction as the intake ceiling moves -- the knob a
+    Greenfield designer actually turns (hotter-rated gear buys hours)."""
+
+    @staticmethod
+    def _fractions(profile, limits_c):
+        return [
+            assess_site(profile, intake_limit_c=limit, seed=0).free_fraction
+            for limit in limits_c
+        ]
+
     def test_fraction_monotone_in_ceiling(self):
-        points = intake_limit_sensitivity(
-            NEW_MEXICO_FULL_YEAR, limits_c=[20.0, 25.0, 30.0, 35.0], seed=0
-        )
-        fractions = [f for _limit, f in points]
+        fractions = self._fractions(NEW_MEXICO_FULL_YEAR, [20.0, 25.0, 30.0, 35.0])
         assert fractions == sorted(fractions)
 
     def test_generous_ceiling_reaches_unity(self):
-        points = intake_limit_sensitivity(
-            SINGAPORE_FULL_YEAR, limits_c=[45.0], seed=0
-        )
-        assert points[0][1] == pytest.approx(1.0)
+        assert self._fractions(SINGAPORE_FULL_YEAR, [45.0]) == [pytest.approx(1.0)]
 
     @pytest.mark.parametrize("profile", ALL_SITES, ids=lambda p: p.name)
     def test_property_higher_ceiling_never_loses_hours(self, profile):
         # Monotonicity property over a dense ceiling ladder: raising the
         # intake limit can only admit more outside-air hours.
-        limits = [float(c) for c in range(-5, 46, 2)]
-        points = intake_limit_sensitivity(profile, limits_c=limits, seed=0)
-        fractions = [f for _limit, f in points]
+        fractions = self._fractions(profile, [float(c) for c in range(-5, 46, 2)])
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.timeline import CensusPoint, census_timeline, describe_timeline
+from repro.analysis.timeline import CensusPoint, census_timeline
 from repro.sim.clock import DAY
 
 
@@ -54,12 +54,6 @@ class TestCensusTimeline:
         with pytest.raises(ValueError):
             census_timeline(full_results, period_days=0.0)
 
-    def test_describe_renders_table(self, full_results):
-        points = census_timeline(full_results)
-        table = describe_timeline(points, full_results.clock)
-        assert "failed" in table
-        assert "2010-" in table
-
 
 class TestObservedFraction:
     def test_defaults_to_fully_observed(self):
@@ -73,9 +67,3 @@ class TestObservedFraction:
         # Hardware outages are rare: the campaign-wide cumulative
         # fraction stays high even though individual hosts die.
         assert points[-1].observed_fraction > 0.95
-
-    def test_describe_shows_observed_column(self, full_results):
-        points = census_timeline(full_results)
-        table = describe_timeline(points, full_results.clock)
-        assert "observed" in table
-        assert "%" in table

@@ -10,8 +10,6 @@ from repro.climate.psychro import (
     condensation_margin,
     condenses,
     dewpoint,
-    frost_point,
-    mix_air,
     relative_humidity_from_dewpoint,
     rh_from_absolute_humidity,
     saturation_vapor_pressure,
@@ -122,38 +120,3 @@ class TestCondensation:
     def test_margin_scalar_type(self):
         assert isinstance(condensation_margin(10.0, 0.0, 90.0), float)
 
-
-class TestMixAir:
-    def test_equal_parcels_average_temperature(self):
-        temp, _rh = mix_air(0.0, 80.0, 10.0, 80.0, fraction_b=0.5)
-        assert temp == pytest.approx(5.0)
-
-    def test_fraction_zero_returns_parcel_a(self):
-        temp, rh = mix_air(0.0, 80.0, 10.0, 40.0, fraction_b=0.0)
-        assert temp == pytest.approx(0.0)
-        assert rh == pytest.approx(80.0, abs=0.5)
-
-    def test_fraction_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            mix_air(0.0, 80.0, 10.0, 40.0, fraction_b=1.5)
-
-    @given(
-        ta=temps, rha=humidities, tb=temps, rhb=humidities,
-        f=st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_mixture_temperature_between_parcels(self, ta, rha, tb, rhb, f):
-        temp, rh = mix_air(ta, rha, tb, rhb, f)
-        assert min(ta, tb) - 1e-9 <= temp <= max(ta, tb) + 1e-9
-        assert 0.0 <= rh <= 100.0
-
-
-class TestFrostPoint:
-    def test_frost_point_above_dewpoint_subzero(self):
-        # Over ice, saturation comes sooner: frost point > dewpoint (< 0 degC).
-        td = dewpoint(-10.0, 70.0)
-        tf = frost_point(-10.0, 70.0)
-        assert tf > td
-
-    def test_frost_point_of_saturated_subzero_air_near_temp(self):
-        assert frost_point(-10.0, 100.0) == pytest.approx(-10.0, abs=1.5)

@@ -19,9 +19,9 @@ class FakeInstrument:
 
     def attach(self, sim, start=None):
         first = sim.now if start is None else start
-        self._handle = sim.every(
-            3600.0, lambda: self.samples.append(sim.now), start=first,
-            label="fake-instrument",
+        sim.register("fake.sample", lambda: self.samples.append(sim.now))
+        self._handle = sim.every_key(
+            3600.0, "fake.sample", start=first, label="fake-instrument"
         )
 
     def detach(self):

@@ -13,7 +13,7 @@ import datetime as dt
 from repro.core.builder import CampaignBuilder
 from repro.core.config import ExperimentConfig
 from repro.sim.clock import SimClock
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.telemetry import Telemetry
 
 
@@ -22,11 +22,12 @@ class TestHeapBounded:
         sim = Simulator(SimClock())
         live = []
         fired = []
+        sim.register("tag", fired.append)
         peak = 0
         # 500k schedules + ~500k cancels = a million heap operations,
         # with only ~16 events ever truly pending.
         for i in range(500_000):
-            live.append(sim.schedule_at(1e9 + i, lambda i=i: fired.append(i)))
+            live.append(sim.schedule_at_key(1e9 + i, "tag", (i,)))
             if len(live) > 16:
                 live.pop(0).cancel()
             if i % 4096 == 0:
@@ -42,10 +43,8 @@ class TestHeapBounded:
     def test_compaction_preserves_event_order(self):
         sim = Simulator(SimClock())
         seen = []
-        handles = [
-            sim.schedule_at(float(t), lambda t=t: seen.append(t))
-            for t in range(1, 2000)
-        ]
+        sim.register("tag", seen.append)
+        handles = [sim.schedule_at_key(float(t), "tag", (t,)) for t in range(1, 2000)]
         for h in handles[::2]:
             h.cancel()
         assert sim.heap_compactions >= 0  # cancellation may or may not sweep yet
@@ -134,7 +133,8 @@ class TestHeapOrder:
         sim = Simulator(SimClock())
         fired = []
         sim.register("tag", lambda tag: fired.append(tag))
-        sim.schedule_at(60.0, lambda: fired.append("closure-1"))
+        sim.register("untagged", lambda: fired.append("untagged"))
+        sim.schedule_at_key(60.0, "untagged")
         sim.schedule_at_key(60.0, "tag", ("key-1",))
         sim.every_key_group(
             60.0,
@@ -142,24 +142,12 @@ class TestHeapOrder:
             [lambda: fired.append("group-a"), lambda: fired.append("group-b")],
             start=60.0,
         )
-        sim.schedule(60.0, lambda: fired.append("closure-2"))
-        sim.schedule_at_key(60.0, "tag", ["key-2"])
+        sim.every_key(60.0, "tag", ("every",), start=60.0)
+        sim.schedule_key(60.0, "tag", ["key-2"])
         sim.run_until(60.0)
         assert fired == [
-            "closure-1", "key-1", "group-a", "group-b", "closure-2", "key-2",
+            "untagged", "key-1", "group-a", "group-b", "every", "key-2",
         ]
-
-    def test_find_key_handles_returns_live_event_handles(self):
-        sim = Simulator(SimClock())
-        sim.register("tag", lambda tag: None)
-        first = sim.schedule_at_key(10.0, "tag", ("a",))
-        sim.schedule_at_key(20.0, "tag", ("b",))
-        cancelled = sim.schedule_at_key(30.0, "tag", ("a",))
-        cancelled.cancel()
-        found = sim.find_key_handles("tag", ("a",))
-        assert found == [first]
-        assert all(isinstance(h, EventHandle) for h in sim.find_key_handles("tag"))
-        assert len(sim.find_key_handles("tag")) == 2
 
     def test_mass_cancel_inside_run_until_keeps_order(self):
         # A callback cancels most of the queue while run_until is looping;
@@ -176,7 +164,8 @@ class TestHeapOrder:
             for h in handles[:30]:
                 h.cancel()
 
-        sim.schedule_at(5.0, shed)
+        sim.register("shed", shed)
+        sim.schedule_at_key(5.0, "shed")
         sim.schedule_at_key(10.0, "tag", ("tie",))
         before = sim.heap_compactions
         sim.run_until(100.0)

@@ -10,12 +10,15 @@ column shorter than the others.
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.climate.generator import WeatherGenerator
 from repro.climate.station import WeatherStation
 from repro.hardware.faults import TransientFaultModel
 from repro.hardware.host import Host
+from repro.hardware.smart import ATTR_POWER_ON_HOURS, SmartTable
+from repro.hardware.switch import NetworkSwitch
 from repro.hardware.vendors import VENDOR_A
 from repro.monitoring.collector import MonitoringHost
 from repro.monitoring.datalogger import LascarDataLogger
@@ -124,6 +127,22 @@ def _powermeter():
     for minutes in range(3):
         meter.sample(START + minutes * 600.0)
     return meter
+
+
+def _switch():
+    switch = NetworkSwitch("tent-sw1", np.random.default_rng(3), inherent_defect=True)
+    switch.connect("host01")
+    switch.tick(2 * HOUR, START)
+    return switch
+
+
+def _smart():
+    table = SmartTable()
+    table.accrue_uptime(2 * HOUR)
+    table.set_temperature(31.5)
+    table.add_reallocated_sectors(40)
+    table.run_long_self_test(START, media_healthy=True)
+    return table
 
 
 def _set(path, value):
@@ -279,6 +298,32 @@ CASES = [
             _set(["readings", "watts"], {"__packed__": "f8"}),
         ),
     ),
+    # Leaf hardware: a good (different) lifecycle state, then a bad number.
+    (
+        "switch",
+        _switch,
+        _then(_set(["state"], "failed"), _set(["powered_hours"], "x")),
+    ),
+    ("switch", _switch, _set(["state"], "smoking")),
+    ("switch", _switch, _set(["ports"], 8)),
+    # A good (different) attribute row, then a short self-test row.
+    (
+        "smart",
+        _smart,
+        _then(
+            _set(["attrs", str(ATTR_POWER_ON_HOURS)], [90, 90, 5.0]),
+            _set(["self_tests"], [[1.0, True]]),
+        ),
+    ),
+    ("smart", _smart, _set(["attrs", "42"], [100, 100, 0.0])),
+    (
+        "smart",
+        _smart,
+        _then(
+            _set(["attrs", str(ATTR_POWER_ON_HOURS)], [90, 90, 5.0]),
+            _set(["attrs", "194"], [100, 100, "warm"]),
+        ),
+    ),
 ]
 
 
@@ -309,6 +354,8 @@ def test_malformed_blob_raises_and_changes_nothing(build, breakage):
         _transfers,
         _webcam,
         _powermeter,
+        _switch,
+        _smart,
     ],
 )
 def test_well_formed_blob_round_trips(build):

@@ -94,8 +94,9 @@ class TestEngineOrdering:
     def test_random_schedules_fire_in_time_order(self, delays):
         sim = Simulator()
         fired = []
+        sim.register("mark", lambda: fired.append(sim.now))
         for delay in delays:
-            sim.schedule(delay, lambda d=delay: fired.append(sim.now))
+            sim.schedule_key(delay, "mark")
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)

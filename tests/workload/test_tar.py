@@ -7,7 +7,6 @@ from repro.workload.kernel_tree import KernelSourceTree
 from repro.workload.tar import (
     TAR_BLOCK_BYTES,
     FileCensus,
-    census_for_tree,
     synthetic_kernel_census,
 )
 
@@ -70,14 +69,21 @@ class TestSyntheticCensus:
         assert "files" in text and "overhead" in text
 
 
+def _census_for(tree):
+    """The synthetic census matching a tree's stated totals."""
+    return synthetic_kernel_census(
+        file_count=tree.file_count, target_content_bytes=tree.total_bytes
+    )
+
+
 class TestCensusForTree:
     def test_matches_tree_totals(self):
         tree = KernelSourceTree()
-        census = census_for_tree(tree)
+        census = _census_for(tree)
         assert census.file_count == tree.file_count
         assert census.content_bytes == tree.total_bytes
 
     def test_tar_overhead_is_modest_for_kernel_tree(self):
         # ~31k files x ~512 B average overhead ~ 2-7 % of a 356 MB tree.
-        census = census_for_tree(KernelSourceTree())
+        census = _census_for(KernelSourceTree())
         assert census.padding_overhead < 0.10
