@@ -70,8 +70,8 @@ def estimate_ua_by_era(results, min_gap_c: float = _MIN_GAP_C) -> List[EraEstima
     if inside.empty:
         return []
     outside = results.outside_temperature()
-    power_times = np.array([r.time for r in results.powermeter.readings])
-    power_watts = np.array([r.watts for r in results.powermeter.readings])
+    power_times = results.powermeter.readings.column("time")
+    power_watts = results.powermeter.readings.column("watts")
 
     gap = inside.aligned_difference(outside)
     power_at = np.interp(gap.times, power_times, power_watts)

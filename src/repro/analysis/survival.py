@@ -61,15 +61,6 @@ class SurvivalCensus:
         data["excursion_minutes"] = round(self.excursion_minutes, 3)
         return data
 
-    @property
-    def sla_impact_host_hours(self) -> float:
-        """Host-hours of lost service: shed time plus repair windows of
-        in-incident losses (the loss itself is counted by its shed
-        column only when the host was deliberately powered down --
-        failures carry their own repair outage, tallied by the hazard
-        model, so this is the deliberate-downtime share)."""
-        return self.host_hours_shed
-
     def survived(self) -> bool:
         """Did the protective layer hold -- every shed host restored and
         every trip cleared by end of run?"""

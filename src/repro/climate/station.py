@@ -10,7 +10,7 @@ layer can consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.climate.psychro import relative_humidity_from_dewpoint
 from repro.sim.clock import MINUTE
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import History
+from repro.state.codec import ColumnStore, History
 from repro.state.protocol import check_version, parsing
 
 #: Version 2 stores the next observation time; version 1 (a
@@ -97,8 +97,7 @@ class WeatherStation:
         self.period_s = period_s
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("station.noise")
-        self._readings: List[StationReading] = []
-        self._packed = _READINGS.packer()
+        self._readings = _READINGS.store()
         self._sim: Optional[Simulator] = None
         #: Next observation time while attached.
         self._next: Optional[float] = None
@@ -118,9 +117,8 @@ class WeatherStation:
         solar = max(
             0.0, truth.solar_wm2 * (1.0 + rng.normal(0.0, self.SOLAR_ERROR_FRACTION))
         )
-        reading = StationReading(time, temp, rh, wind, solar)
-        self._readings.append(reading)
-        return reading
+        self._readings.append(time, temp, rh, wind, solar)
+        return StationReading(time, temp, rh, wind, solar)
 
     def attach(self, sim: Simulator, start: Optional[float] = None) -> None:
         """Start periodic observation on ``sim`` (first sample at ``start``)."""
@@ -166,13 +164,12 @@ class WeatherStation:
         rh = np.where(rh > 100.0, 100.0, rh)
         wind = weather.wind_speed(grid) + noise[:, 2]
         solar = weather.solar_irradiance(grid) * (1.0 + noise[:, 3])
-        self._readings += map(
-            StationReading,
-            times,
-            (temp + noise[:, 0]).tolist(),
-            rh.tolist(),
-            np.where(wind > 0.0, wind, 0.0).tolist(),
-            np.where(solar > 0.0, solar, 0.0).tolist(),
+        self._readings.extend(
+            grid,
+            temp + noise[:, 0],
+            rh,
+            np.where(wind > 0.0, wind, 0.0),
+            np.where(solar > 0.0, solar, 0.0),
         )
 
     # ------------------------------------------------------------------
@@ -183,7 +180,7 @@ class WeatherStation:
         return {
             "version": _STATE_VERSION,
             "next": self._next,
-            "readings": self._packed.pack(self._readings),
+            "readings": self._readings.capture(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -205,19 +202,19 @@ class WeatherStation:
     # Analysis accessors
     # ------------------------------------------------------------------
     @property
-    def readings(self) -> List[StationReading]:
-        """Every observation due so far, oldest first."""
+    def readings(self) -> ColumnStore:
+        """Every observation due so far, oldest first, as :class:`StationReading` rows."""
         self.flush()
         return self._readings
 
     def times(self) -> np.ndarray:
-        """Observation times as an array."""
-        return np.array([r.time for r in self.readings])
+        """Observation times as a read-only array."""
+        return self.readings.column("time")
 
     def temperatures(self) -> np.ndarray:
-        """Observed temperatures as an array."""
-        return np.array([r.temp_c for r in self.readings])
+        """Observed temperatures as a read-only array."""
+        return self.readings.column("temp_c")
 
     def humidities(self) -> np.ndarray:
-        """Observed relative humidities as an array."""
-        return np.array([r.rh_percent for r in self.readings])
+        """Observed relative humidities as a read-only array."""
+        return self.readings.column("rh_percent")

@@ -417,8 +417,8 @@ class Campaign:
         if proto_host.running:
             proto_host.retire(end)  # the borrowed boxes had to be returned
 
-        window = [r for r in self.station.readings if start <= r.time <= end]
-        temps = [r.temp_c for r in window]
+        times = self.station.times()
+        temps = self.station.temperatures()[(start <= times) & (times <= end)].tolist()
         return PrototypeResult(
             start=start,
             end=end,

@@ -13,7 +13,7 @@ Only the behaviour the paper's fault census exercises is modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -94,8 +94,7 @@ class MemoryBank:
         self.fault_ratio = fault_ratio
         self._rng = rng
         self.page_ops_total = 0
-        self.faults: "list[MemoryFaultRecord]" = []
-        self._packed_faults = _FAULTS.packer()
+        self.faults = _FAULTS.store()  # MemoryFaultRecord rows
 
     def __repr__(self) -> str:
         ecc = "ECC" if self.spec.ecc_memory else "non-ECC"
@@ -123,18 +122,18 @@ class MemoryBank:
         corrected = self.spec.ecc_memory
         for _ in range(n_faults):
             page = int(self._rng.integers(0, max(1, count)))
-            self.faults.append(MemoryFaultRecord(time=time, page_index=page, corrected=corrected))
+            self.faults.append(time, page, corrected)
         return 0 if corrected else n_faults
 
     @property
     def uncorrected_fault_count(self) -> int:
         """Faults that escaped into data."""
-        return sum(1 for f in self.faults if not f.corrected)
+        return len(self.faults) - self.corrected_fault_count
 
     @property
     def corrected_fault_count(self) -> int:
         """Faults the ECC machinery absorbed."""
-        return sum(1 for f in self.faults if f.corrected)
+        return int(np.count_nonzero(self.faults.column("corrected")))
 
     def observed_fault_ratio(self) -> Optional[float]:
         """Empirical faults-per-page-op, or ``None`` before any ops."""
@@ -149,16 +148,24 @@ class MemoryBank:
         return {
             "version": _STATE_VERSION,
             "page_ops_total": self.page_ops_total,
-            "faults": self._packed_faults.pack(self.faults),
+            "faults": self.faults.capture(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self.parse_state(state)()
+
+    def parse_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """Parse a blob into the call that assigns it, or raise :class:`StateError`."""
         with parsing("memory"):
             check_version("memory", state, _STATE_VERSION)
             page_ops_total = int(state["page_ops_total"])
             faults = _FAULTS.restore(state["faults"])
-        self.page_ops_total = page_ops_total
-        self.faults = faults
+
+        def load() -> None:
+            self.page_ops_total = page_ops_total
+            self.faults = faults
+
+        return load
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,13 @@ from repro.hardware.faults import (
     TransientFaultModel,
     hazard_probability,
 )
-from repro.hardware.sensors import SensorChip, SensorReading, SensorState
+from repro.hardware.sensors import SensorChip, SensorState
 from repro.hardware.storage import StorageSubsystem
 from repro.hardware.vendors import VendorSpec
 from repro.sim.events import EventBus, HostFailed, SensorLatched
 from repro.sim.rng import RngStreams
 from repro.state.codec import EncodedRows
-from repro.state.protocol import check_version
+from repro.state.protocol import check_version, parsing
 from repro.thermal.enclosure import Enclosure
 
 _STATE_VERSION = 1
@@ -274,8 +274,8 @@ class Host:
         """True die temperature (what a healthy sensor would report)."""
         return self.cpu.temperature_c(self.intake_temp_c(), self.power_w)
 
-    def sensor_poll(self, time: float) -> SensorReading:
-        """Poll the lm-sensors chip, as the 20-minute collection round does."""
+    def sensor_poll(self, time: float) -> Optional[float]:
+        """Poll the lm-sensors chip (the 20-minute collection round); ``None`` off the bus."""
         return self.sensor.read(self.cpu_temp_c(), time)
 
     # ------------------------------------------------------------------
@@ -407,23 +407,35 @@ class Host:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore everything except the enclosure link (fleet-resolved)."""
-        check_version(self.hostname, state, _STATE_VERSION)
-        self.state = HostState(state["state"])
-        self.installed_at = (
-            None if state["installed_at"] is None else float(state["installed_at"])
-        )
-        self.retired_at = (
-            None if state["retired_at"] is None else float(state["retired_at"])
-        )
-        self.uptime_s = float(state["uptime_s"])
-        self.reset_count = int(state["reset_count"])
-        self.frailty = float(state["frailty"])
-        self.event_log = [(float(t), str(note)) for t, note in state["event_log"]]
-        self.cpu.busy = bool(state["cpu_busy"])
-        self.memory.load_state_dict(state["memory"])
-        self.sensor.load_state_dict(state["sensor"])
-        self.storage.load_state_dict(state["storage"])
+        """Restore everything except the enclosure link (fleet-resolved); a
+        malformed blob raises :class:`StateError` and changes nothing."""
+        with parsing(self.hostname):
+            check_version(self.hostname, state, _STATE_VERSION)
+            host_state = HostState(state["state"])
+            installed_at = state["installed_at"]
+            installed_at = None if installed_at is None else float(installed_at)
+            retired_at = state["retired_at"]
+            retired_at = None if retired_at is None else float(retired_at)
+            uptime_s = float(state["uptime_s"])
+            reset_count = int(state["reset_count"])
+            frailty = float(state["frailty"])
+            event_log = [(float(t), str(note)) for t, note in state["event_log"]]
+            cpu_busy = bool(state["cpu_busy"])
+            loads = [
+                self.memory.parse_state(state["memory"]),
+                self.sensor.parse_state(state["sensor"]),
+                self.storage.parse_state(state["storage"]),
+            ]
+        self.state = host_state
+        self.installed_at = installed_at
+        self.retired_at = retired_at
+        self.uptime_s = uptime_s
+        self.reset_count = reset_count
+        self.frailty = frailty
+        self.event_log = event_log
+        self.cpu.busy = cpu_busy
+        for load in loads:
+            load()
 
     # ------------------------------------------------------------------
     # Diagnostics

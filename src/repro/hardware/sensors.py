@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -97,8 +97,7 @@ class SensorChip:
         self.noise_std_c = noise_std_c
         self.state = SensorState.OK
         self.cold_exposure_s = 0.0
-        self.history: List[SensorReading] = []
-        self._packed_history = _HISTORY.packer()
+        self.history = _HISTORY.store()  # SensorReading rows
         self.latch_time: Optional[float] = None
 
     def __repr__(self) -> str:
@@ -127,17 +126,17 @@ class SensorChip:
                 self.state = SensorState.ERRATIC
                 self.latch_time = time
 
-    def read(self, true_cpu_temp_c: float, time: float) -> SensorReading:
-        """Poll the chip (what the 20-minute monitoring round does)."""
+    def read(self, true_cpu_temp_c: float, time: float) -> Optional[float]:
+        """Poll the chip (what the 20-minute monitoring round does): the
+        reported temperature, ``None`` off the bus, also logged in :attr:`history`."""
         if self.state is SensorState.OK:
             value: Optional[float] = true_cpu_temp_c + self._rng.normal(0.0, self.noise_std_c)
         elif self.state is SensorState.ERRATIC:
             value = ERRONEOUS_READING_C
         else:
             value = None
-        reading = SensorReading(time=time, cpu_temp_c=value, state=self.state)
-        self.history.append(reading)
-        return reading
+        self.history.append(time, value, self.state)
+        return value
 
     # ------------------------------------------------------------------
     # Operator actions
@@ -175,10 +174,14 @@ class SensorChip:
             "state": self.state.value,
             "cold_exposure_s": self.cold_exposure_s,
             "latch_time": self.latch_time,
-            "history": self._packed_history.pack(self.history),
+            "history": self.history.capture(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self.parse_state(state)()
+
+    def parse_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """Parse a blob into the call that assigns it, or raise :class:`StateError`."""
         with parsing("sensor"):
             check_version("sensor", state, _STATE_VERSION)
             chip_state = SensorState(state["state"])
@@ -186,10 +189,14 @@ class SensorChip:
             latch_time = state["latch_time"]
             latch_time = None if latch_time is None else float(latch_time)
             history = _HISTORY.restore(state["history"])
-        self.state = chip_state
-        self.cold_exposure_s = cold_exposure_s
-        self.latch_time = latch_time
-        self.history = history
+
+        def load() -> None:
+            self.state = chip_state
+            self.cold_exposure_s = cold_exposure_s
+            self.latch_time = latch_time
+            self.history = history
+
+        return load
 
     # ------------------------------------------------------------------
     # Census helpers
@@ -201,8 +208,5 @@ class SensorChip:
 
     def erroneous_reading_count(self) -> int:
         """Number of logged -111 degC readings."""
-        return sum(
-            1
-            for r in self.history
-            if r.cpu_temp_c is not None and r.cpu_temp_c <= ERRONEOUS_READING_C + 1e-9
-        )
+        temps = self.history.column("cpu_temp_c")
+        return int(np.count_nonzero(temps <= ERRONEOUS_READING_C + 1e-9))

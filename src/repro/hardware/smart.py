@@ -11,7 +11,7 @@ reallocated sectors, and the long self-test verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from repro.state.protocol import check_version, parsing
 
@@ -137,6 +137,10 @@ class SmartTable:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self.parse_state(state)()
+
+    def parse_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """Parse a blob into the call that assigns it, or raise :class:`StateError`."""
         with parsing("smart"):
             check_version("smart", state, _STATE_VERSION)
             rows = [
@@ -147,11 +151,15 @@ class SmartTable:
                 SelfTestResult(time=float(t), passed=bool(p), detail=str(d))
                 for t, p, d in state["self_tests"]
             ]
-        for attr, value, worst, raw in rows:
-            attr.value = value
-            attr.worst = worst
-            attr.raw = raw
-        self.self_tests = self_tests
+
+        def load() -> None:
+            for attr, value, worst, raw in rows:
+                attr.value = value
+                attr.worst = worst
+                attr.raw = raw
+            self.self_tests = self_tests
+
+        return load
 
     # ------------------------------------------------------------------
     def run_long_self_test(self, time: float, media_healthy: bool) -> SelfTestResult:

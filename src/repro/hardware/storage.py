@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.hardware.faults import hazard_probability
 from repro.hardware.smart import SmartTable
 from repro.hardware.vendors import DiskLayout, VendorSpec
-from repro.state.protocol import StateError, check_version
+from repro.state.protocol import StateError, check_version, parsing
 
 _STATE_VERSION = 1
 
@@ -108,13 +108,21 @@ class Disk:
             "smart": self.smart.state_dict(),
         }
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version(f"disk.{self.serial}", state, _STATE_VERSION)
-        self.state = DiskState(state["state"])
-        self.failed_at = (
-            None if state["failed_at"] is None else float(state["failed_at"])
-        )
-        self.smart.load_state_dict(state["smart"])
+    def parse_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """Parse a blob into the call that assigns it, or raise :class:`StateError`."""
+        with parsing(f"disk.{self.serial}"):
+            check_version(f"disk.{self.serial}", state, _STATE_VERSION)
+            disk_state = DiskState(state["state"])
+            failed_at = state["failed_at"]
+            failed_at = None if failed_at is None else float(failed_at)
+            load_smart = self.smart.parse_state(state["smart"])
+
+        def load() -> None:
+            self.state = disk_state
+            self.failed_at = failed_at
+            load_smart()
+
+        return load
 
 
 class RaidArray(abc.ABC):
@@ -292,11 +300,24 @@ class StorageSubsystem:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        check_version("storage", state, _STATE_VERSION)
-        if len(state["disks"]) != len(self.disks):
-            raise StateError(
-                f"storage: snapshot has {len(state['disks'])} disks, "
-                f"this subsystem has {len(self.disks)}"
-            )
-        for disk, disk_state in zip(self.disks, state["disks"]):
-            disk.load_state_dict(disk_state)
+        self.parse_state(state)()
+
+    def parse_state(self, state: Dict[str, Any]) -> Callable[[], None]:
+        """Parse a blob into the call that assigns it, or raise :class:`StateError`."""
+        with parsing("storage"):
+            check_version("storage", state, _STATE_VERSION)
+            if len(state["disks"]) != len(self.disks):
+                raise StateError(
+                    f"storage: snapshot has {len(state['disks'])} disks, "
+                    f"this subsystem has {len(self.disks)}"
+                )
+            loads = [
+                disk.parse_state(disk_state)
+                for disk, disk_state in zip(self.disks, state["disks"])
+            ]
+
+        def load() -> None:
+            for load_disk in loads:
+                load_disk()
+
+        return load

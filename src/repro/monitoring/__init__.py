@@ -22,7 +22,7 @@ from repro.monitoring.health import (
     HostHealthState,
 )
 from repro.monitoring.powermeter import PowerReading, TechnolineCostControl
-from repro.monitoring.records import LoggerRecord, SensorRecord, parse_line, to_line
+from repro.monitoring.records import SensorRecord
 from repro.monitoring.transport import (
     LinkFault,
     LinkFaultAction,
@@ -44,9 +44,6 @@ __all__ = [
     "NetworkPath",
     "CollectionRound",
     "SensorRecord",
-    "LoggerRecord",
-    "to_line",
-    "parse_line",
     "TransferLedger",
     "RsyncChannel",
     "TransferRecord",

@@ -44,6 +44,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.hardware.host import Host
 from repro.hardware.switch import NetworkSwitch
 from repro.monitoring.health import HealthPolicy, HealthTracker, HostHealthState
@@ -224,9 +226,8 @@ class MonitoringHost:
         #: Round-order cache, invalidated on (un)register; the collector
         #: walks every host every 20 minutes, the topology rarely changes.
         self._sorted_ids: Optional[List[int]] = None
-        self.sensor_records: List[SensorRecord] = []
+        self.sensor_records = _SENSOR_RECORDS.store()  # SensorRecord rows
         self.rounds: List[CollectionRound] = []
-        self._packed_sensor_records = _SENSOR_RECORDS.packer()
         self._encoded_rounds = EncodedRows(_encode_round)
         self.on_down_host = on_down_host
         self.on_unreachable = on_unreachable
@@ -385,10 +386,8 @@ class MonitoringHost:
                 self.bus.publish(
                     HostRecovered(time=time, host_id=host_id, rounds_suspect=suppressed)
                 )
-            reading = host.sensor_poll(time)
-            self.sensor_records.append(
-                SensorRecord(time=time, host_id=host_id, cpu_temp_c=reading.cpu_temp_c)
-            )
+            temp_c = host.sensor_poll(time)
+            self.sensor_records.append(time, host_id, temp_c)
             if self.transport is not None and self.workload_ledger is not None:
                 produced_md5 = self.workload_ledger.runs_per_host.get(host_id, 0)
                 produced_samples = len(host.sensor.history)
@@ -415,8 +414,8 @@ class MonitoringHost:
             ):
                 self.slow_sessions_total += 1
                 self.slow_session_s_total += contact.fault.delay_s
-            mute = reading.cpu_temp_c is None
-            erratic = not mute and reading.cpu_temp_c <= _ANOMALY_THRESHOLD_C
+            mute = temp_c is None
+            erratic = not mute and temp_c <= _ANOMALY_THRESHOLD_C
             if mute or erratic:
                 anomalies.append(host_id)
                 if mute:
@@ -431,7 +430,7 @@ class MonitoringHost:
                     # The -111 degC class of cold-latched readings.
                     self.sensor_erratic_total += 1
                     event = SensorAnomalyObserved(
-                        time=time, host_id=host_id, reading_c=reading.cpu_temp_c
+                        time=time, host_id=host_id, reading_c=temp_c
                     )
                 if self.bus is not None:
                     self.bus.publish(event)
@@ -553,7 +552,7 @@ class MonitoringHost:
                 str(host_id): [s.name for s in path.switches]
                 for host_id, path in sorted(self.paths.items())
             },
-            "sensor_records": self._packed_sensor_records.pack(self.sensor_records),
+            "sensor_records": self.sensor_records.capture(),
             "rounds": self._encoded_rounds.encode(self.rounds),
             "totals": [
                 self.retries_total,
@@ -629,16 +628,15 @@ class MonitoringHost:
     # ------------------------------------------------------------------
     def records_for_host(self, host_id: int) -> List[SensorRecord]:
         """All sensor records pulled from one host."""
-        return [r for r in self.sensor_records if r.host_id == host_id]
+        records = self.sensor_records
+        return records.rows(records.column("host_id") == host_id)
 
     def erroneous_readings(self) -> List[SensorRecord]:
         """The -111 degC class of readings across the fleet."""
-        return [
-            r
-            for r in self.sensor_records
-            if r.cpu_temp_c is not None and r.cpu_temp_c <= _ANOMALY_THRESHOLD_C
-        ]
+        records = self.sensor_records
+        return records.rows(records.column("cpu_temp_c") <= _ANOMALY_THRESHOLD_C)
 
     def mute_readings(self) -> List[SensorRecord]:
         """Rounds where a host's sensor chip was absent from the bus."""
-        return [r for r in self.sensor_records if r.cpu_temp_c is None]
+        records = self.sensor_records
+        return records.rows(np.isnan(records.column("cpu_temp_c")))

@@ -23,7 +23,7 @@ import numpy as np
 from repro.sim.clock import DAY, MINUTE
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.state.codec import History
+from repro.state.codec import ColumnStore, History
 from repro.state.protocol import check_version, parsing
 from repro.thermal.enclosure import Enclosure
 
@@ -129,12 +129,7 @@ class LascarDataLogger:
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("lascar.noise")
         self.removal_episodes: List[RemovalEpisode] = []
-        # Stored readings, as columns; reading objects are built on demand.
-        self._times: List[float] = []
-        self._temps: List[float] = []
-        self._rhs: List[float] = []
-        self._readings: List[LoggerReading] = []
-        self._packed = _READINGS.packer()
+        self._readings = _READINGS.store()
         # Samples taken but not yet drawn: time and true intake pair.
         self._pending: List[float] = []
         self._batch = max(1, int(DAY // period_s))
@@ -144,7 +139,7 @@ class LascarDataLogger:
         self._restore_next: Optional[List[float]] = None
 
     def __repr__(self) -> str:
-        taken = len(self._times) + len(self._pending) // 3
+        taken = len(self._readings) + len(self._pending) // 3
         return (
             f"LascarDataLogger(readings={taken}, "
             f"removals={len(self.removal_episodes)})"
@@ -170,7 +165,7 @@ class LascarDataLogger:
             true_temp + self._rng.normal(0.0, self.temp_error_std_c), self.TEMP_RESOLUTION_C
         )
         rh = _quantize(true_rh + self._rng.normal(0.0, self.rh_error_std), self.RH_RESOLUTION)
-        self._store([time], [temp], [min(max(rh, 0.0), 100.0)])
+        self._readings.append(time, temp, min(max(rh, 0.0), 100.0))
         return self.readings[-1]
 
     def attach(self, sim: Simulator) -> None:
@@ -220,12 +215,7 @@ class LascarDataLogger:
         )
         rhs = np.where(rhs < 0.0, 0.0, rhs)
         rhs = np.where(rhs > 100.0, 100.0, rhs)
-        self._store(times.tolist(), temps.tolist(), rhs.tolist())
-
-    def _store(self, times: List[float], temps: List[float], rhs: List[float]) -> None:
-        self._times += times
-        self._temps += temps
-        self._rhs += rhs
+        self._readings.extend(times, temps, rhs)
 
     # ------------------------------------------------------------------
     # Snapshot protocol
@@ -235,9 +225,7 @@ class LascarDataLogger:
         return {
             "version": _STATE_VERSION,
             "next": self._restore_next if self._next is None else self._next[:3],
-            "readings": self._packed.pack_columns(
-                [self._times, self._temps, self._rhs]
-            ),
+            "readings": self._readings.capture(),
             "removal_episodes": [
                 [ep.start, ep.end] for ep in self.removal_episodes
             ],
@@ -248,7 +236,7 @@ class LascarDataLogger:
         nothing.  The next sample is queued again by :meth:`rebind`."""
         with parsing("lascar"):
             check_version("lascar", state, _STATE_VERSION)
-            times, temps, rhs = _READINGS.restore_columns(state["readings"])
+            readings = _READINGS.restore(state["readings"])
             episodes = [
                 RemovalEpisode(start=float(start), end=float(end))
                 for start, end in state["removal_episodes"]
@@ -258,9 +246,8 @@ class LascarDataLogger:
                 time, seq, tie = pending
                 pending = [float(time), int(seq), int(tie)]
         self.detach()
-        self._times, self._temps, self._rhs, self._readings = [], [], [], []
+        self._readings = readings
         self._pending = []
-        self._store(times, temps, rhs)
         self.removal_episodes = episodes
         self._restore_next = pending
 
@@ -291,33 +278,22 @@ class LascarDataLogger:
     # Accessors
     # ------------------------------------------------------------------
     @property
-    def readings(self) -> List[LoggerReading]:
-        """Every stored sample, oldest first (built on first read)."""
+    def readings(self) -> ColumnStore:
+        """Every stored sample, oldest first, as :class:`LoggerReading` rows."""
         self.flush()
-        built = len(self._readings)
-        if built < len(self._times):
-            self._readings += map(
-                LoggerReading,
-                self._times[built:],
-                self._temps[built:],
-                self._rhs[built:],
-            )
         return self._readings
 
     def times(self) -> np.ndarray:
-        """Sample times as an array."""
-        self.flush()
-        return np.array(self._times)
+        """Sample times as a read-only array."""
+        return self.readings.column("time")
 
     def temperatures(self) -> np.ndarray:
-        """Logged temperatures as an array."""
-        self.flush()
-        return np.array(self._temps)
+        """Logged temperatures as a read-only array."""
+        return self.readings.column("temp_c")
 
     def humidities(self) -> np.ndarray:
-        """Logged relative humidities as an array."""
-        self.flush()
-        return np.array(self._rhs)
+        """Logged relative humidities as a read-only array."""
+        return self.readings.column("rh_percent")
 
     def readings_during_removals(self) -> List[LoggerReading]:
         """Samples taken while the logger sat indoors (ground truth for tests)."""

@@ -70,8 +70,7 @@ class TechnolineCostControl:
         self.period_s = period_s
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("powermeter.noise")
-        self.readings: List[PowerReading] = []
-        self._packed_readings = _READINGS.packer()
+        self.readings = _READINGS.store()  # PowerReading rows
         self.energy_kwh = 0.0
         self._last_sample_time: Optional[float] = None
         self._handle: Optional[PeriodicTask] = None
@@ -104,9 +103,8 @@ class TechnolineCostControl:
             dt_h = (time - self._last_sample_time) / HOUR
             self.energy_kwh += displayed / 1000.0 * dt_h
         self._last_sample_time = time
-        reading = PowerReading(time=time, watts=displayed)
-        self.readings.append(reading)
-        return reading
+        self.readings.append(time, displayed)
+        return PowerReading(time=time, watts=displayed)
 
     def attach(self, sim: Simulator, start: Optional[float] = None) -> None:
         """Start periodic sampling on ``sim``."""
@@ -147,7 +145,7 @@ class TechnolineCostControl:
             "host_ids": [h.host_id for h in self.hosts],
             "energy_kwh": self.energy_kwh,
             "last_sample_time": self._last_sample_time,
-            "readings": self._packed_readings.pack(self.readings),
+            "readings": self.readings.capture(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -175,8 +173,8 @@ class TechnolineCostControl:
 
     # ------------------------------------------------------------------
     def watts_series(self) -> np.ndarray:
-        """Displayed readings as an array."""
-        return np.array([r.watts for r in self.readings])
+        """Displayed readings as a read-only array."""
+        return self.readings.column("watts")
 
     def mean_draw_w(self) -> float:
         """Average displayed draw (0 before any samples)."""

@@ -1,19 +1,9 @@
-"""Typed log records and their wire format.
-
-The monitoring host of the paper rsyncs flat files of md5sums and sensor
-readings.  The reproduction keeps records as dataclasses but provides the
-same flat, line-oriented serialisation (tab-separated, one record per
-line) so the analysis layer -- and the tests -- can round-trip them the
-way the real pipeline round-tripped files.
-"""
+"""The record the monitoring host keeps per pulled sensor sample."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
-
-_FIELD_SEP = "\t"
-_NONE = "-"
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -27,84 +17,3 @@ class SensorRecord:
     time: float
     host_id: int
     cpu_temp_c: Optional[float]
-
-    TAG = "sensor"
-
-
-@dataclass(frozen=True)
-class LoggerRecord:
-    """One Lascar data-logger sample (tent-internal conditions)."""
-
-    time: float
-    temp_c: float
-    rh_percent: float
-
-    TAG = "logger"
-
-
-@dataclass(frozen=True)
-class HashRecord:
-    """One synthetic-load verification outcome."""
-
-    time: float
-    host_id: int
-    hash_ok: bool
-
-    TAG = "hash"
-
-
-Record = Union[SensorRecord, LoggerRecord, HashRecord]
-
-
-def to_line(record: Record) -> str:
-    """Serialise a record to one tab-separated line."""
-    if isinstance(record, SensorRecord):
-        temp = _NONE if record.cpu_temp_c is None else f"{record.cpu_temp_c:.2f}"
-        fields = [SensorRecord.TAG, f"{record.time:.1f}", str(record.host_id), temp]
-    elif isinstance(record, LoggerRecord):
-        fields = [
-            LoggerRecord.TAG,
-            f"{record.time:.1f}",
-            f"{record.temp_c:.2f}",
-            f"{record.rh_percent:.2f}",
-        ]
-    elif isinstance(record, HashRecord):
-        fields = [
-            HashRecord.TAG,
-            f"{record.time:.1f}",
-            str(record.host_id),
-            "ok" if record.hash_ok else "MISMATCH",
-        ]
-    else:
-        raise TypeError(f"unknown record type {type(record).__name__}")
-    return _FIELD_SEP.join(fields)
-
-
-def parse_line(line: str) -> Record:
-    """Parse one line back into its record type.
-
-    Raises ``ValueError`` on malformed input -- the monitoring pipeline
-    treats a bad line as a corrupted transfer, never silently skips it.
-    """
-    fields = line.rstrip("\n").split(_FIELD_SEP)
-    if not fields or not fields[0]:
-        raise ValueError(f"empty record line: {line!r}")
-    tag = fields[0]
-    try:
-        if tag == SensorRecord.TAG:
-            _, time_s, host_s, temp_s = fields
-            temp = None if temp_s == _NONE else float(temp_s)
-            return SensorRecord(time=float(time_s), host_id=int(host_s), cpu_temp_c=temp)
-        if tag == LoggerRecord.TAG:
-            _, time_s, temp_s, rh_s = fields
-            return LoggerRecord(time=float(time_s), temp_c=float(temp_s), rh_percent=float(rh_s))
-        if tag == HashRecord.TAG:
-            _, time_s, host_s, ok_s = fields
-            if ok_s not in ("ok", "MISMATCH"):
-                raise ValueError(f"bad hash verdict {ok_s!r}")
-            return HashRecord(time=float(time_s), host_id=int(host_s), hash_ok=ok_s == "ok")
-    except ValueError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"malformed {tag} record: {line!r}") from exc
-    raise ValueError(f"unknown record tag {tag!r}")

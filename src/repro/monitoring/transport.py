@@ -55,6 +55,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.state.codec import History
 from repro.state.protocol import check_version, parsing
 
@@ -88,6 +90,12 @@ class TransferRecord:
             raise ValueError("transfer counts cannot be negative")
 
 
+def _counts_non_negative(columns: Dict[str, np.ndarray]) -> None:
+    for name in ("new_md5_lines", "new_sensor_samples", "bytes_moved"):
+        if columns[name].size and columns[name].min() < 0:
+            raise ValueError("transfer counts cannot be negative")
+
+
 _RECORDS = History(
     TransferRecord,
     [
@@ -98,6 +106,7 @@ _RECORDS = History(
         ("bytes_moved", int),
         ("complete", bool),
     ],
+    check=_counts_non_negative,
 )
 
 
@@ -145,6 +154,18 @@ class RsyncChannel:
         rsync never leaves half a file behind.  The session overhead is
         paid either way; the backlog stays pending for the next call.
         """
+        return TransferRecord(
+            *self._sync(time, produced_md5_lines, produced_sensor_samples, max_payload_bytes)
+        )
+
+    def _sync(
+        self,
+        time: float,
+        produced_md5_lines: int,
+        produced_sensor_samples: int,
+        max_payload_bytes: Optional[int],
+    ) -> Tuple[float, int, int, int, int, bool]:
+        """:meth:`sync`, returning the transfer as a row of values."""
         if produced_md5_lines < self._synced_md5_lines:
             raise ValueError("produced md5 count went backwards")
         if produced_sensor_samples < self._synced_sensor_samples:
@@ -161,19 +182,13 @@ class RsyncChannel:
             budget -= take_md5 * MD5_LINE_BYTES
             take_sensor = min(new_sensor, budget // SENSOR_SAMPLE_BYTES)
         payload = take_md5 * MD5_LINE_BYTES + take_sensor * SENSOR_SAMPLE_BYTES
-        record = TransferRecord(
-            time=time,
-            host_id=self.host_id,
-            new_md5_lines=take_md5,
-            new_sensor_samples=take_sensor,
-            bytes_moved=payload + SSH_SESSION_OVERHEAD_BYTES,
-            complete=(take_md5 == new_md5 and take_sensor == new_sensor),
-        )
+        bytes_moved = payload + SSH_SESSION_OVERHEAD_BYTES
         self._synced_md5_lines += take_md5
         self._synced_sensor_samples += take_sensor
-        self.total_bytes += record.bytes_moved
+        self.total_bytes += bytes_moved
         self.sessions += 1
-        return record
+        complete = take_md5 == new_md5 and take_sensor == new_sensor
+        return (time, self.host_id, take_md5, take_sensor, bytes_moved, complete)
 
 
 class TransferLedger:
@@ -186,8 +201,7 @@ class TransferLedger:
     """
 
     def __init__(self) -> None:
-        self.records: List[TransferRecord] = []
-        self._packed_records = _RECORDS.packer()
+        self.records = _RECORDS.store()  # TransferRecord rows
         self._channels: Dict[int, RsyncChannel] = {}
         self._total_bytes = 0
         self._bytes_by_host: Dict[int, int] = {}
@@ -211,19 +225,17 @@ class TransferLedger:
         produced_md5_lines: int,
         produced_sensor_samples: int,
         max_payload_bytes: Optional[int] = None,
-    ) -> TransferRecord:
+    ) -> None:
         """Sync one host and log the transfer."""
-        record = self.channel(host_id).sync(
+        row = self.channel(host_id)._sync(
             time, produced_md5_lines, produced_sensor_samples, max_payload_bytes
         )
-        self.records.append(record)
-        self._total_bytes += record.bytes_moved
-        self._bytes_by_host[host_id] = (
-            self._bytes_by_host.get(host_id, 0) + record.bytes_moved
-        )
-        if not record.complete:
+        self.records.append(*row)
+        bytes_moved = row[4]
+        self._total_bytes += bytes_moved
+        self._bytes_by_host[host_id] = self._bytes_by_host.get(host_id, 0) + bytes_moved
+        if not row[5]:
             self.partial_sessions += 1
-        return record
 
     # ------------------------------------------------------------------
     # Snapshot protocol
@@ -246,7 +258,7 @@ class TransferLedger:
                 ]
                 for host_id, chan in sorted(self._channels.items())
             },
-            "records": self._packed_records.pack(self.records),
+            "records": self.records.capture(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:

@@ -17,7 +17,7 @@ that is independent of the thermal chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -58,6 +58,12 @@ class WebcamFrame:
         return self.brightness < 0.05
 
 
+def _fractions_in_range(columns: Dict[str, np.ndarray]) -> None:
+    for name in ("brightness", "tent_snow_cover"):
+        if not np.all((0.0 <= columns[name]) & (columns[name] <= 1.0)):
+            raise ValueError(f"{name} must be in [0, 1]")
+
+
 _FRAMES = History(
     WebcamFrame,
     [
@@ -66,6 +72,7 @@ _FRAMES = History(
         ("snowing", bool),
         ("tent_snow_cover", float),
     ],
+    check=_fractions_in_range,
 )
 
 
@@ -94,8 +101,7 @@ class TerraceWebcam:
         self.period_s = period_s
         streams = streams if streams is not None else RngStreams(0)
         self._rng = streams.stream("webcam.noise")
-        self.frames: List[WebcamFrame] = []
-        self._packed_frames = _FRAMES.packer()
+        self.frames = _FRAMES.store()  # WebcamFrame rows
         self._snow_cover = 0.0
         self._last_time: Optional[float] = None
         self._handle: Optional[PeriodicTask] = None
@@ -121,7 +127,7 @@ class TerraceWebcam:
             snowing=sample.snowing,
             tent_snow_cover=self._snow_cover,
         )
-        self.frames.append(frame)
+        self.frames.append(time, frame.brightness, frame.snowing, frame.tent_snow_cover)
         return frame
 
     def _advance_snow_cover(self, sample, dt_h: float) -> None:
@@ -172,7 +178,7 @@ class TerraceWebcam:
             "task_id": self._handle.task_id if self._handle is not None else None,
             "snow_cover": self._snow_cover,
             "last_time": self._last_time,
-            "frames": self._packed_frames.pack(self.frames),
+            "frames": self.frames.capture(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -199,16 +205,12 @@ class TerraceWebcam:
     # Analysis accessors
     # ------------------------------------------------------------------
     def times(self) -> np.ndarray:
-        """Frame times."""
-        return np.array([f.time for f in self.frames])
+        """Frame times, read-only."""
+        return self.frames.column("time")
 
     def brightness_series(self) -> np.ndarray:
-        """Brightness per frame."""
-        return np.array([f.brightness for f in self.frames])
-
-    def snowfall_frames(self) -> List[WebcamFrame]:
-        """Frames during which it was snowing."""
-        return [f for f in self.frames if f.snowing]
+        """Brightness per frame, read-only."""
+        return self.frames.column("brightness")
 
     def daylight_fraction(self) -> float:
         """Fraction of frames with a visible (non-night) scene."""

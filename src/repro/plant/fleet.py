@@ -567,20 +567,20 @@ class FleetPlant:
 
         return {
             "version": self.STATE_VERSION,
-            "fan_until": pack_floats(self.fan_until.tolist()),
-            "fan_severity": pack_floats(self.fan_severity.tolist()),
-            "block_until": pack_floats(self.block_until.tolist()),
-            "block_severity": pack_floats(self.block_severity.tolist()),
+            "fan_until": pack_floats(self.fan_until),
+            "fan_severity": pack_floats(self.fan_severity),
+            "block_until": pack_floats(self.block_until),
+            "block_severity": pack_floats(self.block_severity),
             "fan_all": [self.fan_all_until, self.fan_all_severity],
             "block_all": [self.block_all_until, self.block_all_severity],
-            "feed_until": pack_floats(self.feed_until.tolist()),
+            "feed_until": pack_floats(self.feed_until),
             "crac": [self.crac_until, bool(self.crac_recovering)],
             "heater": [self.heater_until, self.ice_severity],
-            "tripped": pack_bools(self.tripped.tolist()),
-            "stage": pack_ints(self.stage.tolist()),
-            "stage_deadline": pack_floats(self.stage_deadline.tolist()),
-            "restore_at": pack_floats(self.restore_at.tolist()),
-            "flap": pack_bools(self.flap.tolist()),
+            "tripped": pack_bools(self.tripped),
+            "stage": pack_ints(self.stage),
+            "stage_deadline": pack_floats(self.stage_deadline),
+            "restore_at": pack_floats(self.restore_at),
+            "flap": pack_bools(self.flap),
             "cursor": [self._next_fault, self._storm_day],
             "pending": [
                 [start, encode_value(fault)] for start, fault in self._pending

@@ -19,8 +19,8 @@ uninterrupted run at any cut point.
 
 :class:`~repro.state.checkpoint.CampaignCheckpoint` is the on-disk
 container (schema version, config digest, sim time, per-component
-blobs, integrity checksum); :mod:`repro.state.codec` holds the packing
-helpers that keep big instrument histories cheap to write.
+blobs, integrity checksum); :mod:`repro.state.codec` holds the column
+stores and packing helpers that keep big histories cheap to hold and write.
 """
 
 from repro.state.checkpoint import (
@@ -29,18 +29,6 @@ from repro.state.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.state.codec import (
-    decode_value,
-    encode_value,
-    pack_bools,
-    pack_floats,
-    pack_ints,
-    pack_optional_floats,
-    unpack_bools,
-    unpack_floats,
-    unpack_ints,
-    unpack_optional_floats,
-)
 from repro.state.protocol import Snapshottable, StateError
 
 __all__ = [
@@ -48,16 +36,6 @@ __all__ = [
     "CampaignCheckpoint",
     "Snapshottable",
     "StateError",
-    "decode_value",
-    "encode_value",
-    "pack_bools",
-    "pack_floats",
-    "pack_ints",
-    "pack_optional_floats",
     "read_checkpoint",
-    "unpack_bools",
-    "unpack_floats",
-    "unpack_ints",
-    "unpack_optional_floats",
     "write_checkpoint",
 ]

@@ -9,14 +9,16 @@ Three layers:
   gives the measured flush cost).
 - **Append-only histories** -- each record history (sensor polls,
   instrument readings, transfers, memory faults) declares its record
-  type and ``(field, dtype)`` columns once, as a :class:`History`.  That
-  one declaration drives the capture, which packs only the rows added
-  since the previous capture so a checkpoint cut costs O(new data)
-  rather than O(history), and the restore, which checks that every
-  column is present, of its dtype and of one length before it builds
-  the rows column-wise.  :class:`EncodedRows` does the capture half for
-  histories stored as encoded rows.  Either way the output is exactly
-  what encoding the whole list gives.
+  type and ``(field, dtype)`` columns once, as a :class:`History`, and
+  lives in a :class:`ColumnStore`: one typed array per column, with
+  record objects built only when a reader asks for rows.  A capture
+  packs only the rows added since the previous one, so a checkpoint cut
+  costs O(new data) rather than O(history); a restore decodes each
+  column once, checks that every column is present, of its dtype and of
+  one length, and holds the decoded arrays as they are, so it costs
+  O(bytes).  :class:`EncodedRows` does the capture half for histories
+  stored as encoded rows.  Either way the output is exactly what
+  encoding the whole history gives.
 - **Tagged values** -- configs, bus events, and fault plans are frozen
   dataclasses, enums, and datetimes.  :func:`encode_value` reduces them
   to tagged plain data and :func:`decode_value` rebuilds them against a
@@ -32,8 +34,18 @@ import datetime as _dt
 import enum
 import functools
 import math
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
@@ -46,7 +58,7 @@ _U8 = "|u1"
 # Packed columns
 # ----------------------------------------------------------------------
 def _pack(values, dtype: str) -> Dict[str, Any]:
-    array = np.asarray(list(values), dtype=np.dtype(dtype))
+    array = np.asarray(values, dtype=np.dtype(dtype))
     return {"__packed__": dtype, "n": int(array.size),
             "data": base64.b64encode(array.tobytes()).decode("ascii")}
 
@@ -62,7 +74,7 @@ def _unpack(blob: Dict[str, Any], dtype: str) -> np.ndarray:
 
 
 def pack_floats(values: Sequence[float]) -> Dict[str, Any]:
-    """A float column as a base64 ``float64`` blob."""
+    """A float column (a sequence or an array) as a base64 ``float64`` blob."""
     return _pack(values, _F64)
 
 
@@ -71,7 +83,7 @@ def unpack_floats(blob: Dict[str, Any]) -> List[float]:
 
 
 def pack_ints(values: Sequence[int]) -> Dict[str, Any]:
-    """An int column as a base64 ``int64`` blob."""
+    """An int column (a sequence or an array) as a base64 ``int64`` blob."""
     return _pack(values, _I64)
 
 
@@ -80,8 +92,8 @@ def unpack_ints(blob: Dict[str, Any]) -> List[int]:
 
 
 def pack_bools(values: Sequence[bool]) -> Dict[str, Any]:
-    """A bool column as a base64 byte blob."""
-    return _pack([1 if v else 0 for v in values], _U8)
+    """A bool column (a sequence or an array) as a base64 byte blob."""
+    return _pack(np.asarray(values, dtype=bool).view(_U8), _U8)
 
 
 def unpack_bools(blob: Dict[str, Any]) -> List[bool]:
@@ -94,63 +106,71 @@ def pack_optional_floats(values: Sequence[Optional[float]]) -> Dict[str, Any]:
     The instrument series this packs (sensor temperatures, logger
     readings) never contain a genuine NaN, so the sentinel is lossless.
     """
-    return pack_floats([math.nan if v is None else float(v) for v in values])
+    return _pack(_KINDS[Optional[float]].encode(values), _F64)
 
 
 def unpack_optional_floats(blob: Dict[str, Any]) -> List[Optional[float]]:
-    return [None if math.isnan(v) else v for v in _unpack(blob, _F64).tolist()]
+    return _KINDS[Optional[float]].decode(_unpack(blob, _F64))
 
 
 # ----------------------------------------------------------------------
 # Append-only histories
 # ----------------------------------------------------------------------
-# Contract: a history's rows are only ever appended.  A row already
-# captured is never edited in place, and the list is never shortened
-# in place; an owner that rewrites its history (``load_state_dict``)
-# assigns a new list, which starts the memo over.  Each capture returns
-# fresh containers that share the memo's strings and encoded rows, so
-# the checkpoint writer's base payload holds the same objects and the
-# memo keeps no copy of its own.
+class _Kind(NamedTuple):
+    """How one column dtype is stored: ``encode`` values to an array,
+    ``decode`` it back, and a nonzero ``codes`` bounds a column of indices."""
 
-#: Column dtype -> (packer, unpacker).
-_COLUMN_CODECS: Dict[Any, Tuple[Callable, Callable]] = {
-    float: (pack_floats, unpack_floats),
-    int: (pack_ints, unpack_ints),
-    bool: (pack_bools, unpack_bools),
-    Optional[float]: (pack_optional_floats, unpack_optional_floats),
+    dtype: str
+    encode: Callable[[Sequence[Any]], np.ndarray]
+    decode: Callable[[np.ndarray], List[Any]]
+    codes: int = 0
+
+
+_KINDS: Dict[Any, _Kind] = {
+    float: _Kind(_F64, functools.partial(np.asarray, dtype=_F64), np.ndarray.tolist),
+    int: _Kind(_I64, functools.partial(np.asarray, dtype=_I64), np.ndarray.tolist),
+    bool: _Kind(
+        _U8, lambda v: np.asarray(v, dtype=bool).view(_U8), lambda c: (c != 0).tolist(), 2
+    ),
+    Optional[float]: _Kind(
+        _F64,
+        lambda v: np.array([math.nan if x is None else x for x in v], dtype=_F64),
+        lambda c: [None if v != v else v for v in c.tolist()],
+    ),
 }
 
 
-def _code_table(values: Tuple[Any, ...]) -> Tuple[Callable, Callable]:
-    """Packer and unpacker of a column storing each value's index in
-    ``values`` as an ``int64``."""
+def _code_table(values: Tuple[Any, ...]) -> _Kind:
+    """A column storing each value's index in ``values`` as an ``int64``."""
     codes = {value: code for code, value in enumerate(values)}
-
-    def pack(column: Sequence[Any]) -> Dict[str, Any]:
-        return pack_ints([codes[value] for value in column])
-
-    def unpack(blob: Dict[str, Any]) -> List[Any]:
-        column = unpack_ints(blob)
-        if column and not 0 <= min(column) <= max(column) < len(values):
-            raise ValueError("code column holds an unknown code")
-        return [values[code] for code in column]
-
-    return pack, unpack
+    return _Kind(
+        _I64,
+        lambda column: np.array([codes[value] for value in column], dtype=_I64),
+        lambda column: [values[code] for code in column.tolist()],
+        codes=len(values),
+    )
 
 
 class History:
-    """The packed-column format of one append-only record history.
+    """The typed-column format of one append-only record history.
 
     Declared once per owner, e.g.
     ``History(PowerReading, [("time", float), ("watts", float)])``:
     ``record`` is the row dataclass and ``columns`` names every one of
     its fields, in order, with its dtype -- ``float``, ``int``,
     ``bool``, ``Optional[float]`` (``None`` rides as NaN), or a tuple of
-    values stored as their index in it.  :meth:`packer` captures the
-    history, :meth:`restore` rebuilds it.
+    values stored as their index in it.  ``check``, if given, is called
+    with a ``{name: array}`` mapping of rows about to enter a store and
+    raises ``ValueError`` to refuse them.  :meth:`store` makes an empty
+    :class:`ColumnStore`, :meth:`restore` loads a captured one.
     """
 
-    def __init__(self, record: Type, columns: Sequence[Tuple[str, Any]]) -> None:
+    def __init__(
+        self,
+        record: Type,
+        columns: Sequence[Tuple[str, Any]],
+        check: Optional[Callable[[Dict[str, np.ndarray]], None]] = None,
+    ) -> None:
         names = tuple(name for name, _ in columns)
         fields = tuple(f.name for f in dataclasses.fields(record) if f.init)
         if names != fields:
@@ -159,104 +179,171 @@ class History:
             )
         self.record = record
         self.names = names
-        self._codecs = [
-            _code_table(dtype) if isinstance(dtype, tuple) else _COLUMN_CODECS[dtype]
+        self.kinds = [
+            _code_table(dtype) if isinstance(dtype, tuple) else _KINDS[dtype]
             for _, dtype in columns
         ]
+        self.check = check
 
-    def packer(self) -> "HistoryPacker":
-        """A capture memo for one owner's history."""
-        return HistoryPacker(self)
+    def store(self) -> "ColumnStore":
+        """An empty history."""
+        return ColumnStore(self, [np.empty(0, kind.dtype) for kind in self.kinds], 0)
 
-    def restore_columns(self, blob: Dict[str, Any]) -> List[List[Any]]:
-        """The columns of a captured history, in declared order.
+    def restore(self, blob: Dict[str, Any]) -> "ColumnStore":
+        """A captured history, one decode per column and no row objects.
 
-        Raises ``KeyError`` for a missing column and ``ValueError`` for
-        a column of the wrong dtype or length; callers parse inside
-        :func:`repro.state.protocol.parsing`.
+        Raises ``KeyError`` for a missing column and ``ValueError`` for a
+        column of the wrong dtype or length, a code out of range, or rows
+        ``check`` refuses; callers parse inside :func:`repro.state.protocol.parsing`.
         """
         columns = [
-            unpack(blob[name]) for name, (_, unpack) in zip(self.names, self._codecs)
+            _unpack(blob[name], kind.dtype) for name, kind in zip(self.names, self.kinds)
         ]
-        if len({len(column) for column in columns}) != 1:
+        if len({column.size for column in columns}) != 1:
             raise ValueError(f"{self.record.__name__} history columns differ in length")
-        return columns
+        self._validate(columns)
+        return ColumnStore(self, columns, columns[0].size)
 
-    def restore(self, blob: Dict[str, Any]) -> list:
-        """The rows of a captured history, built column-wise."""
-        return list(map(self.record, *self.restore_columns(blob)))
+    def _validate(self, columns: List[np.ndarray]) -> None:
+        for kind, column in zip(self.kinds, columns):
+            if kind.codes and column.size and not (
+                0 <= column.min() and column.max() < kind.codes
+            ):
+                raise ValueError("code column holds an unknown code")
+        if self.check is not None:
+            self.check(dict(zip(self.names, columns)))
 
 
-class HistoryPacker:
-    """Captures one owner's history in its :class:`History` format.
+#: Rows appended one at a time wait as plain values in a short tail and
+#: enter the typed columns in batches of about this many values.
+_TAIL_VALUES = 1024
 
-    ``pack(rows)`` returns exactly what packing each column of the whole
-    list gives; ``pack_columns(columns)`` does the same for an owner
-    that stores the history as one list per column.
+
+class ColumnStore:
+    """One append-only record history, held as one typed array per column.
+
+    :meth:`append` takes one row's values in declared order, :meth:`extend`
+    a batch of whole columns.  :meth:`column` is a read-only view of one
+    column; iteration, indexing and :meth:`rows` build record objects on
+    demand, and the store keeps none.  Rows are only ever appended (an
+    owner that rewrites its history assigns a new store), and arrays grow
+    by doubling, so a view handed out earlier keeps the rows it had.
     """
 
-    def __init__(self, history: History) -> None:
-        self._names = history.names
-        self._getters = [attrgetter(name) for name in history.names]
-        self._columns = [_PackedColumn(pack) for pack, _ in history._codecs]
+    __slots__ = ("_history", "_columns", "_n", "_tail", "_captured")
 
-    def pack(self, rows: list) -> Dict[str, Any]:
-        return {
-            name: column.pack(rows, field)
-            for name, column, field in zip(self._names, self._columns, self._getters)
-        }
+    def __init__(self, history: History, columns: List[np.ndarray], n: int) -> None:
+        self._history = history
+        self._columns = columns
+        self._n = n
+        self._tail: List[Any] = []
+        self._captured: List[Optional[Dict[str, Any]]] = [None] * len(columns)
 
-    def pack_columns(self, columns: Sequence[list]) -> Dict[str, Any]:
-        return {
-            name: column.pack(values)
-            for name, column, values in zip(self._names, self._columns, columns)
-        }
+    def __len__(self) -> int:
+        return self._n + len(self._tail) // len(self._columns)
 
+    def append(self, *values: Any) -> None:
+        """Append one row, its values in declared column order."""
+        if len(values) != len(self._columns):
+            raise TypeError(f"a row has {len(self._columns)} values, got {len(values)}")
+        tail = self._tail
+        tail += values
+        if len(tail) >= _TAIL_VALUES:
+            self._seal()
 
-class _PackedColumn:
-    """One packed column of an append-only history, encoded incrementally.
+    def _seal(self) -> None:
+        tail = self._tail
+        if tail:
+            self._tail = []
+            width = len(self._columns)
+            self.extend(*(tail[i::width] for i in range(width)))
 
-    ``column.pack(history, field)`` returns exactly
-    ``packer([field(row) for row in history])`` (``field`` defaults to
-    the row itself).  Three rows of any packed dtype fill whole base64
-    quanta, so the data string of the previous capture up to its last
-    multiple of three rows is reused as is and only the rows after it
-    are packed.
-    """
+    def extend(self, *columns: Sequence[Any]) -> None:
+        """Append a batch of rows given as one sequence per column."""
+        self._seal()
+        history = self._history
+        arrays = [kind.encode(column) for kind, column in zip(history.kinds, columns)]
+        if len({array.size for array in arrays}) != 1:
+            raise ValueError("appended columns differ in length")
+        history._validate(arrays)
+        n = self._n
+        end = n + arrays[0].size
+        for i, array in enumerate(arrays):
+            column = self._columns[i]
+            if column.size < end or not column.flags.writeable:
+                grown = np.empty(max(end, 2 * column.size, 16), column.dtype)
+                grown[:n] = column[:n]
+                self._columns[i] = column = grown
+            column[n:end] = array
+        self._n = end
 
-    def __init__(self, packer: Callable[[Sequence[Any]], Dict[str, Any]]) -> None:
-        self._packer = packer
-        self._source: Optional[list] = None
-        self._blob: Optional[Dict[str, Any]] = None
+    def column(self, name: str) -> np.ndarray:
+        """A read-only view of one column: ``Optional[float]`` as floats
+        with NaN for ``None``, a code table as its codes, bools as bools."""
+        self._seal()
+        i = self._history.names.index(name)
+        view = self._columns[i][: self._n]
+        if self._history.kinds[i].dtype == _U8:
+            view = view.view(np.bool_)
+        view.flags.writeable = False
+        return view
 
-    def pack(
-        self, history: list, field: Optional[Callable[[Any], Any]] = None
-    ) -> Dict[str, Any]:
-        blob = self._blob
-        n = len(history)
-        if blob is None or history is not self._source or n < blob["n"]:
-            self._source, sealed = history, 0
-        elif n == blob["n"]:
-            return dict(blob)
-        else:
-            sealed = blob["n"] - blob["n"] % 3
-        tail = history[sealed:]
-        if field is not None:
-            tail = [field(row) for row in tail]
-        packed = self._packer(tail)
-        if sealed:
-            chars = sealed // 3 * 4 * np.dtype(packed["__packed__"]).itemsize
-            packed["data"] = blob["data"][:chars] + packed["data"]
-            packed["n"] = n
-        self._blob = packed
-        return dict(packed)
+    def rows(self, where: Optional[np.ndarray] = None) -> list:
+        """Record objects for every row, or for the rows a boolean mask
+        (or an index array) selects."""
+        self._seal()
+        columns = [column[: self._n] for column in self._columns]
+        if where is not None:
+            columns = [column[where] for column in columns]
+        values = [kind.decode(c) for kind, c in zip(self._history.kinds, columns)]
+        return list(map(self._history.record, *values))
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.rows())
+
+    def __getitem__(self, index: int) -> Any:
+        return self.rows(np.array([range(len(self))[index]]))[0]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ColumnStore, list)):
+            return self.rows() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def capture(self) -> Dict[str, Any]:
+        """Every column packed, exactly as packing the whole column gives.
+
+        Three rows of any dtype fill whole base64 quanta, so the previous
+        capture's data string up to its last multiple of three rows is
+        reused and only the rows after it are packed; an unchanged column
+        returns the very same string.  The caller owns the dicts returned.
+        """
+        self._seal()
+        n = self._n
+        captured = self._captured
+        out = {}
+        for i, (name, kind) in enumerate(zip(self._history.names, self._history.kinds)):
+            blob = captured[i]
+            if blob is None or blob["n"] != n:
+                sealed = 0 if blob is None else blob["n"] - blob["n"] % 3
+                packed = _pack(self._columns[i][sealed:n], kind.dtype)
+                if sealed:
+                    chars = sealed // 3 * 4 * np.dtype(kind.dtype).itemsize
+                    packed["data"] = blob["data"][:chars] + packed["data"]
+                    packed["n"] = n
+                captured[i] = blob = packed
+            out[name] = dict(blob)
+        return out
 
 
 class EncodedRows:
     """An append-only history as a list of encoded rows, each encoded once.
 
     ``rows.encode(history)`` returns ``[encode(row) for row in history]``
-    as a new list whose rows are the objects earlier captures made.
+    as a new list whose rows are the objects earlier captures made.  The
+    list is only ever appended to; an owner that rewrites it assigns a
+    new list, which starts the memo over.
     """
 
     def __init__(self, encode: Callable[[Any], Any]) -> None:

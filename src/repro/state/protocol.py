@@ -23,7 +23,8 @@ Rules every implementation follows:
   :func:`parsing` and assigns only after it, so a malformed blob raises
   :class:`StateError` and changes nothing
   (``tests/state/test_malformed_blobs.py`` holds each loader it covers
-  to this).
+  to this); a part that its owner loads with it (a host's memory, sensor
+  and disks) offers ``parse_state``, which returns the call that assigns.
 """
 
 from __future__ import annotations

@@ -114,7 +114,8 @@ class TestThermal:
         host = make_host()
         host.install(basement, 0.0)
         reading = host.sensor_poll(time=10.0)
-        assert reading.cpu_temp_c == pytest.approx(host.cpu_temp_c(), abs=2.0)
+        assert reading == pytest.approx(host.cpu_temp_c(), abs=2.0)
+        assert host.sensor.history[-1].cpu_temp_c == reading
 
 
 class TestTick:

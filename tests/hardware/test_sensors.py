@@ -13,8 +13,11 @@ def make_chip(seed=1, **kwargs):
 class TestHealthyOperation:
     def test_reads_near_truth(self):
         chip = make_chip(noise_std_c=0.1)
-        reading = chip.read(35.0, time=0.0)
-        assert reading.cpu_temp_c == pytest.approx(35.0, abs=0.5)
+        value = chip.read(35.0, time=0.0)
+        reading = chip.history[-1]
+        assert reading.cpu_temp_c == value == pytest.approx(35.0, abs=0.5)
+        assert reading.time == 0.0
+        assert reading.state is SensorState.OK
         assert reading.plausible
 
     def test_warm_operation_never_latches(self):
@@ -36,8 +39,10 @@ class TestColdLatch:
     def test_latched_chip_reads_minus_111(self):
         chip = make_chip(latch_rate_per_hour=100.0)
         chip.exposure_step(-9.0, 3600.0, 0.0)
-        reading = chip.read(-5.0, time=10.0)
+        assert chip.read(-5.0, time=10.0) == ERRONEOUS_READING_C
+        reading = chip.history[-1]
         assert reading.cpu_temp_c == ERRONEOUS_READING_C
+        assert reading.state is SensorState.ERRATIC
         assert not reading.plausible
 
     def test_cold_exposure_accrues_below_threshold_only(self):
@@ -70,7 +75,8 @@ class TestRedetection:
         chip = make_chip(latch_rate_per_hour=100.0)
         chip.exposure_step(-9.0, 3600.0, 0.0)
         assert chip.redetect() is SensorState.UNDETECTED
-        assert chip.read(30.0, time=1.0).cpu_temp_c is None
+        assert chip.read(30.0, time=1.0) is None
+        assert chip.history[-1].cpu_temp_c is None
 
     def test_redetect_healthy_chip_is_noop(self):
         chip = make_chip()
@@ -80,7 +86,8 @@ class TestRedetection:
         chip = make_chip(latch_rate_per_hour=100.0)
         chip.exposure_step(-9.0, 3600.0, 0.0)
         chip.redetect()
-        assert not chip.read(30.0, time=1.0).plausible
+        chip.read(30.0, time=1.0)
+        assert not chip.history[-1].plausible
 
 
 class TestWarmReboot:
@@ -89,7 +96,8 @@ class TestWarmReboot:
         chip.exposure_step(-9.0, 3600.0, 0.0)
         chip.redetect()
         assert chip.warm_reboot() is SensorState.OK
-        assert chip.read(30.0, time=2.0).plausible
+        chip.read(30.0, time=2.0)
+        assert chip.history[-1].plausible
 
     def test_history_remembers_latch(self):
         chip = make_chip(latch_rate_per_hour=100.0)

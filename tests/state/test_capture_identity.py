@@ -12,6 +12,7 @@ run's payload at that cut.
 """
 
 import datetime as dt
+import gc
 import hashlib
 import json
 import os
@@ -20,6 +21,9 @@ import pytest
 
 from repro.core.builder import Campaign, CampaignBuilder
 from repro.core.config import ExperimentConfig
+from repro.hardware.sensors import SensorReading
+from repro.monitoring.records import SensorRecord
+from repro.monitoring.transport import TransferRecord
 from repro.sim.clock import DAY
 from repro.state.checkpoint import read_checkpoint
 
@@ -82,3 +86,15 @@ def test_restored_campaign_recaptures_the_cut(cuts):
         assert payload_sha(snapshot) == digest, name
         restored = Campaign.restore(snapshot)
         assert payload_sha(restored.checkpoint()) == digest, name
+
+
+def test_restore_builds_no_record_objects(cuts):
+    """Restored histories stay typed columns: no per-sample row object
+    exists until a reader asks for one."""
+    directory, got = cuts
+    snapshot = read_checkpoint(str(directory / got[-1][0]))
+    restored = Campaign.restore(snapshot)
+    assert len(restored.monitoring.sensor_records) > 0
+    gc.collect()
+    rows = (SensorReading, SensorRecord, TransferRecord)
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, rows)]

@@ -7,6 +7,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,13 +191,39 @@ _ROWS = codec.History(
 )
 
 
+@dataclass(frozen=True)
+class _Mixed:
+    time: float
+    temp_c: Optional[float]
+    phase: _Phase
+    flag: bool
+
+
+_MIXED = codec.History(
+    _Mixed,
+    [
+        ("time", float),
+        ("temp_c", Optional[float]),
+        ("phase", (_Phase.DAY, _Phase.NIGHT)),
+        ("flag", bool),
+    ],
+)
+
+
 def _steps(values):
     """Captures of one history: each step appends 0-7 rows (so the length
     before a capture runs through every residue mod 3), or replaces the
-    list with a new one."""
+    history with a new one."""
     append = st.tuples(st.just("append"), st.lists(values, max_size=7))
     replace = st.tuples(st.just("replace"), st.lists(values, max_size=10))
     return st.lists(append | replace, min_size=1, max_size=12)
+
+
+def _filled(history_format, rows):
+    store = history_format.store()
+    for row in rows:
+        store.append(*row)
+    return store
 
 
 class TestAppendOnlyHistories:
@@ -208,14 +235,17 @@ class TestAppendOnlyHistories:
         @settings(max_examples=150, deadline=None)
         @given(_steps(values))
         def check(steps):
-            capture = history_format.packer()
+            store = history_format.store()
             history = []
             for op, rows in steps:
                 if op == "replace":
                     history = list(rows)
+                    store = _filled(history_format, [(v,) for v in rows])
                 else:
                     history.extend(rows)
-                blob = capture.pack_columns([history])
+                    for value in rows:
+                        store.append(value)
+                blob = store.capture()
                 assert blob == {"value": packer(history)}
                 # The caller owns the blob dict it gets back.
                 blob["value"]["n"] = -1
@@ -223,26 +253,87 @@ class TestAppendOnlyHistories:
         check()
 
     def test_packed_column_reads_rows_through_field(self):
-        capture = _ROWS.packer()
+        store = _ROWS.store()
         history = []
         for i in range(10):
             phase = _Phase.NIGHT if i % 4 else _Phase.DAY
-            history.append(_Row(i * 600.0, None if i == 3 else -i / 2, phase))
-            assert capture.pack(history) == {
+            row = _Row(i * 600.0, None if i == 3 else -i / 2, phase)
+            history.append(row)
+            store.append(row.time, row.temp_c, row.phase)
+            assert store.capture() == {
                 "time": codec.pack_floats([r.time for r in history]),
                 "temp_c": codec.pack_optional_floats([r.temp_c for r in history]),
                 "phase": codec.pack_ints(
                     [0 if r.phase is _Phase.DAY else 1 for r in history]
                 ),
             }
-            assert _ROWS.restore(capture.pack(history)) == history
+            assert _ROWS.restore(store.capture()) == history
+            assert list(store) == history and store[-1] == row
 
     def test_unchanged_history_shares_its_data_string(self):
-        capture = codec.History(_Value, [("value", float)]).packer()
-        history = [1.0, 2.0, 3.0, 4.0]
-        first = capture.pack_columns([history])["value"]
-        again = capture.pack_columns([history])["value"]
+        history_format = codec.History(_Value, [("value", float)])
+        store = _filled(history_format, [(1.0,), (2.0,), (3.0,), (4.0,)])
+        first = store.capture()["value"]
+        again = store.capture()["value"]
         assert again is not first and again["data"] is first["data"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.floats(width=64),
+                        st.none() | st.floats(allow_nan=False),
+                        st.sampled_from((_Phase.DAY, _Phase.NIGHT)),
+                        st.booleans(),
+                    ),
+                    max_size=9,
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_store_captures_restores_and_recaptures(self, steps):
+        """Random appends over every column kind, captured at random
+        points: each capture equals packing the whole columns, restoring
+        and recapturing gives the same strings, and an unchanged store
+        hands back the very same data strings."""
+        store = _MIXED.store()
+        rows = []
+        for new_rows, capture_twice in steps:
+            for row in new_rows:
+                store.append(*row)
+            rows.extend(new_rows)
+            blob = store.capture()
+            assert blob == {
+                "time": codec.pack_floats([r[0] for r in rows]),
+                "temp_c": codec.pack_optional_floats([r[1] for r in rows]),
+                "phase": codec.pack_ints([0 if r[2] is _Phase.DAY else 1 for r in rows]),
+                "flag": codec.pack_bools([r[3] for r in rows]),
+            }
+            assert len(store) == len(rows)
+            recaptured = _MIXED.restore(blob).capture()
+            assert recaptured == blob
+            if capture_twice:
+                again = store.capture()
+                for name, column in again.items():
+                    assert column["data"] is blob[name]["data"]
+
+    def test_views_are_read_only_and_keep_their_rows(self):
+        store = _filled(_MIXED, [(1.0, None, _Phase.DAY, True)])
+        times = store.column("time")
+        with pytest.raises(ValueError):
+            times[0] = 5.0
+        # Enough rows to fill the append tail several times over.
+        for i in range(700):
+            store.append(float(i), 2.0, _Phase.NIGHT, False)
+        assert times.tolist() == [1.0]
+        assert store.column("flag").tolist() == [True] + [False] * 700
+        assert np.isnan(store.column("temp_c")[0])
+        assert store.column("phase")[1] == 1
 
     def test_columns_must_name_the_record_fields(self):
         with pytest.raises(TypeError):

@@ -110,6 +110,16 @@ def _sensor():
     return _collector().paths[1].host.sensor
 
 
+def _host():
+    return _host_rig()[1]
+
+
+def _storage():
+    storage = _host().storage
+    assert len(storage.disks) == 2, "the rig's vendor mirrors two disks"
+    return storage
+
+
 def _transfers():
     return _collector().transport
 
@@ -163,6 +173,19 @@ def _then(*breakages):
     def apply(blob):
         for breakage in breakages:
             blob = breakage(blob)
+        return blob
+
+    return apply
+
+
+def _negative(path):
+    """Every value of a packed int column made negative, keeping its length."""
+
+    def apply(blob):
+        target = blob
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = pack_ints([-1] * target[path[-1]]["n"])
         return blob
 
     return apply
@@ -324,6 +347,25 @@ CASES = [
             _set(["attrs", "194"], [100, 100, "warm"]),
         ),
     ),
+    # A host: a good (different) uptime, then a bad sensor history column.
+    (
+        "host",
+        _host,
+        _then(_set(["uptime_s"], 99.0), _set(["sensor", "history", "time"], pack_ints([0]))),
+    ),
+    # Storage: a good (different) first disk, then a bad second disk.
+    (
+        "storage",
+        _storage,
+        _then(_set(["disks", 0, "state"], "failed"), _set(["disks", 1, "state"], "smoking")),
+    ),
+    (
+        "storage",
+        _storage,
+        _then(_set(["disks", 0, "failed_at"], 5.0), _set(["disks", 1, "version"], 99)),
+    ),
+    # A transfer that moved a negative byte count.
+    ("transfers", _transfers, _negative(["records", "bytes_moved"])),
 ]
 
 
@@ -356,6 +398,8 @@ def test_malformed_blob_raises_and_changes_nothing(build, breakage):
         _powermeter,
         _switch,
         _smart,
+        _host,
+        _storage,
     ],
 )
 def test_well_formed_blob_round_trips(build):
