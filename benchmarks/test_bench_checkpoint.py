@@ -92,7 +92,9 @@ def profile_checkpoint_cost():
 
         def delta_flush():
             writer.__dict__.update(chain_state)
-            assert writer.write(delta_path, campaign.checkpoint())
+            with writer.memo:
+                snapshot = campaign.checkpoint()
+            assert writer.write(delta_path, snapshot)
 
         delta_s = _timed(delta_flush)
         restore_s = _timed(lambda: Campaign.restore(read_checkpoint(delta_path)))

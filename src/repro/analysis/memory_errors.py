@@ -26,9 +26,6 @@ PAPER_RATIO_ONE_IN = 570e6
 PAPER_TOTAL_PAGE_OPS = 3.2e9
 #: The paper's run census at the time of writing.
 PAPER_TOTAL_RUNS = 27_627
-#: The paper's wrong-hash census: 5 mismatches (2 tent hosts with one each,
-#: 1 basement host with three).
-PAPER_WRONG_HASHES = 5
 
 
 @dataclass(frozen=True)

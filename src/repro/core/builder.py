@@ -63,9 +63,12 @@ from repro.state.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.state.codec import EncodedRows, decode_value, encode_value
+from repro.state.codec import decode_value, encode_rows, encode_value
 from repro.state.protocol import StateError
 from repro.thermal.enclosure import PlasticBoxShelter
+
+#: Called with each cut's file path (``None`` when not written) and snapshot.
+OnCheckpoint = Callable[[Optional[str], CampaignCheckpoint], None]
 
 #: Instruments a default build schedules, in their historical order.
 DEFAULT_INSTRUMENTS: Tuple[str, ...] = (
@@ -121,7 +124,6 @@ class Campaign:
         self.fault_log.attach_bus(self.bus)
         self.recorder = EventRecorder()
         self.recorder.attach(self.bus)
-        self._encoded_recorder = EncodedRows(encode_value)
 
         self.station = WeatherStation(self.weather, self.streams)
         self.fleet = Fleet(
@@ -211,12 +213,7 @@ class Campaign:
         self._proto_cpu_temps: List[float] = []
         self._proto_start: Optional[float] = None
 
-        # Checkpoint plumbing (configured per run()/resume() call).
         self._end: Optional[float] = None
-        self._checkpoint_every: Optional[float] = None
-        self._checkpoint_dir: Optional[str] = None
-        self._on_checkpoint: Optional[Callable[[Optional[str], CampaignCheckpoint], None]] = None
-        self._checkpoint_writer = DeltaCheckpointWriter()
         #: Paths of checkpoints flushed by the current run, oldest first.
         self.checkpoints_written: List[str] = []
 
@@ -238,9 +235,7 @@ class Campaign:
         until: Optional[_dt.datetime] = None,
         checkpoint_every: Optional[float] = None,
         checkpoint_dir: Optional[str] = None,
-        on_checkpoint: Optional[
-            Callable[[Optional[str], CampaignCheckpoint], None]
-        ] = None,
+        on_checkpoint: Optional[OnCheckpoint] = None,
     ) -> ExperimentResults:
         """Run prototype + campaign and return the results.
 
@@ -255,8 +250,10 @@ class Campaign:
         byte-identical to an uninterrupted one.
         """
         end = self._claim(until)
-        self._configure_checkpoints(checkpoint_every, checkpoint_dir, on_checkpoint)
-        return self._traced_run(end, begin=True)
+        _check_cadence(checkpoint_every, checkpoint_dir, on_checkpoint)
+        return self._traced_run(
+            end, checkpoint_every, checkpoint_dir, on_checkpoint, begin=True
+        )
 
     def _claim(self, until: Optional[_dt.datetime]) -> float:
         """The run-once guard and horizon check of :meth:`run` and
@@ -270,7 +267,14 @@ class Campaign:
             raise ValueError("campaign end precedes the prototype weekend")
         return end
 
-    def _traced_run(self, end: float, begin: bool) -> ExperimentResults:
+    def _traced_run(
+        self,
+        end: float,
+        every: Optional[float],
+        directory: Optional[str],
+        on_checkpoint: Optional[OnCheckpoint],
+        begin: bool,
+    ) -> ExperimentResults:
         """Drive to ``end`` (scheduling the campaign first when ``begin``)
         and build the results: one ``campaign.run`` span and the end-of-run
         gauges when the campaign is traced."""
@@ -278,28 +282,11 @@ class Campaign:
         with self.telemetry.span("campaign.run") if traced else nullcontext():
             if begin:
                 self._begin(end)
-            self._run_to(end)
+            self._run_to(end, every, directory, on_checkpoint)
             results = self._build_results(end)
         if traced:
             self._record_run_metrics()
         return results
-
-    def _configure_checkpoints(
-        self,
-        checkpoint_every: Optional[float],
-        checkpoint_dir: Optional[str],
-        on_checkpoint: Optional[Callable[[Optional[str], CampaignCheckpoint], None]],
-    ) -> None:
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
-        if checkpoint_every is None and (checkpoint_dir or on_checkpoint):
-            raise ValueError("checkpoint_dir/on_checkpoint need checkpoint_every")
-        self._checkpoint_every = checkpoint_every
-        self._checkpoint_dir = checkpoint_dir
-        self._on_checkpoint = on_checkpoint
-        # Fresh chain per configured run: the first cut is always a full
-        # schema-1 file, later cuts are deltas against their predecessor.
-        self._checkpoint_writer = DeltaCheckpointWriter()
 
     def _begin(self, end: float) -> None:
         """Attach the station, run the prototype, schedule the campaign."""
@@ -321,7 +308,6 @@ class Campaign:
         """Schedule the full campaign without running it; returns the
         horizon in simulated seconds.  Drive with :meth:`advance_to`."""
         end = self._claim(until)
-        self._configure_checkpoints(None, None, None)
         self._begin(end)
         return end
 
@@ -345,39 +331,54 @@ class Campaign:
             raise RuntimeError("begin() the campaign before finish()")
         return self._build_results(self._end)
 
-    def _run_to(self, end: float) -> None:
-        """Advance to ``end``, pausing at checkpoint cadence points.
+    def _run_to(
+        self,
+        end: float,
+        every: Optional[float],
+        directory: Optional[str],
+        on_checkpoint: Optional[OnCheckpoint],
+    ) -> None:
+        """Advance to ``end``, pausing every ``every`` seconds for a cut.
 
         ``run_until`` fires every event with ``time <= t`` and then sets
         the clock to ``t``, so splitting the horizon into segments fires
         the exact same event sequence as one call -- the pause is
         invisible to the simulation.
         """
-        every = self._checkpoint_every
         if every is None:
             self.sim.run_until(end)
             return
+        # One chain per run: its first cut is a full schema-1 file, later
+        # cuts are deltas against their predecessor.  The writer holds all
+        # chain state (the payload it diffs against and the capture memo),
+        # so the chain's memory goes when its last cut is written.
+        writer = DeltaCheckpointWriter()
         next_cut = self.sim.now + every
         while next_cut < end:
             self.sim.run_until(next_cut)
-            self._emit_checkpoint()
+            self._emit_checkpoint(writer, directory, on_checkpoint)
             next_cut += every
+        del writer
         self.sim.run_until(end)
 
-    def _emit_checkpoint(self) -> None:
-        snapshot = self.checkpoint()
+    def _emit_checkpoint(
+        self,
+        writer: DeltaCheckpointWriter,
+        directory: Optional[str],
+        on_checkpoint: Optional[OnCheckpoint],
+    ) -> None:
+        with writer.memo:
+            snapshot = self.checkpoint()
         path: Optional[str] = None
-        if self._checkpoint_dir is not None:
-            os.makedirs(self._checkpoint_dir, exist_ok=True)
-            path = os.path.join(
-                self._checkpoint_dir, f"checkpoint_{int(self.sim.now):012d}.json"
-            )
-            if self._checkpoint_writer.write(path, snapshot):
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+            path = os.path.join(directory, f"checkpoint_{int(self.sim.now):012d}.json")
+            if writer.write(path, snapshot):
                 self.checkpoints_written.append(path)
             else:
                 path = None
-        if self._on_checkpoint is not None:
-            self._on_checkpoint(path, snapshot)
+        if on_checkpoint is not None:
+            on_checkpoint(path, snapshot)
 
     def _record_run_metrics(self) -> None:
         """End-of-run engine/bus state, frozen into the metrics registry."""
@@ -599,7 +600,7 @@ class Campaign:
             "policy": self.policy.state_dict(),
             "fault_log": self.fault_log.state_dict(),
             "bus_counts": dict(self.bus.counts),
-            "recorder": self._encoded_recorder.encode(self.recorder.events),
+            "recorder": encode_rows(self.recorder.events, encode_value),
             "telemetry": (
                 self.telemetry.state_dict() if self.telemetry is not None else None
             ),
@@ -765,9 +766,7 @@ class Campaign:
         until: Optional[_dt.datetime] = None,
         checkpoint_every: Optional[float] = None,
         checkpoint_dir: Optional[str] = None,
-        on_checkpoint: Optional[
-            Callable[[Optional[str], CampaignCheckpoint], None]
-        ] = None,
+        on_checkpoint: Optional[OnCheckpoint] = None,
     ) -> ExperimentResults:
         """Run a restored campaign from its cut point to the horizon.
 
@@ -781,9 +780,11 @@ class Campaign:
             raise StateError("checkpoint records no horizon; pass until=")
         if end < self.sim.now:
             raise ValueError("resume horizon precedes the checkpoint cut")
+        _check_cadence(checkpoint_every, checkpoint_dir, on_checkpoint)
         self._end = end
-        self._configure_checkpoints(checkpoint_every, checkpoint_dir, on_checkpoint)
-        return self._traced_run(end, begin=False)
+        return self._traced_run(
+            end, checkpoint_every, checkpoint_dir, on_checkpoint, begin=False
+        )
 
     @classmethod
     def resume(
@@ -792,9 +793,7 @@ class Campaign:
         until: Optional[_dt.datetime] = None,
         checkpoint_every: Optional[float] = None,
         checkpoint_dir: Optional[str] = None,
-        on_checkpoint: Optional[
-            Callable[[Optional[str], CampaignCheckpoint], None]
-        ] = None,
+        on_checkpoint: Optional[OnCheckpoint] = None,
     ) -> Tuple["Campaign", ExperimentResults]:
         """Restore from a checkpoint file and run to completion.
 
@@ -806,6 +805,9 @@ class Campaign:
         if snapshot is None:
             raise StateError(f"no usable checkpoint at {path}")
         campaign = cls.restore(snapshot)
+        # The resolved tree is as large as the campaign's histories; the
+        # continued run must not hold it.
+        del snapshot
         results = campaign.continue_run(
             until=until,
             checkpoint_every=checkpoint_every,
@@ -834,6 +836,17 @@ class Campaign:
             recorder=self.recorder,
             telemetry=self.telemetry,
         )
+
+
+def _check_cadence(
+    every: Optional[float],
+    directory: Optional[str],
+    on_checkpoint: Optional[OnCheckpoint],
+) -> None:
+    if every is not None and every <= 0:
+        raise ValueError("checkpoint_every must be positive")
+    if every is None and (directory or on_checkpoint):
+        raise ValueError("checkpoint_dir/on_checkpoint need checkpoint_every")
 
 
 class CampaignBuilder:

@@ -33,7 +33,7 @@ from repro.hardware.storage import StorageSubsystem
 from repro.hardware.vendors import VendorSpec
 from repro.sim.events import EventBus, HostFailed, SensorLatched
 from repro.sim.rng import RngStreams
-from repro.state.codec import EncodedRows
+from repro.state.codec import encode_rows
 from repro.state.protocol import check_version, parsing
 from repro.thermal.enclosure import Enclosure
 
@@ -124,7 +124,6 @@ class Host:
         self.reset_count = 0
         #: ``(time, note)`` operator log, mirroring the paper's narrative.
         self.event_log: List[Tuple[float, str]] = []
-        self._encoded_event_log = EncodedRows(list)
 
     def __repr__(self) -> str:
         where = self.enclosure.name if self.enclosure is not None else "nowhere"
@@ -399,7 +398,7 @@ class Host:
             "uptime_s": self.uptime_s,
             "reset_count": self.reset_count,
             "frailty": self.frailty,
-            "event_log": self._encoded_event_log.encode(self.event_log),
+            "event_log": encode_rows(self.event_log, list),
             "cpu_busy": self.cpu.busy,
             "memory": self.memory.state_dict(),
             "sensor": self.sensor.state_dict(),

@@ -62,7 +62,7 @@ from repro.sim.events import (
     SensorAnomalyObserved,
     SensorMuteObserved,
 )
-from repro.state.codec import EncodedRows, History
+from repro.state.codec import History, encode_rows
 from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
@@ -228,7 +228,6 @@ class MonitoringHost:
         self._sorted_ids: Optional[List[int]] = None
         self.sensor_records = _SENSOR_RECORDS.store()  # SensorRecord rows
         self.rounds: List[CollectionRound] = []
-        self._encoded_rounds = EncodedRows(_encode_round)
         self.on_down_host = on_down_host
         self.on_unreachable = on_unreachable
         self.on_sensor_anomaly = on_sensor_anomaly
@@ -553,7 +552,7 @@ class MonitoringHost:
                 for host_id, path in sorted(self.paths.items())
             },
             "sensor_records": self.sensor_records.capture(),
-            "rounds": self._encoded_rounds.encode(self.rounds),
+            "rounds": encode_rows(self.rounds, _encode_round),
             "totals": [
                 self.retries_total,
                 self.retry_backoff_s_total,

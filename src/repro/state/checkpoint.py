@@ -57,9 +57,9 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.state.codec import decode_value, encode_value
+from repro.state.codec import CaptureMemo, decode_value, encode_value
 
 #: Checkpoint layout version; readers reject (quarantine) other values.
 CHECKPOINT_SCHEMA = 1
@@ -183,11 +183,14 @@ def _diff(old: Any, new: Any) -> Optional[Dict[str, Any]]:
 
 
 def _apply(old: Any, delta: Dict[str, Any]) -> Any:
-    """Inverse of :func:`_diff`: rebuild the new value from ``old``.
+    """Inverse of :func:`_diff`: turn ``old`` into the new value.
 
-    Raises :class:`ValueError` on a node that does not fit its base: a
-    kind that does not match the base's type, a ``keep`` outside
-    ``[0, len(base)]``, or a tail of another type than the base.
+    Dict and list nodes update ``old`` in place, so the caller must own
+    it (the reader applies onto the tree it parsed); a string node builds
+    a new string.  Raises :class:`ValueError` on a node that does not fit
+    its base: a kind that does not match the base's type, a ``keep``
+    outside ``[0, len(base)]``, or a tail of another type than the base.
+    ``old`` may then be partly updated and must be discarded.
     """
     kind = delta[_DELTA_KEY]
     if kind == "full":
@@ -198,11 +201,11 @@ def _apply(old: Any, delta: Dict[str, Any]) -> Any:
             isinstance(old, dict) and isinstance(sets, dict) and isinstance(drops, list)
         ):
             raise ValueError("dict delta node does not fit its base")
-        dropped = set(drops)
-        out = {k: v for k, v in old.items() if k not in dropped}
+        for key in drops:
+            old.pop(key, None)
         for key, sub in sets.items():
-            out[key] = _apply(old.get(key), sub)
-        return out
+            old[key] = _apply(old.get(key), sub)
+        return old
     if kind in ("tail", "strtail"):
         base_type = list if kind == "tail" else str
         keep, tail = delta["keep"], delta["tail"]
@@ -210,7 +213,11 @@ def _apply(old: Any, delta: Dict[str, Any]) -> Any:
             raise ValueError(f"{kind} delta node does not fit its base")
         if type(keep) is not int or not 0 <= keep <= len(old):
             raise ValueError(f"{kind} delta keeps {keep!r} of {len(old)} items")
-        return old[:keep] + tail
+        if kind == "strtail":
+            return old[:keep] + tail
+        del old[keep:]
+        old += tail
+        return old
     raise ValueError(f"unknown delta node kind {kind!r}")
 
 
@@ -279,7 +286,11 @@ class DeltaCheckpointWriter:
     One writer instance belongs to one campaign run: the chain threads
     through the files *that run* wrote, and a resumed campaign starts a
     fresh writer (its first cut is full, so old segments may be pruned
-    once a new full cut lands).
+    once a new full cut lands).  The writer holds everything the chain
+    keeps between cuts: the previous payload it diffs against and
+    :attr:`memo`, the :class:`~repro.state.codec.CaptureMemo` the
+    chain's captures run in (they share most of their strings), so
+    dropping the writer frees the chain.
     """
 
     def __init__(self, rebase_every: int = 16) -> None:
@@ -290,6 +301,7 @@ class DeltaCheckpointWriter:
         self._base_name: Optional[str] = None
         self._base_dir: Optional[str] = None
         self._chain_len = 0
+        self.memo = CaptureMemo()
 
     def write(self, path: str, checkpoint: CampaignCheckpoint) -> bool:
         """Write ``checkpoint`` to ``path`` as a full or delta cut."""
@@ -334,7 +346,7 @@ def read_checkpoint(path: str) -> Optional[CampaignCheckpoint]:
     merely unreadable file (I/O error) is left in place.  Either way
     the caller sees ``None`` and falls back to a from-scratch run.
     """
-    payload = _read_payload(path, _MAX_CHAIN_DEPTH)
+    payload = _read_payload(path)
     if payload is None:
         return None
     try:
@@ -347,12 +359,48 @@ def read_checkpoint(path: str) -> Optional[CampaignCheckpoint]:
     return checkpoint
 
 
-def _read_payload(path: str, depth: int) -> Optional[Dict[str, Any]]:
-    """Verify one envelope and resolve its delta chain to a full payload.
+def _read_payload(path: str) -> Optional[Dict[str, Any]]:
+    """Resolve the delta chain ending at ``path`` to a full payload.
 
+    One pass: walk leaf to base keeping only each delta, then apply the
+    deltas base to leaf onto the base's tree, dropping each once
+    applied, so the reader holds one tree and the deltas still to come.
     A corrupt file is quarantined at its own level; a delta whose base
-    is missing or unusable simply returns ``None`` (the delta file
-    itself is intact and may become loadable if the base reappears).
+    is missing or unusable returns ``None`` (the delta file itself is
+    intact and may become loadable if the base reappears), and so does a
+    chain longer than ``_MAX_CHAIN_DEPTH`` deltas (a cycle).  A delta
+    that does not fit its base is quarantined and the partly updated
+    tree is discarded.
+    """
+    deltas: List[Tuple[str, Dict[str, Any]]] = []
+    for depth in range(_MAX_CHAIN_DEPTH, -1, -1):
+        node = _read_node(path)
+        if node is None:
+            return None
+        base_path, body = node
+        if base_path is None:
+            break
+        if depth == 0:
+            return None
+        deltas.append((path, body))
+        path = base_path
+    tree = body
+    while deltas:
+        path, delta = deltas.pop()
+        try:
+            tree = _apply(tree, delta)
+        except (KeyError, TypeError, ValueError):
+            _quarantine(path)
+            return None
+    return tree
+
+
+def _read_node(path: str) -> Optional[Tuple[Optional[str], Any]]:
+    """One verified envelope: ``(None, payload)`` for a full cut,
+    ``(base path, delta)`` for a delta cut, ``None`` when unusable.
+
+    The envelope and its payload string are dropped on return; only the
+    parsed body stays.  A corrupt file is quarantined.
     """
     if not os.path.exists(path):
         return None
@@ -374,7 +422,7 @@ def _read_payload(path: str, depth: int) -> Optional[Dict[str, Any]]:
             raise ValueError("checksum mismatch")
         body = json.loads(payload_str)
         if schema == CHECKPOINT_SCHEMA:
-            return body
+            return None, body
         if schema != DELTA_SCHEMA:
             raise ValueError(f"unknown envelope schema {schema!r}")
         base_name = body["base"]
@@ -384,14 +432,4 @@ def _read_payload(path: str, depth: int) -> Optional[Dict[str, Any]]:
     except (KeyError, TypeError, ValueError):
         _quarantine(path)
         return None
-    if depth <= 0:
-        return None
-    base_path = os.path.join(os.path.dirname(os.path.abspath(path)), base_name)
-    base_payload = _read_payload(base_path, depth - 1)
-    if base_payload is None:
-        return None
-    try:
-        return _apply(base_payload, delta)
-    except (KeyError, TypeError, ValueError):
-        _quarantine(path)
-        return None
+    return os.path.join(os.path.dirname(os.path.abspath(path)), base_name), delta

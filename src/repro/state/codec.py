@@ -16,9 +16,12 @@ Three layers:
   costs O(new data) rather than O(history); a restore decodes each
   column once, checks that every column is present, of its dtype and of
   one length, and holds the decoded arrays as they are, so it costs
-  O(bytes).  :class:`EncodedRows` does the capture half for histories
-  stored as encoded rows.  Either way the output is exactly what
-  encoding the whole history gives.
+  O(bytes).  :func:`encode_rows` does the capture half for histories
+  stored as encoded rows.  What a capture reuses lives in the
+  :class:`CaptureMemo` of the checkpoint chain it runs in, so it is
+  freed with that chain; a capture outside any chain encodes every
+  history whole.  Either way the output is exactly what encoding the
+  whole history gives.
 - **Tagged values** -- configs, bus events, and fault plans are frozen
   dataclasses, enums, and datetimes.  :func:`encode_value` reduces them
   to tagged plain data and :func:`decode_value` rebuilds them against a
@@ -29,6 +32,7 @@ Three layers:
 from __future__ import annotations
 
 import base64
+import contextvars
 import dataclasses
 import datetime as _dt
 import enum
@@ -214,6 +218,60 @@ class History:
             self.check(dict(zip(self.names, columns)))
 
 
+class CaptureMemo:
+    """What one checkpoint chain keeps so each cut encodes only new rows.
+
+    Captures made inside ``with memo:`` reuse, per history, what the
+    previous capture in the memo made: a :class:`ColumnStore`'s packed
+    columns, an encoded-rows list's rows.  Captures outside any memo
+    encode every history whole; both give the same output.  Entries are
+    keyed by the history object, which the memo holds, and nothing else
+    holds an entry, so dropping the memo frees all of it.  The active
+    memo is a context variable, not a parameter, because captures run
+    deep inside every component's ``state_dict()``.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[int, Tuple[Any, list]] = {}
+        self._tokens: List[contextvars.Token] = []
+
+    def __enter__(self) -> "CaptureMemo":
+        self._tokens.append(_ACTIVE_MEMO.set(self))
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        _ACTIVE_MEMO.reset(self._tokens.pop())
+
+
+_ACTIVE_MEMO: contextvars.ContextVar[Optional[CaptureMemo]] = contextvars.ContextVar(
+    "repro_capture_memo", default=None
+)
+
+
+def _memo_entry(history: Any, empty: list) -> list:
+    """The active memo's entry for ``history`` (``empty`` the first time
+    it is seen); ``empty`` itself when no memo is active."""
+    memo = _ACTIVE_MEMO.get()
+    if memo is None:
+        return empty
+    return memo._entries.setdefault(id(history), (history, empty))[1]
+
+
+def encode_rows(history: list, encode: Callable[[Any], Any]) -> List[Any]:
+    """``[encode(row) for row in history]`` as a new list.
+
+    Inside a :class:`CaptureMemo` the rows are the objects earlier
+    captures made and only the rows appended since are encoded.  The
+    list is only ever appended to; an owner that rewrites it assigns a
+    new list, which the memo sees as a new history.
+    """
+    rows = _memo_entry(history, [])
+    if len(history) < len(rows):
+        rows.clear()
+    rows.extend(map(encode, history[len(rows):]))
+    return list(rows)
+
+
 #: Rows appended one at a time wait as plain values in a short tail and
 #: enter the typed columns in batches of about this many values.
 _TAIL_VALUES = 1024
@@ -230,14 +288,13 @@ class ColumnStore:
     by doubling, so a view handed out earlier keeps the rows it had.
     """
 
-    __slots__ = ("_history", "_columns", "_n", "_tail", "_captured")
+    __slots__ = ("_history", "_columns", "_n", "_tail")
 
     def __init__(self, history: History, columns: List[np.ndarray], n: int) -> None:
         self._history = history
         self._columns = columns
         self._n = n
         self._tail: List[Any] = []
-        self._captured: List[Optional[Dict[str, Any]]] = [None] * len(columns)
 
     def __len__(self) -> int:
         return self._n + len(self._tail) // len(self._columns)
@@ -314,14 +371,15 @@ class ColumnStore:
     def capture(self) -> Dict[str, Any]:
         """Every column packed, exactly as packing the whole column gives.
 
-        Three rows of any dtype fill whole base64 quanta, so the previous
-        capture's data string up to its last multiple of three rows is
-        reused and only the rows after it are packed; an unchanged column
-        returns the very same string.  The caller owns the dicts returned.
+        Inside a :class:`CaptureMemo`, three rows of any dtype fill whole
+        base64 quanta, so the previous capture's data string up to its
+        last multiple of three rows is reused and only the rows after it
+        are packed; an unchanged column returns the very same string.
+        The caller owns the dicts returned.
         """
         self._seal()
         n = self._n
-        captured = self._captured
+        captured = _memo_entry(self, [None] * len(self._columns))
         out = {}
         for i, (name, kind) in enumerate(zip(self._history.names, self._history.kinds)):
             blob = captured[i]
@@ -335,28 +393,6 @@ class ColumnStore:
                 captured[i] = blob = packed
             out[name] = dict(blob)
         return out
-
-
-class EncodedRows:
-    """An append-only history as a list of encoded rows, each encoded once.
-
-    ``rows.encode(history)`` returns ``[encode(row) for row in history]``
-    as a new list whose rows are the objects earlier captures made.  The
-    list is only ever appended to; an owner that rewrites it assigns a
-    new list, which starts the memo over.
-    """
-
-    def __init__(self, encode: Callable[[Any], Any]) -> None:
-        self._encode = encode
-        self._source: Optional[list] = None
-        self._rows: List[Any] = []
-
-    def encode(self, history: list) -> List[Any]:
-        if history is not self._source or len(history) < len(self._rows):
-            self._source, self._rows = history, []
-        rows = self._rows
-        rows.extend(map(self._encode, history[len(rows):]))
-        return list(rows)
 
 
 # ----------------------------------------------------------------------

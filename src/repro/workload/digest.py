@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import TYPE_CHECKING, FrozenSet, Iterable
+from typing import FrozenSet, Iterable
 
 from repro.workload.kernel_tree import KernelSourceTree
-
-if TYPE_CHECKING:
-    from repro.workload.bzip2 import Archive
 
 
 def tree_fingerprint(tree: KernelSourceTree) -> str:
@@ -44,8 +41,3 @@ def fingerprint_digest(fingerprint: str, blocks: FrozenSet[int]) -> str:
 def reference_digest(tree: KernelSourceTree) -> str:
     """The "initial value calculated before installation": a clean archive."""
     return block_digest(tree, ())
-
-
-def archive_digest(tree: KernelSourceTree, archive: Archive) -> str:
-    """Digest of a concrete archive produced by one cycle."""
-    return block_digest(tree, archive.corrupted_blocks)

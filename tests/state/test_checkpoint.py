@@ -237,18 +237,19 @@ class TestAppendOnlyHistories:
         def check(steps):
             store = history_format.store()
             history = []
-            for op, rows in steps:
-                if op == "replace":
-                    history = list(rows)
-                    store = _filled(history_format, [(v,) for v in rows])
-                else:
-                    history.extend(rows)
-                    for value in rows:
-                        store.append(value)
-                blob = store.capture()
-                assert blob == {"value": packer(history)}
-                # The caller owns the blob dict it gets back.
-                blob["value"]["n"] = -1
+            with codec.CaptureMemo():
+                for op, rows in steps:
+                    if op == "replace":
+                        history = list(rows)
+                        store = _filled(history_format, [(v,) for v in rows])
+                    else:
+                        history.extend(rows)
+                        for value in rows:
+                            store.append(value)
+                    blob = store.capture()
+                    assert blob == {"value": packer(history)}
+                    # The caller owns the blob dict it gets back.
+                    blob["value"]["n"] = -1
 
         check()
 
@@ -273,9 +274,13 @@ class TestAppendOnlyHistories:
     def test_unchanged_history_shares_its_data_string(self):
         history_format = codec.History(_Value, [("value", float)])
         store = _filled(history_format, [(1.0,), (2.0,), (3.0,), (4.0,)])
-        first = store.capture()["value"]
-        again = store.capture()["value"]
+        with codec.CaptureMemo():
+            first = store.capture()["value"]
+            again = store.capture()["value"]
         assert again is not first and again["data"] is first["data"]
+        # Outside a memo nothing is kept: the same blob, packed afresh.
+        fresh = store.capture()["value"]
+        assert fresh == first and fresh["data"] is not first["data"]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -303,11 +308,13 @@ class TestAppendOnlyHistories:
         hands back the very same data strings."""
         store = _MIXED.store()
         rows = []
+        memo = codec.CaptureMemo()
         for new_rows, capture_twice in steps:
             for row in new_rows:
                 store.append(*row)
             rows.extend(new_rows)
-            blob = store.capture()
+            with memo:
+                blob = store.capture()
             assert blob == {
                 "time": codec.pack_floats([r[0] for r in rows]),
                 "temp_c": codec.pack_optional_floats([r[1] for r in rows]),
@@ -318,7 +325,8 @@ class TestAppendOnlyHistories:
             recaptured = _MIXED.restore(blob).capture()
             assert recaptured == blob
             if capture_twice:
-                again = store.capture()
+                with memo:
+                    again = store.capture()
                 for name, column in again.items():
                     assert column["data"] is blob[name]["data"]
 
@@ -342,20 +350,25 @@ class TestAppendOnlyHistories:
     @settings(max_examples=150, deadline=None)
     @given(_steps(st.tuples(st.integers(), st.text(max_size=3))))
     def test_encoded_rows_equal_encoding_the_whole_list(self, steps):
-        rows = codec.EncodedRows(list)
         history = []
-        previous = None
-        for op, new in steps:
-            if op == "replace":
-                history = list(new)
-            else:
-                history.extend(new)
-            encoded = rows.encode(history)
-            assert encoded == [list(row) for row in history]
-            assert encoded is not previous
-            previous = encoded
-            # The caller owns the list it gets back.
-            encoded.append("junk")
+        previous = []
+        with codec.CaptureMemo():
+            for op, new in steps:
+                if op == "replace":
+                    history, previous = list(new), []
+                else:
+                    history.extend(new)
+                encoded = codec.encode_rows(history, list)
+                assert encoded == [list(row) for row in history]
+                assert encoded is not previous
+                # Rows encoded before are the very same objects.
+                assert all(a is b for a, b in zip(encoded, previous))
+                previous = list(encoded)
+                # The caller owns the list it gets back.
+                encoded.append("junk")
+        again = codec.encode_rows(history, list)
+        assert again == [list(row) for row in history]
+        assert not any(a is b for a, b in zip(again, previous))
 
 
 class TestTaggedValues:

@@ -1,13 +1,20 @@
 """Delta checkpoint chain: diff/apply algebra, writer cadence, recovery."""
 
+import copy
+import gc
 import hashlib
 import json
 import os
 import random
 import string
+import tracemalloc
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.state import codec
 from repro.state.checkpoint import (
     CHECKPOINT_SCHEMA,
     DELTA_SCHEMA,
@@ -18,6 +25,12 @@ from repro.state.checkpoint import (
     _diff,
     read_checkpoint,
 )
+
+
+@dataclass(frozen=True)
+class _Sample:
+    time: float
+    value: float
 
 
 def _checkpoint(sim_time, components=None, meta=None):
@@ -74,6 +87,8 @@ class TestDiffApply:
 
     @pytest.mark.parametrize("old,new", CASES)
     def test_apply_inverts_diff(self, old, new):
+        # ``_apply`` updates its base in place; the cases are shared.
+        old = copy.deepcopy(old)
         delta = _diff(old, new)
         assert delta is not None
         assert _apply(old, delta) == new
@@ -261,3 +276,157 @@ class TestRecovery:
         assert writer.write(p2, _checkpoint(2.0, {"t": {"i": 2}}))
         loaded = read_checkpoint(p2)
         assert loaded is not None and loaded.components == {"t": {"i": 2}}
+
+
+def _quarantined(directory):
+    return sorted(name for name in os.listdir(directory) if name.endswith(".corrupt"))
+
+
+def _delta_nodes(node, found):
+    """Every delta node of a delta tree, outermost first."""
+    found.append(node)
+    if node.get("__delta__") == "dict" and isinstance(node.get("set"), dict):
+        for sub in node["set"].values():
+            _delta_nodes(sub, found)
+    return found
+
+
+#: Nodes that fit no base, whatever the base holds.
+_NEVER_FITS = [
+    _node("bogus"),
+    _node("tail", keep=-1, tail=[]),
+    _node("strtail", keep=-1, tail=""),
+    _node("dict", set=[], drop=[]),
+    {"no": "kind"},
+    _node("dict", set={"log": [1, 2]}, drop=[]),
+]
+
+_scalars = st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=4)
+
+
+@st.composite
+def _payload_runs(draw):
+    """Component trees of successive cuts: append-only logs and blobs that
+    grow, scalars and whole subtrees that change, keys that come and go."""
+    log, blob, extra = [], "b" * 40, {}
+    runs = []
+    for _ in range(draw(st.integers(2, 9))):
+        log = log + draw(st.lists(_scalars, max_size=4))
+        blob = blob + draw(st.text("ABCD+/=", max_size=30))
+        if draw(st.booleans()):
+            extra = dict(extra)
+            extra[draw(st.sampled_from("xyz"))] = draw(
+                st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=5)
+            )
+        if extra and draw(st.booleans()):
+            gone = draw(st.sampled_from(sorted(extra)))
+            extra = {k: v for k, v in extra.items() if k != gone}
+        runs.append(
+            {"log": {"lines": log, "blob": blob}, "extra": extra, "tick": draw(_scalars)}
+        )
+    return runs
+
+
+class TestChainReader:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        runs=_payload_runs(),
+        rebase_every=st.sampled_from([0, 3, 16]),
+        pick=st.integers(0, 10**6),
+        misfit=st.sampled_from(_NEVER_FITS),
+    )
+    def test_every_cut_reads_back_and_one_misfit_quarantines_only_itself(
+        self, tmp_path_factory, runs, rebase_every, pick, misfit
+    ):
+        directory = str(tmp_path_factory.mktemp("chain"))
+        writer = DeltaCheckpointWriter(rebase_every=rebase_every)
+        paths = []
+        for i, components in enumerate(runs):
+            path = os.path.join(directory, f"cut{i:02d}.json")
+            assert writer.write(path, _checkpoint(float(i), copy.deepcopy(components)))
+            paths.append(path)
+        for i, path in enumerate(paths):
+            assert read_checkpoint(path).components == runs[i]
+
+        deltas = [i for i, path in enumerate(paths) if _schema(path) == DELTA_SCHEMA]
+        if not deltas:
+            return
+        bad = deltas[pick % len(deltas)]
+        with open(paths[bad]) as fh:
+            tree = json.loads(json.load(fh)["payload"])["delta"]
+        nodes = _delta_nodes(tree, [])
+        target = nodes[pick % len(nodes)]
+        target.clear()
+        target.update(misfit)
+        _rewrite_body(paths[bad], delta=tree)
+
+        assert read_checkpoint(paths[bad]) is None
+        assert _quarantined(directory) == [os.path.basename(paths[bad]) + ".corrupt"]
+        # Later cuts that rest on it are unloadable but intact; cuts past
+        # the next full cut, and every earlier cut, still read back.
+        rebased = [i for i in range(bad + 1, len(paths)) if _schema(paths[i]) == CHECKPOINT_SCHEMA]
+        for i, path in enumerate(paths):
+            if i == bad:
+                continue
+            loaded = read_checkpoint(path)
+            if bad < i and (not rebased or i < rebased[0]):
+                assert loaded is None
+            else:
+                assert loaded.components == runs[i]
+        assert _quarantined(directory) == [os.path.basename(paths[bad]) + ".corrupt"]
+
+    def test_deltas_naming_each_other_as_base_read_as_none(self, tmp_path):
+        writer = DeltaCheckpointWriter(rebase_every=16)
+        paths = [str(tmp_path / f"cut{i}.json") for i in range(3)]
+        for i, path in enumerate(paths):
+            writer.write(path, _checkpoint(float(i), {"t": {"i": i}}))
+        _rewrite_body(paths[1], base="cut2.json")
+        _rewrite_body(paths[2], base="cut1.json")
+        assert read_checkpoint(paths[2]) is None
+        assert read_checkpoint(paths[1]) is None
+        # A cycle is not damage: nothing is quarantined.
+        assert _quarantined(str(tmp_path)) == []
+
+    def test_misfit_at_cut_three_of_five_leaves_earlier_cuts_loadable(self, tmp_path):
+        writer = DeltaCheckpointWriter(rebase_every=16)
+        paths = []
+        for i in range(5):
+            path = str(tmp_path / f"cut{i}.json")
+            writer.write(path, _checkpoint(float(i), {"t": {"lines": list(range(i + 1))}}))
+            paths.append(path)
+        components = _node("dict", set={"t": _lines(_node("tail", keep=99, tail=[3]))}, drop=[])
+        _rewrite_body(paths[3], delta=_node("dict", set={"components": components}, drop=[]))
+        assert read_checkpoint(paths[4]) is None
+        assert _quarantined(str(tmp_path)) == ["cut3.json.corrupt"]
+        assert os.path.exists(paths[4])
+        for i in range(3):
+            assert read_checkpoint(paths[i]).components == {"t": {"lines": list(range(i + 1))}}
+
+    def test_reading_a_chain_peaks_near_the_tree_it_keeps(self, tmp_path):
+        """A 12-cut chain of growing packed columns, as a campaign writes
+        it: resolving the last cut may not cost much more memory than the
+        tree it returns (rebuilding every intermediate tree took 1.9x)."""
+        history = codec.History(_Sample, [("time", float), ("value", float)])
+        stores = [history.store() for _ in range(4)]
+        writer = DeltaCheckpointWriter()
+        rng = random.Random(5)
+        path = None
+        for cut in range(12):
+            for store in stores:
+                for _ in range(4000):
+                    store.append(float(cut), rng.random())
+            with writer.memo:
+                components = {f"h{i}": store.capture() for i, store in enumerate(stores)}
+            path = str(tmp_path / f"cut{cut:02d}.json")
+            assert writer.write(path, _checkpoint(float(cut), components))
+        del writer, components
+        assert _schema(path) == DELTA_SCHEMA
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = read_checkpoint(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.components["h3"]["value"]["n"] == 12 * 4000
+        assert peak <= 1.5 * kept, (peak, kept)
