@@ -61,12 +61,6 @@ class SweepSummary:
         if not self.outcomes:
             raise ValueError("a sweep needs at least one outcome")
 
-    @property
-    def mean_failure_rate_percent(self) -> float:
-        """Mean of the per-seed failure rates."""
-        rates = [o.failure_rate_percent for o in self.outcomes]
-        return sum(rates) / len(rates)
-
     def pooled_failure_interval(self, confidence: float = 0.95) -> Tuple[float, float]:
         """Wilson interval over the pooled host population (as fractions)."""
         failed = sum(o.hosts_failed for o in self.outcomes)

@@ -209,16 +209,6 @@ class ExperimentResults:
             return list(self.fault_log.events)
         return [e for e in self.fault_log.events if e.time <= until]
 
-    def tent_census(self, until: Optional[float] = None) -> FailureCensus:
-        """System-failure census of the tent group."""
-        return census_from_events("tent", self.tent_host_ids(), self._events_until(until))
-
-    def basement_census(self, until: Optional[float] = None) -> FailureCensus:
-        """System-failure census of the control group."""
-        return census_from_events(
-            "basement", self.basement_host_ids(), self._events_until(until)
-        )
-
     def overall_census(self, until: Optional[float] = None) -> FailureCensus:
         """The paper's headline census over all 18 initially installed hosts."""
         ids = self.tent_host_ids() + self.basement_host_ids()
@@ -227,10 +217,6 @@ class ExperimentResults:
     def memory_error_estimate(self) -> MemoryErrorEstimate:
         """Section 4.2.2's page-op arithmetic over this run."""
         return estimate_memory_error_ratio(self.ledger, self.fleet.tree)
-
-    def build_snapshot(self, time: float) -> SnapshotCensus:
-        """Freeze the paper-style census at ``time`` (uses current state)."""
-        return take_snapshot(self.config, self.ledger, self.fault_log, time)
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

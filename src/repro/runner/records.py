@@ -38,6 +38,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.analysis.seedsweep import SeedOutcome
 from repro.core.config import ExperimentConfig
 from repro.telemetry.hub import TelemetrySnapshot, snapshot_from_json_dict
@@ -142,13 +144,16 @@ def digest_series(name: str, series) -> SeriesDigest:
             mean=None,
             maximum=None,
         )
-    times = series.times.astype(float)
-    values = series.values.astype(float)
-    payload = times.tobytes() + values.tobytes()
+    # The times' bytes then the values', hashed in place: no copy of
+    # either array and no concatenated payload.
+    sha = hashlib.sha256()
+    values = np.ascontiguousarray(series.values, dtype=np.float64)
+    sha.update(np.ascontiguousarray(series.times, dtype=np.float64))
+    sha.update(values)
     return SeriesDigest(
         name=name,
         points=len(series),
-        sha256=hashlib.sha256(payload).hexdigest(),
+        sha256=sha.hexdigest(),
         minimum=float(values.min()),
         mean=float(values.mean()),
         maximum=float(values.max()),

@@ -2,26 +2,27 @@
 
 Three layers:
 
-- **Packed arrays** -- the hot instrument histories (a full-scale
-  campaign accumulates ~half a million sensor records) are stored as
-  base64-encoded little-endian ``float64``/``int64`` columns instead of
-  JSON number lists (``docs/architecture.md``, "State & checkpoints",
-  gives the measured flush cost).
+- **Packed columns** -- the hot instrument histories (a full-scale
+  campaign accumulates ~half a million sensor records) are typed
+  arrays, not JSON number lists.  In memory a state dict holds each as
+  a :class:`PackedColumn`, a read-only array; only a checkpoint file
+  holds it as text, a base64 blob of its little-endian bytes
+  (``docs/architecture.md``, "State & checkpoints", gives the measured
+  flush cost).  :func:`pack_floats` and its siblings make such blobs for
+  small fixed-size columns.
 - **Append-only histories** -- each record history (sensor polls,
   instrument readings, transfers, memory faults) declares its record
   type and ``(field, dtype)`` columns once, as a :class:`History`, and
   lives in a :class:`ColumnStore`: one typed array per column, with
   record objects built only when a reader asks for rows.  A capture
-  packs only the rows added since the previous one, so a checkpoint cut
-  costs O(new data) rather than O(history); a restore decodes each
-  column once, checks that every column is present, of its dtype and of
-  one length, and holds the decoded arrays as they are, so it costs
-  O(bytes).  :func:`encode_rows` does the capture half for histories
-  stored as encoded rows.  What a capture reuses lives in the
-  :class:`CaptureMemo` of the checkpoint chain it runs in, so it is
-  freed with that chain; a capture outside any chain encodes every
-  history whole.  Either way the output is exactly what encoding the
-  whole history gives.
+  hands out views of the store's own arrays, so it copies and encodes
+  nothing; a restore checks that every column is present, of its dtype
+  and of one length, and adopts the arrays it is given as they are.
+  :func:`encode_rows` captures histories stored as encoded rows; what it
+  reuses from one cut to the next lives in the :class:`CaptureMemo` of
+  the checkpoint chain it runs in, so it is freed with that chain, and a
+  capture outside any chain encodes every row.  Either way the output
+  is exactly what encoding the whole history gives.
 - **Tagged values** -- configs, bus events, and fault plans are frozen
   dataclasses, enums, and datetimes.  :func:`encode_value` reduces them
   to tagged plain data and :func:`decode_value` rebuilds them against a
@@ -61,13 +62,30 @@ _U8 = "|u1"
 # ----------------------------------------------------------------------
 # Packed columns
 # ----------------------------------------------------------------------
+#: The dtypes a packed column may hold, as their array-protocol strings.
+PACKED_DTYPES = (_F64, _I64, _U8)
+
+#: Rows compared per step by :func:`first_difference`, which bounds the
+#: comparison's scratch memory.
+_COMPARE_ROWS = 1 << 15
+
+
+def b64(data: Any) -> str:
+    """The base64 text of a contiguous array's (or a bytes object's) bytes."""
+    return base64.b64encode(memoryview(data)).decode("ascii")
+
+
 def _pack(values, dtype: str) -> Dict[str, Any]:
     array = np.asarray(values, dtype=np.dtype(dtype))
-    return {"__packed__": dtype, "n": int(array.size),
-            "data": base64.b64encode(array.tobytes()).decode("ascii")}
+    return {"__packed__": dtype, "n": int(array.size), "data": b64(array)}
 
 
-def _unpack(blob: Dict[str, Any], dtype: str) -> np.ndarray:
+def _unpack(blob: Any, dtype: str) -> np.ndarray:
+    """The array of a :class:`PackedColumn` (as it is) or of a packed blob."""
+    if isinstance(blob, PackedColumn):
+        if blob.dtype != dtype:
+            raise ValueError(f"expected a packed {dtype} column, got {blob!r}")
+        return blob.array
     if blob.get("__packed__") != dtype:
         raise ValueError(f"expected a packed {dtype} column, got {blob!r:.80}")
     raw = base64.b64decode(blob["data"].encode("ascii"))
@@ -75,6 +93,74 @@ def _unpack(blob: Dict[str, Any], dtype: str) -> np.ndarray:
     if array.size != blob["n"]:
         raise ValueError("packed column length mismatch")
     return array
+
+
+def first_difference(a: np.ndarray, b: np.ndarray) -> int:
+    """The first row at which two columns of one itemsize hold different
+    bytes; the shorter length when one is a prefix of the other.
+
+    Bytes, not values, so NaN equals itself and ``-0.0`` differs from
+    ``0.0``, as in the columns' base64 text.  Two views starting at one
+    address (two captures of a store that has not regrown) share their
+    common rows, which are not compared.
+    """
+    n = min(a.size, b.size)
+    if a.__array_interface__["data"][0] == b.__array_interface__["data"][0]:
+        return n
+    unsigned = np.dtype(f"u{a.dtype.itemsize}")
+    a, b = a[:n].view(unsigned), b[:n].view(unsigned)
+    for lo in range(0, n, _COMPARE_ROWS):
+        unequal = a[lo : lo + _COMPARE_ROWS] != b[lo : lo + _COMPARE_ROWS]
+        if unequal.any():
+            return lo + int(unequal.argmax())
+    return n
+
+
+class PackedColumn:
+    """One typed column of a state dict: a read-only array of a
+    :data:`PACKED_DTYPES` dtype.
+
+    A checkpoint file holds it as the blob :meth:`blob` gives,
+    ``{"__packed__": dtype, "n": rows, "data": base64 of its bytes}``;
+    nothing else encodes it, so a capture costs no copy and a restore
+    adopts :attr:`array` as it is.  Columns compare by value: equal when
+    they hold the same dtype and bytes, and a column equals the blob it
+    writes.
+    """
+
+    __slots__ = ("dtype", "array")
+
+    def __init__(self, dtype: str, array: np.ndarray) -> None:
+        view = array.view()
+        view.flags.writeable = False
+        self.dtype = dtype
+        self.array = view
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def __repr__(self) -> str:
+        return f"PackedColumn({self.dtype!r}, n={len(self)})"
+
+    def blob(self) -> Dict[str, Any]:
+        """The column as a checkpoint file holds it."""
+        return {"__packed__": self.dtype, "n": len(self), "data": b64(self.array)}
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, dict):
+            return self.blob() == other
+        if not isinstance(other, PackedColumn):
+            return NotImplemented
+        return (
+            self.dtype == other.dtype
+            and len(self) == len(other)
+            and first_difference(self.array, other.array) == len(self)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return PackedColumn, (self.dtype, self.array)
 
 
 def pack_floats(values: Sequence[float]) -> Dict[str, Any]:
@@ -155,6 +241,18 @@ def _code_table(values: Tuple[Any, ...]) -> _Kind:
     )
 
 
+def _unchecked(record: Type, names: Tuple[str, ...]) -> Callable[..., Any]:
+    """``record``'s constructor without its ``__post_init__``."""
+    new = object.__new__
+
+    def build(*values: Any) -> Any:
+        row = new(record)
+        row.__dict__.update(zip(names, values))
+        return row
+
+    return build
+
+
 class History:
     """The typed-column format of one append-only record history.
 
@@ -165,8 +263,10 @@ class History:
     ``bool``, ``Optional[float]`` (``None`` rides as NaN), or a tuple of
     values stored as their index in it.  ``check``, if given, is called
     with a ``{name: array}`` mapping of rows about to enter a store and
-    raises ``ValueError`` to refuse them.  :meth:`store` makes an empty
-    :class:`ColumnStore`, :meth:`restore` loads a captured one.
+    raises ``ValueError`` to refuse them; it is the vectorised twin of
+    the record's own ``__post_init__`` check, which rows a store builds
+    therefore skip.  :meth:`store` makes an empty :class:`ColumnStore`,
+    :meth:`restore` loads a captured one.
     """
 
     def __init__(
@@ -188,17 +288,23 @@ class History:
             for _, dtype in columns
         ]
         self.check = check
+        self.row = record
+        if check is not None and hasattr(record, "__post_init__"):
+            self.row = _unchecked(record, names)
 
     def store(self) -> "ColumnStore":
         """An empty history."""
         return ColumnStore(self, [np.empty(0, kind.dtype) for kind in self.kinds], 0)
 
     def restore(self, blob: Dict[str, Any]) -> "ColumnStore":
-        """A captured history, one decode per column and no row objects.
+        """A captured history, with no row objects.
 
-        Raises ``KeyError`` for a missing column and ``ValueError`` for a
-        column of the wrong dtype or length, a code out of range, or rows
-        ``check`` refuses; callers parse inside :func:`repro.state.protocol.parsing`.
+        Each column is a :class:`PackedColumn`, whose array the store
+        adopts without a copy (it copies on its first append), or a
+        packed blob, decoded once.  Raises ``KeyError`` for a missing
+        column and ``ValueError`` for a column of the wrong dtype or
+        length, a code out of range, or rows ``check`` refuses; callers
+        parse inside :func:`repro.state.protocol.parsing`.
         """
         columns = [
             _unpack(blob[name], kind.dtype) for name, kind in zip(self.names, self.kinds)
@@ -221,18 +327,19 @@ class History:
 class CaptureMemo:
     """What one checkpoint chain keeps so each cut encodes only new rows.
 
-    Captures made inside ``with memo:`` reuse, per history, what the
-    previous capture in the memo made: a :class:`ColumnStore`'s packed
-    columns, an encoded-rows list's rows.  Captures outside any memo
-    encode every history whole; both give the same output.  Entries are
-    keyed by the history object, which the memo holds, and nothing else
-    holds an entry, so dropping the memo frees all of it.  The active
-    memo is a context variable, not a parameter, because captures run
-    deep inside every component's ``state_dict()``.
+    Captures made inside ``with memo:`` reuse, per encoded-rows history,
+    the rows the previous capture in the memo encoded (a
+    :class:`ColumnStore` keeps nothing here: its capture copies
+    nothing).  Captures outside any memo encode every row; both give the
+    same output.  Entries are keyed by the history object, which the
+    memo holds, and nothing else holds an entry, so dropping the memo
+    frees all of it.  The active memo is a context variable, not a
+    parameter, because captures run deep inside every component's
+    ``state_dict()``.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, Tuple[Any, list]] = {}
+        self._rows: Dict[int, Tuple[list, List[Any]]] = {}
         self._tokens: List[contextvars.Token] = []
 
     def __enter__(self) -> "CaptureMemo":
@@ -248,15 +355,6 @@ _ACTIVE_MEMO: contextvars.ContextVar[Optional[CaptureMemo]] = contextvars.Contex
 )
 
 
-def _memo_entry(history: Any, empty: list) -> list:
-    """The active memo's entry for ``history`` (``empty`` the first time
-    it is seen); ``empty`` itself when no memo is active."""
-    memo = _ACTIVE_MEMO.get()
-    if memo is None:
-        return empty
-    return memo._entries.setdefault(id(history), (history, empty))[1]
-
-
 def encode_rows(history: list, encode: Callable[[Any], Any]) -> List[Any]:
     """``[encode(row) for row in history]`` as a new list.
 
@@ -265,7 +363,10 @@ def encode_rows(history: list, encode: Callable[[Any], Any]) -> List[Any]:
     list is only ever appended to; an owner that rewrites it assigns a
     new list, which the memo sees as a new history.
     """
-    rows = _memo_entry(history, [])
+    memo = _ACTIVE_MEMO.get()
+    rows: List[Any] = []
+    if memo is not None:
+        rows = memo._rows.setdefault(id(history), (history, rows))[1]
     if len(history) < len(rows):
         rows.clear()
     rows.extend(map(encode, history[len(rows):]))
@@ -353,7 +454,7 @@ class ColumnStore:
         if where is not None:
             columns = [column[where] for column in columns]
         values = [kind.decode(c) for kind, c in zip(self._history.kinds, columns)]
-        return list(map(self._history.record, *values))
+        return list(map(self._history.row, *values))
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.rows())
@@ -368,31 +469,21 @@ class ColumnStore:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def capture(self) -> Dict[str, Any]:
-        """Every column packed, exactly as packing the whole column gives.
+    def capture(self) -> Dict[str, PackedColumn]:
+        """Every column as a :class:`PackedColumn` over the store's own
+        array: nothing is copied or encoded.
 
-        Inside a :class:`CaptureMemo`, three rows of any dtype fill whole
-        base64 quanta, so the previous capture's data string up to its
-        last multiple of three rows is reused and only the rows after it
-        are packed; an unchanged column returns the very same string.
-        The caller owns the dicts returned.
+        Rows are only ever appended, so the captured rows never change;
+        the caller owns the dict returned.
         """
         self._seal()
         n = self._n
-        captured = _memo_entry(self, [None] * len(self._columns))
-        out = {}
-        for i, (name, kind) in enumerate(zip(self._history.names, self._history.kinds)):
-            blob = captured[i]
-            if blob is None or blob["n"] != n:
-                sealed = 0 if blob is None else blob["n"] - blob["n"] % 3
-                packed = _pack(self._columns[i][sealed:n], kind.dtype)
-                if sealed:
-                    chars = sealed // 3 * 4 * np.dtype(kind.dtype).itemsize
-                    packed["data"] = blob["data"][:chars] + packed["data"]
-                    packed["n"] = n
-                captured[i] = blob = packed
-            out[name] = dict(blob)
-        return out
+        return {
+            name: PackedColumn(kind.dtype, column[:n])
+            for name, kind, column in zip(
+                self._history.names, self._history.kinds, self._columns
+            )
+        }
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the SSH/rsync transfer model."""
 
+import dataclasses
+
 import pytest
 
 from repro.monitoring.transport import (
@@ -87,6 +89,24 @@ class TestTransferLedger:
         assert ledger.mean_session_bytes() == 0.0
 
     def test_record_validation(self):
+        with pytest.raises(ValueError):
+            TransferRecord(0.0, 1, new_md5_lines=-1, new_sensor_samples=0, bytes_moved=0)
+
+    def test_rows_of_a_checked_ledger_skip_the_per_row_check(self, monkeypatch):
+        """The store checked every row as it entered, so reading rows back
+        runs no per-row ``__post_init__``; direct construction still does."""
+        ledger = TransferLedger()
+        for i in range(1000):
+            ledger.record_sync(1200.0 * i, i % 7, 3 * i, 5 * i)
+        checks = []
+        check = TransferRecord.__post_init__
+        monkeypatch.setattr(
+            TransferRecord, "__post_init__", lambda row: checks.append(check(row))
+        )
+        rows = list(ledger.records)
+        assert len(rows) == 1000 and rows[-1] == ledger.records[-1]
+        assert rows[-1] == TransferRecord(*dataclasses.astuple(rows[-1]))
+        assert len(checks) == 1
         with pytest.raises(ValueError):
             TransferRecord(0.0, 1, new_md5_lines=-1, new_sensor_samples=0, bytes_moved=0)
 

@@ -14,9 +14,9 @@ run's payload at that cut.
 import datetime as dt
 import gc
 import hashlib
-import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.builder import Campaign, CampaignBuilder
@@ -25,7 +25,7 @@ from repro.hardware.sensors import SensorReading
 from repro.monitoring.records import SensorRecord
 from repro.monitoring.transport import TransferRecord
 from repro.sim.clock import DAY
-from repro.state.checkpoint import read_checkpoint
+from repro.state.checkpoint import read_checkpoint, serialise_payload
 
 UNTIL = dt.datetime(2010, 3, 20)
 EVERY = 6 * DAY
@@ -40,8 +40,7 @@ def _sha(text: str) -> str:
 
 def payload_sha(snapshot) -> str:
     """Digest of the payload exactly as ``write_checkpoint`` serialises it."""
-    payload = snapshot.to_payload()
-    return _sha(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    return _sha(serialise_payload(snapshot))
 
 
 def seed7_cuts(directory: str):
@@ -86,6 +85,22 @@ def test_restored_campaign_recaptures_the_cut(cuts):
         assert payload_sha(snapshot) == digest, name
         restored = Campaign.restore(snapshot)
         assert payload_sha(restored.checkpoint()) == digest, name
+
+
+def test_restored_histories_adopt_the_read_arrays(cuts):
+    """A restore copies no history: each column of the restored campaign
+    is the array the reader assembled from the chain."""
+    directory, got = cuts
+    snapshot = read_checkpoint(str(directory / got[-1][0]))
+    restored = Campaign.restore(snapshot)
+    components = snapshot.components
+    for store, column in (
+        (restored.monitoring.sensor_records, components["monitoring"]["sensor_records"]),
+        (restored.transfers.records, components["transfers"]["records"]),
+        (restored.lascar._readings, components["lascar"]["readings"]),
+    ):
+        assert len(store) > 0
+        assert np.shares_memory(store.column("time"), column["time"].array)
 
 
 def test_restore_builds_no_record_objects(cuts):

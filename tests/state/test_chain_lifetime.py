@@ -1,11 +1,12 @@
 """Checkpoint chain state lives exactly as long as its chain.
 
 A checkpointing run keeps, between cuts, the payload the delta writer
-diffs against and the capture memo that makes the next cut O(new data)
-(the packed columns and encoded rows of every history).  Both belong to
-the run's :class:`~repro.state.checkpoint.DeltaCheckpointWriter`, so
-once ``run``/``continue_run`` returns the campaign reaches neither, and
-a later ``checkpoint()`` encodes every history afresh to the same
+diffs against (its packed columns view the histories' own arrays) and
+the capture memo that makes the next cut O(new data) (the encoded rows
+of every encoded-rows history).  Both belong to the run's
+:class:`~repro.state.checkpoint.DeltaCheckpointWriter`, so once
+``run``/``continue_run`` returns the campaign reaches neither, and a
+later ``checkpoint()`` encodes every history afresh to the same
 payload.  A resumed campaign does not hold the checkpoint it was
 restored from while it runs.
 """
@@ -13,17 +14,21 @@ restored from while it runs.
 import datetime as dt
 import gc
 import hashlib
-import json
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from repro.core.builder import Campaign, CampaignBuilder
 from repro.core.config import ExperimentConfig
 from repro.sim.clock import DAY
-from repro.state.checkpoint import CampaignCheckpoint, DeltaCheckpointWriter
-from repro.state.codec import CaptureMemo
+from repro.state.checkpoint import (
+    CampaignCheckpoint,
+    DeltaCheckpointWriter,
+    serialise_payload,
+)
+from repro.state.codec import CaptureMemo, PackedColumn
 
 CONFIG = ExperimentConfig(seed=7)
 UNTIL = dt.datetime(2010, 3, 4)
@@ -31,19 +36,19 @@ EVERY = 3 * DAY
 
 
 def _payload_sha(snapshot) -> str:
-    payload = json.dumps(snapshot.to_payload(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(serialise_payload(snapshot).encode("utf-8")).hexdigest()
 
 
 def _memo_made(components):
     """The objects only a capture memo or a writer's base payload would
-    hold: packed-column data strings and encoded history rows."""
+    hold: packed columns (and their views) and encoded history rows."""
     found = []
 
     def walk(node):
-        if isinstance(node, dict):
-            if "__packed__" in node and len(node["data"]) >= 64:
-                found.append(node["data"])
+        if isinstance(node, PackedColumn):
+            if len(node) >= 16:
+                found.extend((node, node.array))
+        elif isinstance(node, dict):
             for value in node.values():
                 walk(value)
         elif isinstance(node, list):
@@ -123,13 +128,19 @@ def test_checkpoint_after_the_run_matches_a_memo_capture(chained):
     with memo:
         chained_capture = twin.checkpoint()
     assert _payload_sha(plain) == _payload_sha(chained_capture)
-    # The memo did the work: an unchanged history's data string is reused.
+    # The memo did the work: an unchanged history's encoded rows are
+    # reused, and a packed column is the store's own memory.
     with memo:
         again = twin.checkpoint()
+    recorder = again.components["recorder"]
+    assert recorder and all(
+        a is b for a, b in zip(recorder, chained_capture.components["recorder"])
+    )
     packed = again.components["monitoring"]["sensor_records"]["time"]
-    assert packed["data"] is chained_capture.components["monitoring"][
-        "sensor_records"
-    ]["time"]["data"]
+    assert np.shares_memory(
+        packed.array,
+        chained_capture.components["monitoring"]["sensor_records"]["time"].array,
+    )
 
 
 def test_resumed_run_holds_no_checkpoint_from_the_read(chained):

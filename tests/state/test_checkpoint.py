@@ -17,6 +17,7 @@ from repro.state import codec
 from repro.state.checkpoint import (
     CHECKPOINT_SCHEMA,
     CampaignCheckpoint,
+    _diff,
     read_checkpoint,
     write_checkpoint,
 )
@@ -229,6 +230,9 @@ def _filled(history_format, rows):
 class TestAppendOnlyHistories:
     @pytest.mark.parametrize("kind", sorted(_PACKERS))
     def test_packed_column_equals_packing_the_whole_list(self, kind):
+        """Each capture writes the blob packing the whole list gives, and
+        the delta the writer builds from two captures' arrays is the
+        string delta of those two blobs, whatever the lengths mod 3."""
         dtype, packer, values = _PACKERS[kind]
         history_format = codec.History(_Value, [("value", dtype)])
 
@@ -237,19 +241,24 @@ class TestAppendOnlyHistories:
         def check(steps):
             store = history_format.store()
             history = []
-            with codec.CaptureMemo():
-                for op, rows in steps:
-                    if op == "replace":
-                        history = list(rows)
-                        store = _filled(history_format, [(v,) for v in rows])
-                    else:
-                        history.extend(rows)
-                        for value in rows:
-                            store.append(value)
-                    blob = store.capture()
-                    assert blob == {"value": packer(history)}
-                    # The caller owns the blob dict it gets back.
-                    blob["value"]["n"] = -1
+            previous = previous_blob = None
+            for op, rows in steps:
+                if op == "replace":
+                    history = list(rows)
+                    store = _filled(history_format, [(v,) for v in rows])
+                else:
+                    history.extend(rows)
+                    for value in rows:
+                        store.append(value)
+                blob = store.capture()
+                whole = packer(history)
+                assert blob == {"value": whole}
+                assert blob["value"].blob() == whole
+                if previous is not None:
+                    assert _diff(previous, blob["value"]) == _diff(previous_blob, whole)
+                previous, previous_blob = blob["value"], whole
+                # The caller owns the blob dict it gets back.
+                blob["value"] = None
 
         check()
 
@@ -274,13 +283,18 @@ class TestAppendOnlyHistories:
     def test_unchanged_history_shares_its_data_string(self):
         history_format = codec.History(_Value, [("value", float)])
         store = _filled(history_format, [(1.0,), (2.0,), (3.0,), (4.0,)])
-        with codec.CaptureMemo():
-            first = store.capture()["value"]
-            again = store.capture()["value"]
-        assert again is not first and again["data"] is first["data"]
-        # Outside a memo nothing is kept: the same blob, packed afresh.
-        fresh = store.capture()["value"]
-        assert fresh == first and fresh["data"] is not first["data"]
+        first = store.capture()["value"]
+        again = store.capture()["value"]
+        # A capture copies nothing: both are views of the store's array.
+        assert again is not first and again == first
+        assert np.shares_memory(again.array, first.array)
+        assert np.shares_memory(first.array, store.column("value"))
+        # Rows appended later leave a captured column as it was.
+        for i in range(700):
+            store.append(float(i))
+        assert first == codec.pack_floats([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError):
+            first.array[0] = 5.0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -304,17 +318,16 @@ class TestAppendOnlyHistories:
     def test_store_captures_restores_and_recaptures(self, steps):
         """Random appends over every column kind, captured at random
         points: each capture equals packing the whole columns, restoring
-        and recapturing gives the same strings, and an unchanged store
-        hands back the very same data strings."""
+        adopts the captured arrays and recapturing gives the same
+        columns, and an unchanged store hands back the very same
+        memory."""
         store = _MIXED.store()
         rows = []
-        memo = codec.CaptureMemo()
         for new_rows, capture_twice in steps:
             for row in new_rows:
                 store.append(*row)
             rows.extend(new_rows)
-            with memo:
-                blob = store.capture()
+            blob = store.capture()
             assert blob == {
                 "time": codec.pack_floats([r[0] for r in rows]),
                 "temp_c": codec.pack_optional_floats([r[1] for r in rows]),
@@ -325,10 +338,13 @@ class TestAppendOnlyHistories:
             recaptured = _MIXED.restore(blob).capture()
             assert recaptured == blob
             if capture_twice:
-                with memo:
-                    again = store.capture()
+                again = store.capture()
                 for name, column in again.items():
-                    assert column["data"] is blob[name]["data"]
+                    assert column == blob[name]
+                    assert not rows or np.shares_memory(column.array, blob[name].array)
+                    assert not rows or np.shares_memory(
+                        recaptured[name].array, blob[name].array
+                    )
 
     def test_views_are_read_only_and_keep_their_rows(self):
         store = _filled(_MIXED, [(1.0, None, _Phase.DAY, True)])

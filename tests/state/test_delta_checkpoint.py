@@ -1,5 +1,6 @@
 """Delta checkpoint chain: diff/apply algebra, writer cadence, recovery."""
 
+import base64
 import copy
 import gc
 import hashlib
@@ -9,6 +10,7 @@ import random
 import string
 import tracemalloc
 from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.state.checkpoint import (
     DeltaCheckpointWriter,
     _apply,
     _common_prefix_len,
+    _decoded,
     _diff,
     read_checkpoint,
 )
@@ -327,7 +330,69 @@ def _payload_runs(draw):
     return runs
 
 
+@dataclass(frozen=True)
+class _Reading:
+    time: float
+    count: int
+    ok: bool
+    temp_c: Optional[float]
+
+
+_READINGS = codec.History(
+    _Reading,
+    [("time", float), ("count", int), ("ok", bool), ("temp_c", Optional[float])],
+)
+
+_rows = st.tuples(
+    st.floats(width=64),
+    st.integers(-(2**63), 2**63 - 1),
+    st.booleans(),
+    st.none() | st.floats(allow_nan=False),
+)
+
+
 class TestChainReader:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        appends=st.lists(st.lists(_rows, max_size=8), min_size=1, max_size=8),
+        rebase_every=st.sampled_from([0, 3]),
+    )
+    def test_packed_columns_read_back_at_every_cut(
+        self, tmp_path_factory, appends, rebase_every
+    ):
+        """Columns of every dtype growing by 0-7 rows a cut (so through
+        every length mod 3) read back, at every cut, as the arrays that
+        were captured."""
+        directory = str(tmp_path_factory.mktemp("columns"))
+        store = _READINGS.store()
+        writer = DeltaCheckpointWriter(rebase_every=rebase_every)
+        cuts = []
+        for i, rows in enumerate(appends):
+            for row in rows:
+                store.append(*row)
+            path = os.path.join(directory, f"cut{i:02d}.json")
+            captured = store.capture()
+            assert writer.write(path, _checkpoint(float(i), {"h": captured}))
+            cuts.append((path, captured))
+        for path, captured in cuts:
+            read = read_checkpoint(path).components["h"]
+            assert read == captured
+            assert _READINGS.restore(read).capture() == captured
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.binary(max_size=12).map(lambda raw: codec.b64(raw))
+        | st.text("ABab09+/=\n -", max_size=12)
+    )
+    def test_only_canonical_base64_is_held_as_bytes(self, text):
+        try:
+            expected = base64.b64decode(text, validate=True)
+        except ValueError:
+            expected = None
+        if expected is not None and codec.b64(expected) != text:
+            expected = None
+        assert _decoded(text) == expected
+
     @settings(max_examples=60, deadline=None)
     @given(
         runs=_payload_runs(),
@@ -428,5 +493,36 @@ class TestChainReader:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert loaded.components["h3"]["value"]["n"] == 12 * 4000
+        assert len(loaded.components["h3"]["value"]) == 12 * 4000
         assert peak <= 1.5 * kept, (peak, kept)
+
+    def test_writing_a_cut_allocates_for_its_new_rows(self, tmp_path):
+        """Capturing and writing cut k of a chain of growing stores
+        allocates for the rows added since cut k-1, not for the history:
+        no column's full base64 text is built (it used to be, at 2.1 MB
+        per column here)."""
+        history = codec.History(_Sample, [("time", float), ("value", float)])
+        stores = [history.store() for _ in range(4)]
+        writer = DeltaCheckpointWriter()
+        rng = random.Random(5)
+        new_rows = 1000
+        for cut in range(4):
+            rows = 200_000 if cut == 0 else new_rows
+            for store in stores:
+                store.extend([float(cut)] * rows, [rng.random() for _ in range(rows)])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with writer.memo:
+                    components = {f"h{i}": store.capture() for i, store in enumerate(stores)}
+                path = str(tmp_path / f"cut{cut:02d}.json")
+                assert writer.write(path, _checkpoint(float(cut), components))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if cut:
+                assert _schema(path) == DELTA_SCHEMA
+                new_bytes = len(stores) * 2 * new_rows * 8
+                assert peak <= 16 * new_bytes, (cut, peak, new_bytes)
+        loaded = read_checkpoint(path)
+        assert loaded.components == components

@@ -185,7 +185,7 @@ def _negative(path):
         target = blob
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = pack_ints([-1] * target[path[-1]]["n"])
+        target[path[-1]] = pack_ints([-1] * len(target[path[-1]]))
         return blob
 
     return apply
