@@ -99,6 +99,13 @@ def absolute_humidity(temp_c: ArrayLike, rh_percent: ArrayLike) -> ArrayLike:
     and warmed: the tent adds heat, not moisture (to first order), so inside
     RH follows from outside absolute humidity plus the inside temperature.
     """
+    if isinstance(temp_c, float) and isinstance(rh_percent, float):
+        # Scalar fast path, bit-identical to the array path below (see
+        # relative_humidity_from_dewpoint); the tent's moisture node asks
+        # once per tick.
+        es = _A_WATER * np.exp(_B_WATER * temp_c / (_C_WATER + temp_c))
+        e_pa = float(es) * rh_percent / 100.0 * 100.0
+        return float(1000.0 * e_pa / (_R_VAPOR * (temp_c + 273.15)))
     e_pa = np.asarray(vapor_pressure(temp_c, rh_percent)) * 100.0  # hPa -> Pa
     t_k = np.asarray(temp_c, dtype=float) + 273.15
     ah = 1000.0 * e_pa / (_R_VAPOR * t_k)  # kg/m^3 -> g/m^3
@@ -109,6 +116,13 @@ def absolute_humidity(temp_c: ArrayLike, rh_percent: ArrayLike) -> ArrayLike:
 
 def rh_from_absolute_humidity(temp_c: ArrayLike, ah_g_m3: ArrayLike) -> ArrayLike:
     """Relative humidity (%) of air at ``temp_c`` holding ``ah_g_m3`` of vapor."""
+    if isinstance(temp_c, float) and isinstance(ah_g_m3, float):
+        # Scalar fast path, bit-identical to the array path below.
+        t_k = temp_c + 273.15
+        e_pa = ah_g_m3 / 1000.0 * _R_VAPOR * t_k
+        es = _A_WATER * np.exp(_B_WATER * temp_c / (_C_WATER + temp_c))
+        es_pa = float(es) * 100.0
+        return float(min(max(100.0 * e_pa / es_pa, 0.0), 100.0))
     t_k = np.asarray(temp_c, dtype=float) + 273.15
     e_pa = np.asarray(ah_g_m3, dtype=float) / 1000.0 * _R_VAPOR * t_k
     es_pa = np.asarray(saturation_vapor_pressure(temp_c)) * 100.0

@@ -86,20 +86,20 @@ class Fleet:
         self.tent_switches: List[NetworkSwitch] = [
             NetworkSwitch(
                 "tent-sw1",
-                streams.stream("switch.tent1"),
+                streams.uniforms("switch.tent1"),
                 inherent_defect=True,
                 defect_mean_life_hours=config.switch_defect_mean_life_hours,
             ),
             NetworkSwitch(
                 "tent-sw2",
-                streams.stream("switch.tent2"),
+                streams.uniforms("switch.tent2"),
                 inherent_defect=True,
                 defect_mean_life_hours=config.switch_defect_mean_life_hours,
             ),
         ]
         self.spare_switch = NetworkSwitch(
             "spare-sw",
-            streams.stream("switch.spare"),
+            streams.uniforms("switch.spare"),
             inherent_defect=True,
             defect_mean_life_hours=config.switch_defect_mean_life_hours,
         )
@@ -107,17 +107,17 @@ class Fleet:
         # (the paper's defective pair served only the tent).
         self.basement_switches: List[NetworkSwitch] = [
             NetworkSwitch(
-                "basement-sw1", streams.stream("switch.basement1"), inherent_defect=False
+                "basement-sw1", streams.uniforms("switch.basement1"), inherent_defect=False
             ),
             NetworkSwitch(
-                "basement-sw2", streams.stream("switch.basement2"), inherent_defect=False
+                "basement-sw2", streams.uniforms("switch.basement2"), inherent_defect=False
             ),
         ]
         #: Switches currently serving the tent (replacements swap in here).
         self.active_tent_switches: List[NetworkSwitch] = list(self.tent_switches)
         self._replacement_counter = 0
         self._replacement_switches: List[NetworkSwitch] = []
-        self._switch_rng = streams.stream("switch.replacements")
+        self._switch_rng = streams.uniforms("switch.replacements")
         self._powered_switches: List[NetworkSwitch] = list(self.basement_switches)
         self._basement_switch_rr = 0
         self._switch_failures_logged: set = set()
@@ -134,7 +134,8 @@ class Fleet:
                 bus=bus,
             )
 
-        self._sorted_ids = sorted(self.hosts)
+        #: Tick order: by server number.
+        self._tick_order: List[Host] = [self.hosts[i] for i in sorted(self.hosts)]
 
         # Workload ------------------------------------------------------
         self.tree = KernelSourceTree()
@@ -297,9 +298,11 @@ class Fleet:
         for enclosure in self.enclosures:
             enclosure.set_it_load(loads[id(enclosure)])
             enclosure.advance(now)
-        # 2. Hosts age, sensors chill, hazards strike.
-        for host_id in self._sorted_ids:
-            self.hosts[host_id].tick(dt, now, self.fault_log)
+        # 2. Running hosts age, sensors chill, hazards strike.
+        fault_log = self.fault_log
+        for host in self._tick_order:
+            if host.state is HostState.RUNNING:
+                host.tick(dt, now, fault_log)
         # 3. Switches age; new deaths get logged once.
         for switch in self._powered_switches:
             switch.tick(dt, now)

@@ -652,7 +652,7 @@ class FleetScaleCampaign:
         struck = running & (self._rng.random(n) < p_fail)
 
         # Disk attrition: 500k-hour MTBF per healthy drive, doubling
-        # every 15 degC of case air above 45 degC (Disk.tick).
+        # every 15 degC of case air above 45 degC (StorageSubsystem.tick).
         disk_hot = case > 45.0
         if disk_hot.any():
             disk_rate = np.full(n, 1.0 / 500_000.0)

@@ -112,19 +112,6 @@ class TransientFaultModel:
             rate *= self.cold_multiplier
         return rate
 
-    def sample_failure(
-        self,
-        rng: np.random.Generator,
-        dt_s: float,
-        defective_series: bool,
-        frailty: float,
-        case_temp_c: float,
-        intake_temp_c: float,
-    ) -> bool:
-        """Whether a transient failure strikes during ``dt_s``."""
-        rate = self.rate_per_hour(defective_series, frailty, case_temp_c, intake_temp_c)
-        return rng.random() < hazard_probability(rate, dt_s)
-
 
 @dataclass(frozen=True)
 class MemoryFaultModel:

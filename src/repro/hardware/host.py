@@ -112,8 +112,12 @@ class Host:
         self.memory = MemoryBank(spec, self._streams.stream("memory"), memory_fault_ratio)
         self.psu = PowerSupply()
         self.sensor = SensorChip(self._streams.stream("sensor"))
-        self.storage = StorageSubsystem(self.hostname, spec, self._streams.stream("storage"))
-        self._fault_rng = self._streams.stream("transient")
+        # The disk and transient coins are scalar uniforms, served in
+        # blocks; the sensor stream also draws read noise, so it stays raw.
+        self.storage = StorageSubsystem(
+            self.hostname, spec, self._streams.uniforms("storage")
+        )
+        self._fault_rng = self._streams.uniforms("transient")
         self.bus = bus
 
         self.state = HostState.STAGED
@@ -331,39 +335,45 @@ class Host:
         :meth:`tick` is the only caller: it accrues uptime and computes
         the intake, case, and die temperatures and the intake
         precipitation, then hands them here.  This is the single copy of
-        the per-tick draw sequence -- sensor latch, disk ticks, water
-        ingress, transient failure -- in that order.  The name is kept
-        from the retired array-backed fleet tick that also called it.
+        the per-tick draw sequence, in this order:
+
+        1. sensor latch (only while the chip is OK and the die is below
+           its latch threshold, the one case in which it draws);
+        2. every healthy drive's coin (:meth:`StorageSubsystem.tick`);
+        3. the water-ingress coin, while precipitation reaches the case;
+        4. the transient-failure coin, at
+           :meth:`TransientFaultModel.rate_per_hour`.
+
+        The disk coins come from the host's served ``storage`` stream and
+        the water and transient coins from its served ``transient``
+        stream.  The name is kept from the retired array-backed fleet
+        tick that also called it.
         """
-        sensor_was_ok = self.sensor.state is SensorState.OK
-        self.sensor.exposure_step(cpu_temp, dt_s, time)
-        if (
-            sensor_was_ok
-            and self.sensor.state is SensorState.ERRATIC
-            and self.bus is not None
-        ):
-            self.bus.publish(SensorLatched(time=time, host_id=self.host_id))
-        self.storage.tick(dt_s, case, time)
-        if not self.storage.operational:
+        if dt_s < 0:
+            raise ValueError("dt must be non-negative")
+        sensor = self.sensor
+        if sensor.state is SensorState.OK and cpu_temp < sensor.latch_threshold_c:
+            sensor.exposure_step(cpu_temp, dt_s, time)
+            if sensor.state is SensorState.ERRATIC and self.bus is not None:
+                self.bus.publish(SensorLatched(time=time, host_id=self.host_id))
+        storage = self.storage
+        storage.tick(dt_s, case, time)
+        if not storage.operational:
             self._fail(time, fault_log, FaultKind.DISK, "storage array lost")
             return
+        coin = self._fault_rng
         if precip > 0.0:
             rate = WATER_INGRESS_RATE_PER_MM * precip
-            if self._fault_rng.random() < hazard_probability(rate, dt_s):
+            if coin.random() < hazard_probability(rate, dt_s):
                 self._fail(
                     time, fault_log, FaultKind.WATER_INGRESS,
                     f"{precip:.1f} mm/h reaching the case",
                 )
                 return
-        struck = self.transient_model.sample_failure(
-            self._fault_rng,
-            dt_s,
-            self.spec.defective_series,
-            self.frailty,
-            case,
-            intake,
+        rate = self.transient_model.rate_per_hour(
+            self.spec.defective_series, self.frailty, case, intake
         )
-        if struck:
+        if coin.random() < hazard_probability(rate, dt_s):
             self._fail(time, fault_log, FaultKind.TRANSIENT_SYSTEM, "")
 
     def _fail(self, time: float, fault_log: Optional[FaultLog], kind: FaultKind, detail: str) -> None:

@@ -62,9 +62,9 @@ class SelfTestResult:
 class SmartTable:
     """The attribute table of one drive.
 
-    The owning :class:`~repro.hardware.storage.Disk` advances it: power-on
-    hours accrue with uptime, temperature tracks case air, reallocations
-    accrue with media wear events.
+    The owning drive's :meth:`~repro.hardware.storage.StorageSubsystem.tick`
+    advances it: power-on hours accrue with uptime, temperature tracks case
+    air; reallocations accrue with media wear events.
     """
 
     def __init__(self) -> None:

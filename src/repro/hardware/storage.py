@@ -14,11 +14,10 @@ import abc
 import enum
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.hardware.faults import hazard_probability
-from repro.hardware.smart import SmartTable
+from repro.hardware.smart import ATTR_POWER_ON_HOURS, ATTR_TEMPERATURE, SmartTable
 from repro.hardware.vendors import DiskLayout, VendorSpec
+from repro.sim.rng import UniformSource
 from repro.state.protocol import StateError, check_version, parsing
 
 _STATE_VERSION = 1
@@ -41,28 +40,27 @@ class DiskState(enum.Enum):
 class Disk:
     """One physical hard drive with a S.M.A.R.T. table.
 
+    The owning :class:`StorageSubsystem` ticks it: each healthy tick
+    accrues S.M.A.R.T. uptime and temperature and rolls one failure draw
+    from the host's storage stream.
+
     Parameters
     ----------
     serial:
         Drive identifier, e.g. ``"host03-sda"``.
-    rng:
-        Fault stream.
     mtbf_hours:
         Mean time between failures while spinning.  Commodity drives of
         the era quoted ~500k hours; the census expects few or no disk
         losses over a three-month campaign, matching the paper.
     """
 
-    def __init__(
-        self, serial: str, rng: np.random.Generator, mtbf_hours: float = 500_000.0
-    ) -> None:
+    def __init__(self, serial: str, mtbf_hours: float = 500_000.0) -> None:
         if mtbf_hours <= 0:
             raise ValueError("MTBF must be positive")
         self.serial = serial
         self.state = DiskState.HEALTHY
         self.smart = SmartTable()
         self.failed_at: Optional[float] = None
-        self._rng = rng
         self._rate_per_hour = 1.0 / mtbf_hours
 
     def __repr__(self) -> str:
@@ -72,21 +70,6 @@ class Disk:
     def healthy(self) -> bool:
         """Whether the drive still responds."""
         return self.state is DiskState.HEALTHY
-
-    def tick(self, dt_s: float, case_temp_c: float, time: float) -> None:
-        """Advance running time; may fail, with a mild heat penalty."""
-        if self.state is DiskState.HEALTHY:
-            p_fail = hazard_probability(
-                self._rate_per_hour * _heat_factor(case_temp_c), dt_s
-            )
-            self._run(dt_s, case_temp_c, time, p_fail)
-
-    def _run(self, dt_s: float, case_temp_c: float, time: float, p_fail: float) -> None:
-        """One healthy tick: S.M.A.R.T. accrual, then one failure draw."""
-        self.smart.accrue_uptime(dt_s)
-        self.smart.set_temperature(case_temp_c + 4.0)  # drives run above case air
-        if self._rng.random() < p_fail:
-            self.fail(time)
 
     def fail(self, time: float) -> None:
         """Hard-fail the drive."""
@@ -223,13 +206,24 @@ class StorageSubsystem:
     of member drives.
     """
 
-    def __init__(self, host_label: str, spec: VendorSpec, rng: np.random.Generator) -> None:
+    def __init__(self, host_label: str, spec: VendorSpec, rng: UniformSource) -> None:
         self.spec = spec
         self.disks: List[Disk] = [
-            Disk(f"{host_label}-sd{chr(ord('a') + i)}", rng)
+            Disk(f"{host_label}-sd{chr(ord('a') + i)}")
             for i in range(spec.disk_layout.disk_count)
         ]
         self.arrays: List[RaidArray] = self._build_arrays(host_label)
+        self._rng = rng
+        # Each drive with the two S.M.A.R.T. rows a tick writes (a restore
+        # assigns into the same row objects).
+        self._tick_rows = [
+            (
+                disk,
+                disk.smart.attribute(ATTR_POWER_ON_HOURS),
+                disk.smart.attribute(ATTR_TEMPERATURE),
+            )
+            for disk in self.disks
+        ]
 
     def _build_arrays(self, host_label: str) -> List[RaidArray]:
         layout = self.spec.disk_layout
@@ -264,21 +258,30 @@ class StorageSubsystem:
         return any(a.degraded for a in self.arrays)
 
     def tick(self, dt_s: float, case_temp_c: float, time: float) -> None:
-        """Advance every member drive, as :meth:`Disk.tick` would.
+        """Advance ``dt_s`` seconds of running time on every healthy drive.
 
-        All drives share the host's case air, so the failure probability
-        is computed once per tick (and again only for a drive whose base
-        rate differs); each healthy drive still makes its own scalar draw,
-        in member order.
+        Each healthy drive, in member order, accrues S.M.A.R.T. power-on
+        hours, reads its temperature (drives run 4 degC above the case
+        air), then makes one scalar draw against its failure probability:
+        its base rate with a mild heat penalty (doubling every 15 degC of
+        case air above 45 degC).  All drives share the host's case air, so
+        the probability is computed once per tick, and again only for a
+        drive whose base rate differs.  A failed drive neither ages nor
+        draws.
         """
         heat = _heat_factor(case_temp_c)
+        drive_temp = case_temp_c + 4.0
+        rng = self._rng
         rate = p_fail = None
-        for disk in self.disks:
+        for disk, power_on, temperature in self._tick_rows:
             if disk.state is DiskState.HEALTHY:
                 if disk._rate_per_hour != rate:
                     rate = disk._rate_per_hour
                     p_fail = hazard_probability(rate * heat, dt_s)
-                disk._run(dt_s, case_temp_c, time, p_fail)
+                power_on.raw += dt_s / 3600.0
+                temperature.raw = drive_temp
+                if rng.random() < p_fail:
+                    disk.fail(time)
 
     def run_long_self_tests(self, time: float) -> bool:
         """Run the long test on every drive; True iff all pass."""

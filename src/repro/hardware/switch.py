@@ -19,9 +19,8 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, List, Optional, Set
 
-import numpy as np
-
 from repro.hardware.faults import hazard_probability
+from repro.sim.rng import UniformSource
 from repro.state.protocol import check_version, parsing
 
 _STATE_VERSION = 1
@@ -56,7 +55,7 @@ class NetworkSwitch:
     def __init__(
         self,
         name: str,
-        rng: np.random.Generator,
+        rng: UniformSource,
         inherent_defect: bool = False,
         defect_mean_life_hours: float = 190.0,
         healthy_mtbf_hours: float = 200_000.0,

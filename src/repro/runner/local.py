@@ -32,14 +32,53 @@ import multiprocessing
 import os
 import time
 from contextlib import nullcontext
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple, Union
 
 from repro.core.builder import Campaign, CampaignBuilder
 from repro.runner.faults import InjectedFault
 from repro.core.config import ExperimentConfig
 from repro.runner.records import RunRecord, record_from_results
+from repro.state.checkpoint import CampaignCheckpoint, read_checkpoint
 from repro.state.protocol import StateError
 from repro.telemetry import Stopwatch, Telemetry
+
+
+@dataclass(frozen=True)
+class Resumed:
+    """A sweep attempt's record, from an attempt that resumed from a cut.
+
+    :func:`execute_attempt` returns one in place of the bare record so
+    that the scheduler can count checkpoint resumes; the record inside
+    is the one a from-scratch attempt returns.
+    """
+
+    record: RunRecord
+
+
+def newest_checkpoint(checkpoint_dir: Optional[str]) -> Optional[CampaignCheckpoint]:
+    """The newest *valid* checkpoint in a flush directory, read once.
+
+    Candidates are tried newest-first (the cadence filenames sort by
+    simulated time); :func:`read_checkpoint` quarantines anything
+    corrupt, so a damaged newest flush degrades to the one before it,
+    and a directory with no usable flush gives ``None``.
+    """
+    if checkpoint_dir is None or not os.path.isdir(checkpoint_dir):
+        return None
+    names = sorted(
+        (
+            name
+            for name in os.listdir(checkpoint_dir)
+            if name.startswith("checkpoint_") and name.endswith(".json")
+        ),
+        reverse=True,
+    )
+    for name in names:
+        snapshot = read_checkpoint(os.path.join(checkpoint_dir, name))
+        if snapshot is not None:
+            return snapshot
+    return None
 
 
 def run_recorded(
@@ -59,18 +98,50 @@ def run_recorded(
     reader quarantines damaged files), so resume is an optimisation,
     never a new failure mode.
     """
+    record, _ = _run_from(
+        lambda: read_checkpoint(resume_from) if resume_from is not None else None,
+        config, until, telemetry, checkpoint_every, checkpoint_dir, on_checkpoint
+    )
+    return record
+
+
+def _restore(snapshot: Optional[CampaignCheckpoint]) -> Optional[Campaign]:
+    """The campaign ``snapshot`` restores, or ``None`` when there is no
+    snapshot or it does not restore.  The snapshot itself is dropped on
+    return: it is as large as the campaign's histories, and the
+    continued run must not hold it."""
+    if snapshot is None:
+        return None
+    try:
+        return Campaign.restore(snapshot)
+    except StateError:
+        return None
+
+
+def _run_from(
+    read: Callable[[], Optional[CampaignCheckpoint]],
+    config: ExperimentConfig,
+    until: Optional[_dt.datetime],
+    telemetry: bool,
+    checkpoint_every: Optional[float],
+    checkpoint_dir: Optional[str],
+    on_checkpoint: Optional[Callable],
+) -> Tuple[RunRecord, bool]:
+    """``(record, resumed)``: the campaign restored from the checkpoint
+    ``read()`` gives, continued to the horizon; or a from-scratch run when
+    it gives none, or the checkpoint does not restore or continue."""
     with Stopwatch() as watch:
         results = None
-        if resume_from is not None:
+        restored = _restore(read())
+        if restored is not None:
             try:
-                campaign, results = Campaign.resume(
-                    resume_from,
+                results = restored.continue_run(
                     until=until,
                     checkpoint_every=checkpoint_every,
                     checkpoint_dir=checkpoint_dir,
                     on_checkpoint=on_checkpoint,
                 )
-                hub = campaign.telemetry
+                hub = restored.telemetry
                 if hub is not None:
                     # Parity with the from-scratch path below: the
                     # worker-level span fires exactly once either way.
@@ -78,6 +149,7 @@ def run_recorded(
                         pass
             except StateError:
                 results = None
+        resumed = results is not None
         if results is None:
             builder = CampaignBuilder(config)
             hub = None
@@ -92,15 +164,16 @@ def run_recorded(
                     checkpoint_dir=checkpoint_dir,
                     on_checkpoint=on_checkpoint,
                 )
-    return record_from_results(
+    record = record_from_results(
         config.seed,
         results,
         until=until,
         elapsed_s=watch.elapsed_s,
     )
+    return record, resumed
 
 
-def execute_attempt(item) -> RunRecord:
+def execute_attempt(item) -> Union[RunRecord, Resumed]:
     """Sweep worker: honour the retry backoff, then run the spec.
 
     ``item`` is a :class:`repro.runner.pool.WorkItem`; it is duck-typed
@@ -111,7 +184,9 @@ def execute_attempt(item) -> RunRecord:
     its own slot while other completions keep flowing.  Top-level, hence
     picklable, and byte-deterministic: the record depends only on
     (config, seed, horizon), never on which attempt finally succeeded
-    or where that attempt resumed from.
+    or where that attempt resumed from.  A retry resumes from the newest
+    valid cut in ``checkpoint_dir`` and returns its record wrapped in
+    :class:`Resumed`.
 
     ``die_after_checkpoints`` is the deferred-``DIE`` fault seam: the
     worker hard-exits right after the n-th checkpoint flush (raising
@@ -136,12 +211,15 @@ def execute_attempt(item) -> RunRecord:
                     )
                 os._exit(13)
 
-    return run_recorded(
+    checkpoint_dir = getattr(item, "checkpoint_dir", None)
+    # The cut's chain is read here, once: to find it valid and to restore.
+    record, resumed = _run_from(
+        lambda: newest_checkpoint(checkpoint_dir) if item.attempt > 1 else None,
         spec.config,
-        until=spec.until,
-        telemetry=spec.telemetry,
-        checkpoint_every=getattr(item, "checkpoint_every_s", None),
-        checkpoint_dir=getattr(item, "checkpoint_dir", None),
-        on_checkpoint=on_checkpoint,
-        resume_from=getattr(item, "resume_from", None),
+        spec.until,
+        spec.telemetry,
+        getattr(item, "checkpoint_every_s", None),
+        checkpoint_dir,
+        on_checkpoint,
     )
+    return Resumed(record) if resumed else record

@@ -80,7 +80,7 @@ from typing import (
 from repro.analysis.seedsweep import SweepSummary
 from repro.core.config import ExperimentConfig
 from repro.runner.faults import FaultPlan
-from repro.runner.local import execute_attempt
+from repro.runner.local import Resumed, execute_attempt
 from repro.runner.policy import RetryPolicy, SpecTimeoutError
 from repro.runner.records import (
     RECORD_SCHEMA,
@@ -90,7 +90,6 @@ from repro.runner.records import (
     record_from_json_dict,
 )
 from repro.sim.clock import DAY
-from repro.state.checkpoint import read_checkpoint
 from repro.telemetry import (
     Stopwatch,
     Telemetry,
@@ -167,9 +166,9 @@ class WorkItem:
 
     The checkpoint fields are populated only by resumable sweeps:
     ``checkpoint_dir``/``checkpoint_every_s`` make the attempt flush
-    snapshots as it runs, ``resume_from`` points a retry at the previous
-    attempt's last flush, and ``die_after_checkpoints`` is the deferred
-    fault seam (see :class:`~repro.runner.faults.Fault`).
+    snapshots as it runs (and a retry resume from the newest valid one
+    already there), and ``die_after_checkpoints`` is the deferred fault
+    seam (see :class:`~repro.runner.faults.Fault`).
     """
 
     index: int
@@ -178,7 +177,6 @@ class WorkItem:
     backoff_s: float = 0.0
     checkpoint_dir: Optional[str] = None
     checkpoint_every_s: Optional[float] = None
-    resume_from: Optional[str] = None
     die_after_checkpoints: int = 0
 
 
@@ -189,7 +187,10 @@ class SweepResult:
     ``failures`` is empty unless the sweep ran with ``strict=False``
     and some spec exhausted its attempts; ``retries``/``timeouts``
     count attempt-level events (a timed-out attempt that later succeeds
-    on retry shows up in both).  ``runner_telemetry`` carries the same
+    on retry shows up in both); ``checkpoint_resumes`` counts the
+    attempts that resumed from a checkpoint cut and returned a record
+    (a worker reports it with :class:`~repro.runner.local.Resumed`).
+    ``runner_telemetry`` carries the same
     tallies through the telemetry plane as ``runner.*`` counters.
 
     ``records`` holds :class:`RunRecord` instances for campaign sweeps;
@@ -354,31 +355,6 @@ def _store_cached(
                 pass
 
 
-def _latest_checkpoint(checkpoint_dir: Optional[str]) -> Optional[str]:
-    """The newest *valid* checkpoint in a spec's flush directory.
-
-    Candidates are tried newest-first (the cadence filenames sort by
-    simulated time); :func:`read_checkpoint` quarantines anything
-    corrupt, so a damaged newest flush degrades to the one before it,
-    and a spec with no usable flush restarts from scratch.
-    """
-    if checkpoint_dir is None or not os.path.isdir(checkpoint_dir):
-        return None
-    names = sorted(
-        (
-            name
-            for name in os.listdir(checkpoint_dir)
-            if name.startswith("checkpoint_") and name.endswith(".json")
-        ),
-        reverse=True,
-    )
-    for name in names:
-        path = os.path.join(checkpoint_dir, name)
-        if read_checkpoint(path) is not None:
-            return path
-    return None
-
-
 # ----------------------------------------------------------------------
 # Scheduling
 # ----------------------------------------------------------------------
@@ -421,6 +397,9 @@ class _SweepState:
 
     def success(self, item: WorkItem, record: Any) -> None:
         """Record a finished attempt; cache it immediately."""
+        if isinstance(record, Resumed):
+            self.checkpoint_resumes += 1
+            record = record.record
         self.records[item.index] = record
         if self.cache_dir is not None:
             if not _store_cached(self.cache_dir, item.spec, record, self.codec):
@@ -444,9 +423,6 @@ class _SweepState:
             self.timeouts += 1
         if item.attempt < self.policy.max_attempts:
             self.retries += 1
-            resume_from = _latest_checkpoint(item.checkpoint_dir)
-            if resume_from is not None:
-                self.checkpoint_resumes += 1
             self.notify(
                 "retried", item.spec, attempt=item.attempt, error=str(exc)
             )
@@ -457,7 +433,6 @@ class _SweepState:
                 backoff_s=self.policy.backoff_s(item.attempt, item.spec.seed),
                 checkpoint_dir=item.checkpoint_dir,
                 checkpoint_every_s=item.checkpoint_every_s,
-                resume_from=resume_from,
             )
         if self.strict:
             raise exc

@@ -13,6 +13,9 @@ from repro.hardware.faults import (
     TransientFaultModel,
     hazard_probability,
 )
+from repro.hardware.host import Host
+from repro.hardware.vendors import VENDOR_A, VENDOR_B
+from repro.sim.rng import RngStreams
 
 
 class TestHazardProbability:
@@ -91,11 +94,16 @@ class TestTransientFaultModel:
         assert draws.max() > 10.0
 
     def test_sample_failure_extremes(self):
-        model = TransientFaultModel(defective_rate_per_hour=1e9)
-        rng = np.random.default_rng(0)
-        assert model.sample_failure(rng, 3600.0, True, 1.0, 30.0, 21.0)
-        never = TransientFaultModel(base_rate_per_hour=0.0)
-        assert not never.sample_failure(rng, 3600.0, False, 1.0, 30.0, 21.0)
+        # The transient coin of a host tick: an hour at 30 degC case air
+        # and 21 degC intake, dry.
+        def transient_strikes(model, spec):
+            log = FaultLog()
+            host = Host(1, spec, RngStreams(0), transient_model=model)
+            host.tick_from_columns(3600.0, 0.0, log, 30.0, 21.0, 40.0, 0.0)
+            return bool(log.of_kind(FaultKind.TRANSIENT_SYSTEM))
+
+        assert transient_strikes(TransientFaultModel(defective_rate_per_hour=1e9), VENDOR_B)
+        assert not transient_strikes(TransientFaultModel(base_rate_per_hour=0.0), VENDOR_A)
 
 
 class TestMemoryFaultModel:

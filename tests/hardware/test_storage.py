@@ -14,6 +14,7 @@ from repro.hardware.storage import (
     StripeWithParity,
 )
 from repro.hardware.vendors import VENDOR_A, VENDOR_B, VENDOR_C
+from repro.sim.rng import RngStreams
 
 
 def rng():
@@ -21,39 +22,45 @@ def rng():
 
 
 def disks(n):
-    return [Disk(f"sd{chr(ord('a') + i)}", rng()) for i in range(n)]
+    return [Disk(f"sd{chr(ord('a') + i)}") for i in range(n)]
+
+
+def lone_drive(generator=None):
+    """A single-drive subsystem (vendor B) and its drive."""
+    sub = StorageSubsystem("host14", VENDOR_B, generator if generator is not None else rng())
+    return sub, sub.disks[0]
 
 
 class TestDisk:
     def test_fresh_disk_is_healthy(self):
-        disk = Disk("sda", rng())
+        disk = Disk("sda")
         assert disk.healthy
         assert disk.failed_at is None
 
     def test_fail_records_time(self):
-        disk = Disk("sda", rng())
+        disk = Disk("sda")
         disk.fail(42.0)
         assert not disk.healthy
         assert disk.failed_at == 42.0
 
     def test_tick_accrues_smart_uptime(self):
-        disk = Disk("sda", rng())
-        disk.tick(3600.0, case_temp_c=30.0, time=0.0)
+        sub, disk = lone_drive()
+        sub.tick(3600.0, case_temp_c=30.0, time=0.0)
         assert disk.smart.attribute(9).raw == pytest.approx(1.0)
 
     def test_failed_disk_stops_accruing(self):
-        disk = Disk("sda", rng())
+        sub, disk = lone_drive()
         disk.fail(0.0)
-        disk.tick(3600.0, 30.0, 1.0)
+        sub.tick(3600.0, 30.0, 1.0)
         assert disk.smart.attribute(9).raw == 0.0
 
     def test_drive_runs_warmer_than_case(self):
-        disk = Disk("sda", rng())
-        disk.tick(60.0, case_temp_c=30.0, time=0.0)
+        sub, disk = lone_drive()
+        sub.tick(60.0, case_temp_c=30.0, time=0.0)
         assert disk.smart.attribute(194).raw > 30.0
 
     def test_self_test_tracks_media(self):
-        disk = Disk("sda", rng())
+        disk = Disk("sda")
         assert disk.run_long_self_test(0.0).passed
         disk.fail(1.0)
         assert not disk.run_long_self_test(2.0).passed
@@ -63,9 +70,9 @@ class TestDisk:
         # a batch of 50 drives under a fixed seed.
         failures = 0
         for i in range(50):
-            disk = Disk(f"d{i}", np.random.default_rng(i))
+            sub, disk = lone_drive(np.random.default_rng(i))
             for day in range(90):
-                disk.tick(86_400.0, 25.0, float(day))
+                sub.tick(86_400.0, 25.0, float(day))
             failures += not disk.healthy
         assert failures <= 2
 
@@ -174,13 +181,14 @@ class TestStorageTickDraws:
     DT_S = 600.0
 
     def test_one_draw_per_healthy_drive(self):
-        sub = StorageSubsystem("host11", VENDOR_C, rng())
+        generator = rng()
+        sub = StorageSubsystem("host11", VENDOR_C, generator)
         sub.disks[1].fail(0.0)
         twin = rng()
         sub.tick(self.DT_S, self.HOT_CASE_C, time=1.0)
         for _ in range(4):
             twin.random()
-        assert sub.disks[0]._rng.bit_generator.state == twin.bit_generator.state
+        assert generator.bit_generator.state == twin.bit_generator.state
 
     def test_drives_fail_exactly_where_the_draw_is_below_the_hazard(self):
         sub = StorageSubsystem("host11", VENDOR_C, rng())
@@ -200,17 +208,32 @@ class TestStorageTickDraws:
         assert all(sub.disks[i].failed_at == 5.0 for i in expected)
         assert sub.disks[1].failed_at == 0.0
 
-    def test_tick_matches_per_disk_tick(self):
-        sub = StorageSubsystem("host11", VENDOR_C, rng())
-        shared = rng()
-        loose = [Disk(d.serial, shared) for d in sub.disks]
-        for disk in sub.disks + loose:
-            disk._rate_per_hour = 0.05
-        loose[3]._rate_per_hour = sub.disks[3]._rate_per_hour = 0.2
+    def test_tick_matches_scalar_draws(self):
+        # A served stream gives the tick the same draws, failures and
+        # S.M.A.R.T. values as scalar draws of a plain generator, worked
+        # through by hand in member order.
+        served = RngStreams(7).uniforms("storage")
+        plain = RngStreams(7).stream("storage")
+        sub = StorageSubsystem("host11", VENDOR_C, served)
+        rates = [0.05, 0.05, 0.05, 0.2, 0.05]
+        for disk, rate in zip(sub.disks, rates):
+            disk._rate_per_hour = rate
+        hours = [0.0] * len(rates)
+        temps = [0.0] * len(rates)
+        failed_at = [None] * len(rates)
         for step in range(20):
             temp = 40.0 + step
             sub.tick(self.DT_S, temp, float(step))
-            for disk in loose:
-                disk.tick(self.DT_S, temp, float(step))
-        assert [d.state_dict() for d in sub.disks] == [d.state_dict() for d in loose]
-        assert 0 < sum(not d.healthy for d in loose) < len(loose)
+            heat = 2.0 ** ((temp - 45.0) / 15.0) if temp > 45.0 else 1.0
+            for i, rate in enumerate(rates):
+                if failed_at[i] is None:
+                    p_fail = 1.0 - math.exp(-rate * heat * self.DT_S / 3600.0)
+                    hours[i] += self.DT_S / 3600.0
+                    temps[i] = temp + 4.0
+                    if plain.random() < p_fail:
+                        failed_at[i] = float(step)
+        assert [d.failed_at for d in sub.disks] == failed_at
+        assert [d.smart.attribute(9).raw for d in sub.disks] == hours
+        assert [d.smart.attribute(194).raw for d in sub.disks] == temps
+        assert 0 < sum(t is not None for t in failed_at) < len(rates)
+        assert served.position() == plain.bit_generator.state

@@ -20,7 +20,7 @@ from repro.runner import (
     run_recorded,
     sweep_records,
 )
-from repro.runner.pool import _latest_checkpoint
+from repro.runner.local import newest_checkpoint
 from repro.sim.clock import DAY
 from repro.state.checkpoint import CampaignCheckpoint, write_checkpoint
 
@@ -53,6 +53,37 @@ class TestSerialResume:
         assert result.retries == 1
         assert result.checkpoint_resumes == 1
         assert _canonical(result) == _canonical(baseline)
+
+    def test_resumed_retry_reads_the_chain_once(self, tmp_path, monkeypatch):
+        # Every chain read resolves through ``_read_payload``; a resumed
+        # retry must not read its cut once to check it and again to
+        # restore it.
+        import repro.state.checkpoint as checkpoint_module
+
+        reads = []
+        resolve = checkpoint_module._read_payload
+
+        def counted(path):
+            reads.append(os.path.basename(path))
+            return resolve(path)
+
+        monkeypatch.setattr(checkpoint_module, "_read_payload", counted)
+        plan = FaultPlan.of(
+            Fault(
+                seed=7, attempt=1, action=FaultAction.DIE, after_checkpoints=2
+            )
+        )
+        result = sweep_records(
+            [7], until=UNTIL, jobs=1,
+            cache_dir=str(tmp_path),
+            policy=RetryPolicy(max_attempts=2, **FAST),
+            faults=plan,
+            resumable=True,
+            checkpoint_every_s=EVERY,
+        )
+        assert result.ok
+        assert result.checkpoint_resumes == 1
+        assert len(reads) == 1
 
     def test_resume_counter_reaches_runner_telemetry(self, tmp_path):
         plan = FaultPlan.of(
@@ -147,14 +178,14 @@ class TestFallbacks:
         assert write_checkpoint(older, snapshot)
         with open(newer, "w") as fh:
             fh.write("torn mid-write")
-        assert _latest_checkpoint(str(tmp_path)) == older
+        assert newest_checkpoint(str(tmp_path)).sim_time == 100.0
         # The poisoned file was quarantined, not retried forever.
         assert os.path.exists(newer + ".corrupt")
 
     def test_latest_checkpoint_empty_or_missing_dir(self, tmp_path):
-        assert _latest_checkpoint(None) is None
-        assert _latest_checkpoint(str(tmp_path / "absent")) is None
-        assert _latest_checkpoint(str(tmp_path)) is None
+        assert newest_checkpoint(None) is None
+        assert newest_checkpoint(str(tmp_path / "absent")) is None
+        assert newest_checkpoint(str(tmp_path)) is None
 
 
 class TestValidation:
