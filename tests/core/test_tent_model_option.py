@@ -1,10 +1,14 @@
 """Tests for running the campaign on the two-node tent model."""
 
 import datetime as dt
+import hashlib
+import os
 
 import pytest
 
 from repro import Experiment, ExperimentConfig
+from repro.core.builder import CampaignBuilder
+from repro.runner.records import record_from_results
 from repro.thermal.tent import Tent
 from repro.thermal.twonode import TwoNodeTent
 
@@ -43,3 +47,20 @@ class TestTentModelOption:
         mean_single = single.inside_temperature_raw().window(*window).mean()
         mean_double = double.inside_temperature_raw().window(*window).mean()
         assert mean_double == pytest.approx(mean_single, abs=3.0)
+
+
+class TestTwoNodeDigest:
+    def test_two_node_campaign_keeps_its_pinned_seed7_digest(self):
+        until = dt.datetime(2010, 3, 6, 12, 0)
+        campaign = CampaignBuilder(
+            ExperimentConfig(seed=7, tent_model="two-node")
+        ).build()
+        results = campaign.run(until=until)
+        record = record_from_results(7, results, until=until).canonical_json()
+        pin_path = os.path.join(
+            os.path.dirname(__file__), "..", "data", "seed7_twonode_record.sha256"
+        )
+        with open(pin_path) as fh:
+            pinned = fh.read().split()[0]
+        actual = hashlib.sha256(record.encode("utf-8")).hexdigest()
+        assert actual == pinned, "the two-node tent perturbed the seed-7 record"
