@@ -47,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.climate.generator import WeatherGenerator
+from repro.climate.psychro import absolute_humidity
 from repro.core.config import ExperimentConfig
 from repro.hardware.vendors import vendor
 from repro.plant.faults import FEED_GROUP_PODS, PlantFaultPlan
@@ -56,7 +57,7 @@ from repro.sim import events as ev
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.thermal.vectorized import TwoNodeTentBank
+from repro.thermal.twonode import TwoNodeTentBank
 from repro.workload.kernel_tree import KernelSourceTree
 
 POD_SIZE = 19
@@ -253,6 +254,7 @@ class FleetScaleCampaign:
     def _build_thermal(self) -> None:
         first = self.weather.sample(self._start_s)
         self.tents = TwoNodeTentBank(self.n_pods, first.temp_c)
+        self.tents.vapor_g_m3.fill(absolute_humidity(first.temp_c, first.rh_percent))
         cfg = self.config
         self.sim.register("fleetscale.modify", self._apply_modification)
         for index, plan in enumerate(cfg.modification_plans):
@@ -451,12 +453,11 @@ class FleetScaleCampaign:
             weights=self.avg_power_w[tent_on],
             minlength=self.n_pods,
         )
-        ua_factor = None
+        ua_factor = ach_factor = None
         if self.plant is not None and self.plant.degraded:
             ua_factor = self.plant.ua_factor
-        self.tents.step(
-            dt, pod_load, s.temp_c, s.wind_ms, s.solar_wm2, ua_factor=ua_factor
-        )
+            ach_factor = self.plant.ach_factor
+        self.tents.step(dt, pod_load, s, ua_factor=ua_factor, ach_factor=ach_factor)
 
         # Basement CRAC: setpoint plus the same diurnal wiggle as the
         # object model's BasementMachineRoom.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.climate.generator import WeatherGenerator
+from repro.climate.psychro import absolute_humidity
 from repro.climate.profiles import HELSINKI_2010
 from repro.sim.clock import DAY, HOUR, SimClock
 from repro.sim.rng import RngStreams
@@ -80,6 +81,22 @@ class TestDynamics:
         for tent in (sealed, opened):
             run_enclosure(tent, start, start + 2 * DAY, load_w=900.0)
         assert opened.intake_temp_c < sealed.intake_temp_c
+
+
+class TestPlantAirflow:
+    def test_degraded_airflow_reaches_the_bank(self, weather):
+        start = SimClock().at(2010, 3, 1)
+        healthy = TwoNodeTent("healthy", weather)
+        choked = TwoNodeTent("choked", weather)
+        choked.set_plant_airflow(0.5, 0.2)
+        for tent in (healthy, choked):
+            run_enclosure(tent, start, start + 6 * HOUR, load_w=900.0)
+        assert choked.air_temp_c > healthy.air_temp_c
+        outside = weather.sample(start + 6 * HOUR)
+        target = absolute_humidity(outside.temp_c, outside.rh_percent)
+        assert abs(choked.bank.vapor_g_m3[0] - target) > abs(
+            healthy.bank.vapor_g_m3[0] - target
+        )
 
 
 class TestValidation:
