@@ -91,15 +91,4 @@ __all__ = [
     "profile_degree_days",
     "SeedOutcome",
     "SweepSummary",
-    "sweep_seeds",
 ]
-
-
-def __getattr__(name: str):
-    # ``sweep_seeds`` execution lives in the runner layer; re-export it
-    # lazily so importing repro.analysis never pulls in repro.core.
-    if name == "sweep_seeds":
-        from repro.runner.pool import sweep_seeds
-
-        return sweep_seeds
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

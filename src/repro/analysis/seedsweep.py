@@ -8,13 +8,13 @@ Wilson interval over the pooled host population -- for questions like
 without touching the calibrated default run.
 
 Execution lives in :mod:`repro.runner.pool`: ``sweep_seeds`` and
-``sweep_records`` (re-exported here lazily for backwards compatibility)
-run the campaigns, serially or process-parallel, with retries/timeouts
-and graceful degradation when a worker misbehaves -- a sweep that loses
-a seed reports it in ``SweepResult.failures`` and still aggregates the
-survivors here.  Keeping this module free of ``repro.core`` imports is
-deliberate -- the old function-local ``from repro import Experiment``
-papered over an import cycle the layering now rules out.
+``sweep_records`` run the campaigns, serially or process-parallel, with
+retries/timeouts and graceful degradation when a worker misbehaves -- a
+sweep that loses a seed reports it in ``SweepResult.failures`` and still
+aggregates the survivors here.  Keeping this module free of
+``repro.core`` imports is deliberate -- the old function-local ``from
+repro import Experiment`` papered over an import cycle the layering now
+rules out.
 """
 
 from __future__ import annotations
@@ -109,17 +109,3 @@ def outcome_from_results(seed: int, results) -> SeedOutcome:
         total_runs=results.ledger.total_runs,
         sensor_latches=latches,
     )
-
-
-def __getattr__(name: str):
-    # Lazy compat re-exports: execution moved to the runner layer, but
-    # ``from repro.analysis.seedsweep import sweep_seeds`` keeps working.
-    if name == "sweep_seeds":
-        from repro.runner.pool import sweep_seeds
-
-        return sweep_seeds
-    if name == "sweep_records":
-        from repro.runner.pool import sweep_records
-
-        return sweep_records
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1108,10 +1108,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if merged is not None:
             print()
             print("Merged telemetry (hot labels across all workers):")
-            hottest = sorted(merged.span_counts, key=lambda kv: (-kv[1], kv[0]))[:10]
-            width = max(len(label) for label, _ in hottest) if hottest else 0
-            for label, count in hottest:
-                print(f"  {label:<{width}}  {count}")
+            hottest = merged.spans.hottest(10)
+            width = max((len(stats.label) for stats in hottest), default=0)
+            for stats in hottest:
+                print(f"  {stats.label:<{width}}  {stats.count}")
     return code
 
 

@@ -11,9 +11,9 @@ worker for :class:`concurrent.futures.ProcessPoolExecutor`.
 With ``telemetry=True`` the campaign is built through
 ``CampaignBuilder.with_telemetry``: the engine traces every event
 callback, the collector times every round, the whole worker run is
-wrapped in a ``runner.run`` span, and the resulting
-:class:`~repro.telemetry.hub.TelemetrySnapshot` rides inside the
-returned record.  The default stays telemetry-free and byte-identical
+wrapped in a ``runner.run`` span, and a copy of the resulting
+:class:`~repro.telemetry.hub.Telemetry` hub rides inside the returned
+record.  The default stays telemetry-free and byte-identical
 to the historical output.
 
 Checkpointing rides in the same doorway: ``checkpoint_every`` /

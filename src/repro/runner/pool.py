@@ -50,7 +50,10 @@ run completion, store failures are non-fatal (the run already
 succeeded, and the tmp file never outlives the attempt), and an entry
 that fails JSON/schema/digest validation on load is quarantined to a
 ``.corrupt`` sibling and recomputed -- counted as a cache eviction in
-the sweep's runner telemetry rather than re-parsed forever.
+the sweep's runner telemetry rather than re-parsed forever.  A
+telemetry-bearing entry stores its hub as ``Telemetry.state_dict()``,
+the form checkpoints use; an entry written in an older telemetry
+layout fails that decode and takes the same quarantine path.
 """
 
 from __future__ import annotations
@@ -90,12 +93,7 @@ from repro.runner.records import (
     record_from_json_dict,
 )
 from repro.sim.clock import DAY
-from repro.telemetry import (
-    Stopwatch,
-    Telemetry,
-    TelemetrySnapshot,
-    merge_snapshots,
-)
+from repro.telemetry import Stopwatch, Telemetry
 
 #: Default simulated-seconds checkpoint cadence for resumable sweeps.
 DEFAULT_CHECKPOINT_EVERY_S = 14 * DAY
@@ -190,8 +188,8 @@ class SweepResult:
     on retry shows up in both); ``checkpoint_resumes`` counts the
     attempts that resumed from a checkpoint cut and returned a record
     (a worker reports it with :class:`~repro.runner.local.Resumed`).
-    ``runner_telemetry`` carries the same
-    tallies through the telemetry plane as ``runner.*`` counters.
+    ``runner_telemetry`` is the sweep's own :class:`Telemetry` hub,
+    carrying the same tallies as ``runner.*`` counters.
 
     ``records`` holds :class:`RunRecord` instances for campaign sweeps;
     a generic :func:`run_tasks` family returns whatever its worker
@@ -208,7 +206,7 @@ class SweepResult:
     timeouts: int = 0
     cache_evictions: int = 0
     checkpoint_resumes: int = 0
-    runner_telemetry: Optional[TelemetrySnapshot] = None
+    runner_telemetry: Optional[Telemetry] = None
 
     @property
     def ok(self) -> bool:
@@ -226,20 +224,24 @@ class SweepResult:
             outcomes=tuple(record.to_outcome() for record in self.records)
         )
 
-    def merged_telemetry(self) -> Optional[TelemetrySnapshot]:
+    def merged_telemetry(self) -> Optional[Telemetry]:
         """Fleet-wide telemetry, folded across every worker's record.
 
-        Counters, histogram buckets, span fire counts, and span wall
-        time add; gauges keep the maximum.  Because each record's counts
-        are a pure function of its (config, seed, horizon), the merge is
+        A fresh hub that :meth:`Telemetry.merge` folds each record's hub
+        into, so the records themselves are never mutated.  Counters,
+        histogram buckets, span fire counts, and span wall time add;
+        gauges keep the maximum.  Because each record's counts are a
+        pure function of its (config, seed, horizon), the merge is
         identical whether the sweep ran serially or on N workers.
         Returns ``None`` when no record carries telemetry.
         """
-        return merge_snapshots(
-            record.telemetry
-            for record in self.records
-            if record.telemetry is not None
-        )
+        hubs = [r.telemetry for r in self.records if r.telemetry is not None]
+        if not hubs:
+            return None
+        merged = Telemetry()
+        for hub in hubs:
+            merged.merge(hub)
+        return merged
 
 
 # ----------------------------------------------------------------------
@@ -719,7 +721,7 @@ def run_tasks(
         timeouts=state.timeouts,
         cache_evictions=evictions,
         checkpoint_resumes=state.checkpoint_resumes,
-        runner_telemetry=hub.snapshot(),
+        runner_telemetry=hub,
     )
 
 

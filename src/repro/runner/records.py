@@ -20,12 +20,13 @@ Two supporting pieces:
 ``elapsed_s`` is wall-clock bookkeeping: it is excluded from equality
 and from :meth:`RunRecord.canonical_json`, so records from a serial and
 a parallel run of the same campaign compare byte-identical.  The same
-split applies to the optional telemetry snapshot a record carries: span
-fire counts, counters, gauges, and histograms are deterministic and
+split applies to the optional :class:`~repro.telemetry.hub.Telemetry`
+hub a record carries (its own copy, taken when the record is built):
+span fire counts, counters, gauges, and histograms are deterministic and
 compare; per-span wall times do not (see
-:class:`repro.telemetry.hub.TelemetrySnapshot`).  Records produced with
-telemetry off omit the key entirely, staying byte-identical to the
-pre-telemetry layout.
+:meth:`repro.telemetry.hub.Telemetry.deterministic_dict`).  Records
+produced with telemetry off omit the key entirely, staying
+byte-identical to the pre-telemetry layout.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.analysis.seedsweep import SeedOutcome
 from repro.core.config import ExperimentConfig
-from repro.telemetry.hub import TelemetrySnapshot, snapshot_from_json_dict
+from repro.telemetry.hub import Telemetry
 
 #: Bump when the record layout changes; stale cache files are evicted.
 #: 2: the event taxonomy grew SensorMuteObserved (vanished-chip readings
@@ -186,12 +187,12 @@ class RunRecord:
     snapshot_wrong_hashes: Optional[int]
     series: Tuple[SeriesDigest, ...]
     elapsed_s: float = field(compare=False, default=0.0)
-    #: Telemetry snapshot for runs executed with telemetry on; ``None``
-    #: (and absent from the JSON forms) otherwise, which keeps
-    #: telemetry-free records byte-identical to the pre-telemetry layout.
-    #: Snapshot equality already excludes its wall-time fields, so this
-    #: field participates in record comparison.
-    telemetry: Optional[TelemetrySnapshot] = None
+    #: Telemetry hub for runs executed with telemetry on; ``None`` (and
+    #: absent from the JSON forms) otherwise, which keeps telemetry-free
+    #: records byte-identical to the pre-telemetry layout.  Hub equality
+    #: already excludes its wall-time fields, so this field participates
+    #: in record comparison.
+    telemetry: Optional[Telemetry] = None
 
     def to_outcome(self) -> SeedOutcome:
         """The sweep-facing census view of this record."""
@@ -209,25 +210,26 @@ class RunRecord:
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, Any]:
         """Plain-data form, elapsed included (for the cache file)."""
-        data = dataclasses.asdict(self)
+        # Field by field: ``dataclasses.asdict`` would deep-copy the hub.
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         data["series"] = [dataclasses.asdict(s) for s in self.series]
         if self.telemetry is None:
             data.pop("telemetry")
         else:
-            data["telemetry"] = self.telemetry.to_json_dict()
+            data["telemetry"] = self.telemetry.state_dict()
         return data
 
     def canonical_json(self) -> str:
         """Deterministic JSON, wall-clock bookkeeping excluded.
 
-        Excluded means ``elapsed_s`` and, inside a telemetry snapshot,
-        the per-span wall times -- everything that survives is a pure
-        function of (config, seed, horizon).
+        Excluded means ``elapsed_s`` and whatever the telemetry hub
+        leaves out of its deterministic part -- everything that survives
+        is a pure function of (config, seed, horizon).
         """
         data = self.to_json_dict()
         data.pop("elapsed_s")
-        if "telemetry" in data:
-            data["telemetry"].pop("span_wall_s", None)
+        if self.telemetry is not None:
+            data["telemetry"] = self.telemetry.deterministic_dict()
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
@@ -245,7 +247,7 @@ def record_from_json_dict(data: Dict[str, Any]) -> RunRecord:
     payload["series"] = tuple(SeriesDigest(**s) for s in payload["series"])
     telemetry = payload.get("telemetry")
     payload["telemetry"] = (
-        snapshot_from_json_dict(telemetry) if telemetry is not None else None
+        Telemetry.from_state_dict(telemetry) if telemetry is not None else None
     )
     return RunRecord(**payload)
 
@@ -303,5 +305,9 @@ def record_from_results(
         snapshot_wrong_hashes=snapshot.wrong_hashes if snapshot is not None else None,
         series=series,
         elapsed_s=elapsed_s,
-        telemetry=telemetry.snapshot() if telemetry is not None else None,
+        telemetry=(
+            Telemetry.from_state_dict(telemetry.state_dict())
+            if telemetry is not None
+            else None
+        ),
     )

@@ -12,8 +12,9 @@ sweep runner:
   engine wraps every event callback; the collector wraps every round)
   plus the shared :class:`~repro.telemetry.spans.Stopwatch`;
 - :mod:`repro.telemetry.hub` -- :class:`Telemetry` (one run's registry +
-  tracer) and the frozen :class:`TelemetrySnapshot` records carry across
-  process boundaries;
+  tracer), which run records also carry across process boundaries, in
+  the one ``state_dict`` JSON form checkpoints and the record cache
+  share;
 - :mod:`repro.telemetry.runlog` -- a JSONL
   :class:`~repro.sim.events.EventBus` sink, one line per campaign event;
 - :mod:`repro.telemetry.report` -- the ``repro telemetry`` hot-label /
@@ -29,14 +30,7 @@ built without it takes a single ``is None`` branch per hook site and
 produces byte-identical results.
 """
 
-from repro.telemetry.hub import (
-    TELEMETRY_SCHEMA,
-    HistogramSnapshot,
-    Telemetry,
-    TelemetrySnapshot,
-    merge_snapshots,
-    snapshot_from_json_dict,
-)
+from repro.telemetry.hub import TELEMETRY_SCHEMA, Telemetry
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.progress import PROGRESS_SCHEMA, ProgressMeter, SweepProgress
 from repro.telemetry.runlog import JsonlRunLog
@@ -49,7 +43,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HistogramSnapshot",
     "JsonlRunLog",
     "MetricsRegistry",
     "ProgressMeter",
@@ -59,7 +52,4 @@ __all__ = [
     "Stopwatch",
     "SweepProgress",
     "Telemetry",
-    "TelemetrySnapshot",
-    "merge_snapshots",
-    "snapshot_from_json_dict",
 ]

@@ -1,4 +1,4 @@
-"""The per-run telemetry hub and its picklable snapshot.
+"""The per-run telemetry hub.
 
 :class:`Telemetry` is what a campaign carries when observability is
 switched on: one :class:`~repro.telemetry.metrics.MetricsRegistry` plus
@@ -8,18 +8,19 @@ run in, and every hook site guards with a single ``is None`` check, so
 a telemetry-free run does zero extra work and produces byte-identical
 records.
 
-:class:`TelemetrySnapshot` is the frozen, plain-data form a
-:class:`~repro.runner.records.RunRecord` ships across process
-boundaries.  Its equality deliberately ignores ``span_wall_s``: span
-fire counts, counters, gauges, and histograms are pure functions of the
-simulation, wall time is not, so serial and parallel sweeps of the same
-seeds compare equal and merge to identical counts.
+The same hub is what a :class:`~repro.runner.records.RunRecord` ships
+across process boundaries, in one JSON form (:meth:`Telemetry.state_dict`)
+shared with checkpoints and the record cache.  Which of its fields are
+deterministic is decided here alone (:meth:`Telemetry.deterministic_dict`):
+span fire counts, counters, gauges, and histograms are pure functions of
+the simulation, span wall times are not, so hub equality ignores the
+latter and serial and parallel sweeps of the same seeds compare equal
+and merge to identical counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict
 
 from repro.telemetry.metrics import MetricsRegistry, escape_label_value
 from repro.telemetry.spans import SpanTracer
@@ -37,8 +38,8 @@ class Telemetry:
     >>> tel.metrics.counter("demo").inc()
     >>> with tel.span("demo.work"):
     ...     pass
-    >>> tel.snapshot().counters
-    (('demo', 1),)
+    >>> tel.deterministic_dict()["span_counts"]
+    {'demo.work': 1}
     """
 
     def __init__(self) -> None:
@@ -47,6 +48,24 @@ class Telemetry:
 
     def __repr__(self) -> str:
         return f"Telemetry(metrics={len(self.metrics)}, span_labels={len(self.spans)})"
+
+    def __eq__(self, other: object) -> bool:
+        """Equal when the deterministic parts are; wall times never count."""
+        if not isinstance(other, Telemetry):
+            return NotImplemented
+        return self.deterministic_dict() == other.deterministic_dict()
+
+    def deterministic_dict(self) -> Dict[str, Any]:
+        """The part of the hub that is a pure function of the simulation.
+
+        Counters, gauges, histograms, and span fire counts; the per-span
+        wall seconds are left out.  Equality and
+        ``RunRecord.canonical_json`` both read this.
+        """
+        return {
+            "metrics": self.metrics.to_json_dict(),
+            "span_counts": self.spans.counts(),
+        }
 
     def span(self, label: str):
         """Time a ``with`` block under ``label`` (delegates to the tracer)."""
@@ -79,30 +98,16 @@ class Telemetry:
         self.metrics = MetricsRegistry.from_json_dict(state["metrics"])
         self.spans.load_json_dict(state["spans"])
 
+    @classmethod
+    def from_state_dict(cls, state: Dict[str, Any]) -> "Telemetry":
+        """A fresh hub holding :meth:`state_dict` output (a plain tracer)."""
+        hub = cls()
+        hub.load_state_dict(state)
+        return hub
+
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def snapshot(self) -> "TelemetrySnapshot":
-        """Freeze the current state into a picklable snapshot."""
-        data = self.metrics.to_json_dict()
-        return TelemetrySnapshot(
-            counters=tuple(sorted(data["counters"].items())),
-            gauges=tuple(sorted(data["gauges"].items())),
-            histograms=tuple(
-                HistogramSnapshot(
-                    name=name,
-                    bounds=tuple(payload["bounds"]),
-                    counts=tuple(payload["bucket_counts"]),
-                    sum=payload["sum"],
-                )
-                for name, payload in sorted(data["histograms"].items())
-            ),
-            span_counts=tuple(sorted(self.spans.counts().items())),
-            span_wall_s=tuple(
-                (label, self.spans.stats(label).total_s) for label in self.spans.labels()
-            ),
-        )
-
     def to_json_dict(self) -> Dict[str, Any]:
         """The ``repro run --telemetry-out`` file layout."""
         data: Dict[str, Any] = {"schema": TELEMETRY_SCHEMA}
@@ -124,151 +129,3 @@ class Telemetry:
                 f"{stats.total_s:.9f}"
             )
         return "\n".join(line for line in lines if line) + "\n"
-
-
-@dataclass(frozen=True)
-class HistogramSnapshot:
-    """Frozen histogram state (``counts`` has one extra +Inf slot)."""
-
-    name: str
-    bounds: Tuple[float, ...]
-    counts: Tuple[int, ...]
-    sum: float
-
-    @property
-    def count(self) -> int:
-        """Total observations."""
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class TelemetrySnapshot:
-    """Plain-data telemetry state, safe to pickle, cache, and compare.
-
-    ``span_wall_s`` is wall-clock bookkeeping: excluded from equality
-    (like ``RunRecord.elapsed_s``) and from canonical JSON, so the
-    serial-vs-parallel determinism guarantee extends to telemetry.
-    """
-
-    counters: Tuple[Tuple[str, int], ...]
-    gauges: Tuple[Tuple[str, float], ...]
-    histograms: Tuple[HistogramSnapshot, ...]
-    span_counts: Tuple[Tuple[str, int], ...]
-    span_wall_s: Tuple[Tuple[str, float], ...] = field(compare=False, default=())
-
-    def __repr__(self) -> str:
-        fired = sum(count for _, count in self.span_counts)
-        return (
-            f"TelemetrySnapshot(counters={len(self.counters)}, "
-            f"span_labels={len(self.span_counts)}, span_fired={fired})"
-        )
-
-    # ------------------------------------------------------------------
-    # Lookup helpers
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> int:
-        """One counter's value (0 if absent)."""
-        return dict(self.counters).get(name, 0)
-
-    def span_count(self, label: str) -> int:
-        """One span label's fire count (0 if absent)."""
-        return dict(self.span_counts).get(label, 0)
-
-    # ------------------------------------------------------------------
-    # Merge
-    # ------------------------------------------------------------------
-    def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
-        """A new snapshot: counts add, gauges max, wall time adds."""
-        return TelemetrySnapshot(
-            counters=_merge_sums(self.counters, other.counters),
-            gauges=_merge_max(self.gauges, other.gauges),
-            histograms=_merge_histograms(self.histograms, other.histograms),
-            span_counts=_merge_sums(self.span_counts, other.span_counts),
-            span_wall_s=_merge_sums(self.span_wall_s, other.span_wall_s),
-        )
-
-    # ------------------------------------------------------------------
-    # JSON round trip (for the on-disk record cache)
-    # ------------------------------------------------------------------
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "counters": [[name, value] for name, value in self.counters],
-            "gauges": [[name, value] for name, value in self.gauges],
-            "histograms": [
-                {
-                    "name": h.name,
-                    "bounds": list(h.bounds),
-                    "counts": list(h.counts),
-                    "sum": h.sum,
-                }
-                for h in self.histograms
-            ],
-            "span_counts": [[name, value] for name, value in self.span_counts],
-            "span_wall_s": [[name, value] for name, value in self.span_wall_s],
-        }
-
-
-def snapshot_from_json_dict(data: Dict[str, Any]) -> TelemetrySnapshot:
-    """Rebuild a snapshot from :meth:`TelemetrySnapshot.to_json_dict`."""
-    return TelemetrySnapshot(
-        counters=tuple((str(k), int(v)) for k, v in data.get("counters", [])),
-        gauges=tuple((str(k), float(v)) for k, v in data.get("gauges", [])),
-        histograms=tuple(
-            HistogramSnapshot(
-                name=str(h["name"]),
-                bounds=tuple(float(b) for b in h["bounds"]),
-                counts=tuple(int(c) for c in h["counts"]),
-                sum=float(h["sum"]),
-            )
-            for h in data.get("histograms", [])
-        ),
-        span_counts=tuple((str(k), int(v)) for k, v in data.get("span_counts", [])),
-        span_wall_s=tuple((str(k), float(v)) for k, v in data.get("span_wall_s", [])),
-    )
-
-
-def merge_snapshots(
-    snapshots: "Iterator[TelemetrySnapshot] | Tuple[TelemetrySnapshot, ...] | list",
-) -> Optional[TelemetrySnapshot]:
-    """Fold many snapshots into one (``None`` for an empty input)."""
-    merged: Optional[TelemetrySnapshot] = None
-    for snapshot in snapshots:
-        merged = snapshot if merged is None else merged.merge(snapshot)
-    return merged
-
-
-def _merge_sums(a, b):
-    tally: Dict[str, Any] = dict(a)
-    for name, value in b:
-        tally[name] = tally.get(name, 0) + value
-    return tuple(sorted(tally.items()))
-
-
-def _merge_max(a, b):
-    tally: Dict[str, float] = dict(a)
-    for name, value in b:
-        tally[name] = max(tally[name], value) if name in tally else value
-    return tuple(sorted(tally.items()))
-
-
-def _merge_histograms(
-    a: Tuple[HistogramSnapshot, ...], b: Tuple[HistogramSnapshot, ...]
-) -> Tuple[HistogramSnapshot, ...]:
-    by_name: Dict[str, HistogramSnapshot] = {h.name: h for h in a}
-    for theirs in b:
-        mine = by_name.get(theirs.name)
-        if mine is None:
-            by_name[theirs.name] = theirs
-            continue
-        if mine.bounds != theirs.bounds:
-            raise ValueError(
-                f"cannot merge histogram {theirs.name!r}: "
-                f"bounds {mine.bounds} != {theirs.bounds}"
-            )
-        by_name[theirs.name] = HistogramSnapshot(
-            name=mine.name,
-            bounds=mine.bounds,
-            counts=tuple(x + y for x, y in zip(mine.counts, theirs.counts)),
-            sum=mine.sum + theirs.sum,
-        )
-    return tuple(by_name[name] for name in sorted(by_name))

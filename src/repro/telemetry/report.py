@@ -117,15 +117,5 @@ def report_json(telemetry: Telemetry, top: int = 10) -> Dict[str, Any]:
             }
             for stats in telemetry.spans.slowest(top)
         ],
-        "counters": {c.name: c.value for c in telemetry.metrics.counters()},
-        "gauges": {g.name: g.value for g in telemetry.metrics.gauges()},
-        "histograms": {
-            h.name: {
-                "bounds": list(h.bounds),
-                "bucket_counts": list(h.bucket_counts),
-                "sum": h.sum,
-                "count": h.count,
-            }
-            for h in telemetry.metrics.histograms()
-        },
+        **telemetry.metrics.to_json_dict(),
     }

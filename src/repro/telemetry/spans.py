@@ -9,7 +9,7 @@ it keeps tracing O(1) memory.
 Wall time is inherently nondeterministic, so span *durations* never
 participate in record equality or canonical JSON -- only the per-label
 fire *counts* do (those are a pure function of the simulation).  See
-:mod:`repro.telemetry.hub` for how snapshots enforce that split.
+:mod:`repro.telemetry.hub` for how the hub enforces that split.
 
 :class:`Stopwatch` is the shared elapsed-time helper the runner uses;
 ``runner.local`` and ``runner.pool`` previously each hand-rolled the

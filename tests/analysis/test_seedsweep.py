@@ -8,8 +8,8 @@ from repro.analysis.seedsweep import (
     SeedOutcome,
     SweepSummary,
     outcome_from_results,
-    sweep_seeds,
 )
+from repro.runner.pool import sweep_seeds
 
 
 @pytest.fixture(scope="module")

@@ -304,15 +304,54 @@ class TestTelemetryCommands:
         assert "repro_span_fired_total" in out
         assert "# TYPE repro_monitoring_rounds_total counter" in out
 
-    def test_sweep_telemetry_prints_merged_tallies(self, capsys):
+    def test_telemetry_json_metric_sections_are_the_registry(
+        self, capsys, monkeypatch
+    ):
+        import json
+
+        import repro.telemetry.report as report
+
+        hubs = []
+        real_report_json = report.report_json
+
+        def capture(telemetry, top=10):
+            hubs.append(telemetry)
+            return real_report_json(telemetry, top=top)
+
+        monkeypatch.setattr(report, "report_json", capture)
+        assert main(["telemetry", "--until", "2010-02-22", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        (telemetry,) = hubs
+        registry = telemetry.metrics.to_json_dict()
+        assert registry["counters"] and registry["histograms"]
+        assert set(printed) == {"schema", "hot_labels", "slowest_spans", *registry}
+        for section, payload in registry.items():
+            assert printed[section] == payload, section
+
+    def test_sweep_telemetry_prints_merged_tallies(self, capsys, monkeypatch):
+        from repro.runner.pool import SweepResult
+
+        merged = []
+        real_merged_telemetry = SweepResult.merged_telemetry
+
+        def capture(result):
+            merged.append(real_merged_telemetry(result))
+            return merged[-1]
+
+        monkeypatch.setattr(SweepResult, "merged_telemetry", capture)
         argv = [
-            "sweep", "--seeds", "7", "--until", "2010-02-21",
+            "sweep", "--seeds", "7,11", "--until", "2010-02-21",
             "--no-cache", "--telemetry",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "Merged telemetry" in out
-        assert "engine." in out
+        (hub,) = merged
+        rows = out.split("Merged telemetry (hot labels across all workers):\n")[1]
+        printed = [line.split() for line in rows.splitlines() if line.strip()]
+        expected = [[s.label, str(s.count)] for s in hub.spans.hottest(10)]
+        assert len(expected) == 10
+        assert printed == expected
+        assert hub.spans.counts()["runner.run"] == 2
 
 
 class TestExportCommand:

@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import json
 import os
+import shutil
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.runner.pool import (
 )
 
 UNTIL = dt.datetime(2010, 2, 20)
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 def _seed_cache(tmp_path, seeds=(7,)):
@@ -46,7 +48,7 @@ class TestEviction:
         again = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache)
         assert (again.cache_hits, again.cache_misses) == (0, 1)
         assert again.cache_evictions == 1
-        assert again.runner_telemetry.counter("runner.cache_evictions") == 1
+        assert again.runner_telemetry.counter("runner.cache_evictions").value == 1
         assert os.path.exists(path + ".corrupt")
         # The recomputed record replaced the poisoned entry for good.
         third = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache)
@@ -117,7 +119,7 @@ class TestStoreHygiene:
         result = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache)
         assert len(result.records) == 1
         assert result.failures == ()
-        assert result.runner_telemetry.counter("runner.cache_store_failures") == 1
+        assert result.runner_telemetry.counter("runner.cache_store_failures").value == 1
         _no_tmp_files(cache)
 
     def test_successful_store_round_trips(self, tmp_path):
@@ -172,3 +174,49 @@ class TestTimezoneHorizons:
         aware = dt.datetime(2010, 2, 24, tzinfo=dt.timezone.utc)
         with pytest.raises(ValueError, match="mixed naive/aware"):
             RunSpec(config=ExperimentConfig(seed=7), until=aware)
+
+
+class TestEarlierLayoutEntries:
+    """Seed-7 entries written before records carried the Telemetry hub.
+
+    The fixtures are cache files from that layout: the telemetry-free one
+    is unchanged, the telemetry one stored ``span_counts``/``span_wall_s``
+    tuples instead of ``Telemetry.state_dict()``.
+    """
+
+    def _install(self, tmp_path, fixture, telemetry):
+        cache = str(tmp_path / "runs")
+        os.makedirs(cache)
+        spec = RunSpec(config=ExperimentConfig(seed=7), until=UNTIL, telemetry=telemetry)
+        path = _cache_path(cache, spec)
+        shutil.copyfile(os.path.join(DATA, fixture), path)
+        return cache, path
+
+    def test_telemetry_free_entry_is_still_a_hit(self, tmp_path):
+        cache, path = self._install(tmp_path, "record_cache_v2_seed7.json", False)
+        result = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache)
+        assert (result.cache_hits, result.cache_misses) == (1, 0)
+        assert result.cache_evictions == 0
+        with open(path, encoding="utf-8") as fh:
+            stored = fh.read()
+        encoded = json.dumps(result.records[0].to_json_dict(), sort_keys=True)
+        assert encoded == stored
+
+    def test_telemetry_entry_is_quarantined_and_recomputed(self, tmp_path):
+        cache, path = self._install(
+            tmp_path, "record_cache_v2_seed7_telemetry.json", True
+        )
+        result = sweep_records(
+            [7], until=UNTIL, jobs=1, cache_dir=cache, telemetry=True
+        )
+        assert (result.cache_hits, result.cache_misses) == (0, 1)
+        assert result.cache_evictions == 1
+        assert result.runner_telemetry.counter("runner.cache_evictions").value == 1
+        assert os.path.exists(path + ".corrupt")
+        assert result.records[0].telemetry.spans.counts()["runner.run"] == 1
+        again = sweep_records(
+            [7], until=UNTIL, jobs=1, cache_dir=cache, telemetry=True
+        )
+        assert (again.cache_hits, again.cache_evictions) == (1, 0)
+        assert again.records == result.records
+        _no_tmp_files(cache)

@@ -69,11 +69,11 @@ class TestRetry:
             [7], until=UNTIL, jobs=1,
             policy=RetryPolicy(max_attempts=2, **FAST), faults=plan,
         )
-        snapshot = result.runner_telemetry
-        assert snapshot is not None
-        assert snapshot.counter("runner.retries") == result.retries == 1
-        assert snapshot.counter("runner.failures") == 0
-        assert snapshot.counter("runner.cache_misses") == 1
+        hub = result.runner_telemetry
+        assert hub is not None
+        assert hub.counter("runner.retries").value == result.retries == 1
+        assert hub.counter("runner.failures").value == 0
+        assert hub.counter("runner.cache_misses").value == 1
 
 
 class TestDegradation:
@@ -137,7 +137,7 @@ class TestTimeout:
         assert result.failures == ()
         assert result.timeouts == 1
         assert result.retries == 1
-        assert result.runner_telemetry.counter("runner.timeouts") == 1
+        assert result.runner_telemetry.counter("runner.timeouts").value == 1
         assert _canonical(result) == _canonical(baseline)
 
     def test_timeout_exhaustion_reports_timed_out_failure(self):

@@ -93,21 +93,6 @@ class TestCache:
         assert truncated.cache_hits == 0
 
 
-class TestCompatReexport:
-    def test_analysis_seedsweep_lazily_reexports(self):
-        from repro.analysis.seedsweep import sweep_seeds as via_module
-        from repro.analysis import sweep_seeds as via_package
-
-        assert via_module is sweep_seeds
-        assert via_package is sweep_seeds
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.analysis.seedsweep as seedsweep
-
-        with pytest.raises(AttributeError):
-            seedsweep.does_not_exist
-
-
 class TestProgressCallback:
     def test_completed_events_in_spec_order_serially(self):
         events = []

@@ -100,9 +100,9 @@ class TestSerialResume:
             checkpoint_every_s=EVERY,
         )
         assert result.ok
-        snapshot = result.runner_telemetry
-        assert snapshot is not None
-        assert snapshot.counter("runner.checkpoint_resumes") == 1
+        hub = result.runner_telemetry
+        assert hub is not None
+        assert hub.counter("runner.checkpoint_resumes").value == 1
 
     def test_checkpoints_cleaned_up_after_success(self, tmp_path):
         result = sweep_records(

@@ -149,7 +149,7 @@ def degraded_baseline(degraded_until):
     results = campaign.run(until=degraded_until)
     return (
         _record_json(DEGRADED_SEED, results, degraded_until),
-        campaign.telemetry.snapshot(),
+        campaign.telemetry,
     )
 
 
@@ -186,7 +186,7 @@ class TestDegradedModeIdentity:
             record = _record_json(DEGRADED_SEED, res, degraded_until)
             assert record == base_record, path
             assert resumed.telemetry is not None
-            assert resumed.telemetry.snapshot() == base_telemetry, path
+            assert resumed.telemetry == base_telemetry, path
 
     def test_checkpoint_meta_is_self_describing(self, degraded_checkpointed):
         """Resume needs no side channel: config and policies ride inside."""

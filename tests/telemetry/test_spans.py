@@ -1,16 +1,11 @@
-"""Tests for span tracing, snapshots, and the stopwatch."""
+"""Tests for span tracing, the telemetry hub's state, and the stopwatch."""
 
+import json
 import pickle
 
 import pytest
 
-from repro.telemetry.hub import (
-    HistogramSnapshot,
-    Telemetry,
-    TelemetrySnapshot,
-    merge_snapshots,
-    snapshot_from_json_dict,
-)
+from repro.telemetry.hub import Telemetry
 from repro.telemetry.spans import SpanTracer, Stopwatch
 
 
@@ -90,10 +85,12 @@ class TestHubCounterDelegate:
         hub = Telemetry()
         hub.counter("runner.retries").inc(3)
         assert hub.counter("runner.retries") is hub.metrics.counter("runner.retries")
-        assert hub.snapshot().counter("runner.retries") == 3
+        assert hub.metrics.to_json_dict()["counters"] == {"runner.retries": 3}
 
 
 class TestSnapshot:
+    """The hub's one state form: copy, equality, pickling, and merge."""
+
     def make_hub(self):
         hub = Telemetry()
         hub.metrics.counter("c").inc(2)
@@ -103,59 +100,76 @@ class TestSnapshot:
         return hub
 
     def test_snapshot_freezes_state(self):
-        snapshot = self.make_hub().snapshot()
-        assert snapshot.counter("c") == 2
-        assert snapshot.span_count("engine.tick") == 1
-        assert dict(snapshot.span_wall_s)["engine.tick"] == pytest.approx(0.25)
+        hub = self.make_hub()
+        copy = Telemetry.from_state_dict(hub.state_dict())
+        hub.metrics.counter("c").inc()
+        hub.spans.record("engine.tick", 1.0)
+        assert copy.metrics.counter("c").value == 2
+        assert copy.spans.stats("engine.tick").count == 1
+        assert copy.spans.stats("engine.tick").total_s == pytest.approx(0.25)
+
+    def test_copy_of_a_tracer_subclass_is_a_plain_tracer(self):
+        class Subclass(SpanTracer):
+            pass
+
+        traced = Telemetry()
+        traced.spans = Subclass()
+        traced.spans.record("engine.tick", 0.25)
+        copy = Telemetry.from_state_dict(traced.state_dict())
+        assert type(copy.spans) is SpanTracer
+        assert copy == traced
 
     def test_equality_ignores_wall_time(self):
-        a = self.make_hub().snapshot()
-        hub = self.make_hub()
-        hub.spans.record("engine.tick", 10.0)  # wall differs, count differs
-        unequal = hub.snapshot()
+        a = self.make_hub()
+        unequal = self.make_hub()
+        unequal.spans.record("engine.tick", 10.0)  # wall differs, count differs
         assert a != unequal  # counts differ -> unequal
-        import dataclasses
-
-        b = dataclasses.replace(a, span_wall_s=(("engine.tick", 99.0),))
+        b = self.make_hub()
+        b.spans.stats("engine.tick").total_s = 99.0
+        b.spans.stats("engine.tick").max_s = 99.0
         assert a == b  # only wall differs -> equal
+        assert a.deterministic_dict() == b.deterministic_dict()
+        assert a.state_dict() != b.state_dict()
+
+    def test_equality_sees_every_deterministic_field(self):
+        base = self.make_hub()
+        for mutate in (
+            lambda hub: hub.metrics.counter("c").inc(),
+            lambda hub: hub.metrics.gauge("g").set(6.0),
+            lambda hub: hub.metrics.histogram("h").observe(2.0),
+            lambda hub: hub.spans.record("engine.other", 0.0),
+        ):
+            hub = self.make_hub()
+            mutate(hub)
+            assert hub != base
 
     def test_snapshot_pickles_and_round_trips_json(self):
-        snapshot = self.make_hub().snapshot()
-        assert pickle.loads(pickle.dumps(snapshot)) == snapshot
-        clone = snapshot_from_json_dict(snapshot.to_json_dict())
-        assert clone == snapshot
-        assert clone.span_wall_s == snapshot.span_wall_s
+        hub = self.make_hub()
+        unpickled = pickle.loads(pickle.dumps(hub))
+        assert unpickled == hub
+        assert unpickled.state_dict() == hub.state_dict()
+        clone = Telemetry.from_state_dict(json.loads(json.dumps(hub.state_dict())))
+        assert clone == hub
+        assert clone.state_dict() == hub.state_dict()
 
     def test_merge_adds_counts_and_wall(self):
-        a = self.make_hub().snapshot()
-        b = self.make_hub().snapshot()
-        merged = a.merge(b)
-        assert merged.counter("c") == 4
-        assert merged.span_count("engine.tick") == 2
-        assert dict(merged.span_wall_s)["engine.tick"] == pytest.approx(0.5)
-        assert dict(merged.gauges)["g"] == 5.0
-        hist = merged.histograms[0]
-        assert hist.counts == (2, 0)
+        merged, higher = self.make_hub(), self.make_hub()
+        higher.metrics.gauge("g").set(9.0)
+        merged.merge(higher)
+        assert merged.metrics.counter("c").value == 4
+        assert merged.spans.stats("engine.tick").count == 2
+        assert merged.spans.stats("engine.tick").total_s == pytest.approx(0.5)
+        assert merged.metrics.gauge("g").value == 9.0
+        hist = merged.metrics.histogram("h")
+        assert hist.bucket_counts == [2, 0]
         assert hist.sum == pytest.approx(1.0)
-
-    def test_merge_snapshots_helper(self):
-        assert merge_snapshots([]) is None
-        parts = [self.make_hub().snapshot() for _ in range(3)]
-        assert merge_snapshots(parts).counter("c") == 6
+        merged.merge(self.make_hub())  # a lower gauge never wins
+        assert merged.metrics.gauge("g").value == 9.0
 
     def test_histogram_bounds_mismatch_rejected(self):
-        a = TelemetrySnapshot(
-            counters=(),
-            gauges=(),
-            histograms=(HistogramSnapshot("h", (1.0,), (1, 0), 0.5),),
-            span_counts=(),
-        )
-        b = TelemetrySnapshot(
-            counters=(),
-            gauges=(),
-            histograms=(HistogramSnapshot("h", (2.0,), (1, 0), 0.5),),
-            span_counts=(),
-        )
+        a, b = Telemetry(), Telemetry()
+        a.metrics.histogram("h", bounds=(1.0,)).observe(0.5)
+        b.metrics.histogram("h", bounds=(2.0,)).observe(0.5)
         with pytest.raises(ValueError):
             a.merge(b)
 
