@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -200,9 +200,22 @@ class WeatherGenerator:
         # Scalar-query fast path state: the grid is uniform (hourly), so a
         # scalar lookup can index by division instead of searchsorted, and
         # the enclosures + station all sample the same instant each tick,
-        # so the last full sample is memoised.
+        # so the last full sample is memoised.  The series are read as
+        # Python floats through views of the arrays (no copies).
         self._t0f = float(self._grid_t[0])
         self._t1f = float(self._grid_t[-1])
+        self._grid_view = memoryview(self._grid_t)
+        self._sample_views = tuple(
+            memoryview(series)
+            for series in (
+                self._temp,
+                self._dewpoint,
+                self._wind,
+                self._solar,
+                self._cloud,
+                self._precip,
+            )
+        )
         self._sample_cache_t: Optional[float] = None
         self._sample_cache: Optional[WeatherSample] = None
 
@@ -266,17 +279,25 @@ class WeatherGenerator:
         t = float(time)
         if t == self._sample_cache_t and self._sample_cache is not None:
             return self._sample_cache
-        temp = float(self.temperature(t))
-        dew = float(self.dewpoint(t))
+        i, offset, width = self._bracket(t)
+        if offset == 0.0:
+            values = [series[i] for series in self._sample_views]
+        else:
+            j = i + 1
+            values = [
+                (series[j] - series[i]) / width * offset + series[i]
+                for series in self._sample_views
+            ]
+        temp, dew, wind, solar, cloud, precip = values
         sample = WeatherSample(
             time=t,
             temp_c=temp,
             dewpoint_c=dew,
             rh_percent=float(relative_humidity_from_dewpoint(temp, dew)),
-            wind_ms=float(self.wind_speed(t)),
-            solar_wm2=float(self.solar_irradiance(t)),
-            cloud_fraction=float(self.cloud_fraction(t)),
-            precip_mm_h=float(self.precipitation(t)),
+            wind_ms=wind,
+            solar_wm2=solar,
+            cloud_fraction=cloud,
+            precip_mm_h=precip,
         )
         self._sample_cache_t = t
         self._sample_cache = sample
@@ -300,20 +321,33 @@ class WeatherGenerator:
         """Scalar lerp on the uniform hourly grid.
 
         Bit-identical to ``np.interp`` (same slope/offset arithmetic on
-        the same bracketing points) but O(1) with no array temporaries --
-        this is the hottest call in the campaign tick.
+        the same bracketing points) but O(1) with no array temporaries.
+        """
+        i, offset, width = self._bracket(t)
+        if offset == 0.0:
+            return float(values[i])
+        return float((values[i + 1] - values[i]) / width * offset + values[i])
+
+    def _bracket(self, t: float) -> Tuple[int, float, float]:
+        """``(i, t - grid[i], grid[i + 1] - grid[i])`` for the hour holding ``t``.
+
+        ``np.interp``'s value at ``t`` is then ``values[i]`` when the
+        offset is 0 (``t`` on a grid point or clamped to a span end) and
+        ``(values[i + 1] - values[i]) / width * offset + values[i]``
+        otherwise.  Times more than 1 us outside the span raise
+        :class:`ValueError`.
         """
         if t < self._t0f - 1e-6 or t > self._t1f + 1e-6:
             raise ValueError(
                 f"time outside generated span "
                 f"[{self.start_time:.0f}, {self.end_time:.0f}] s"
             )
+        grid = self._grid_view
         if t <= self._t0f:
-            return float(values[0])
+            return 0, 0.0, 1.0
+        last = len(grid) - 2
         if t >= self._t1f:
-            return float(values[-1])
-        grid = self._grid_t
-        last = grid.shape[0] - 2
+            return last + 1, 0.0, 1.0
         i = int((t - self._t0f) / HOUR)
         if i > last:
             i = last
@@ -323,7 +357,4 @@ class WeatherGenerator:
         while i < last and grid[i + 1] <= t:
             i += 1
         x_lo = grid[i]
-        if t == x_lo:
-            return float(values[i])
-        slope = (values[i + 1] - values[i]) / (grid[i + 1] - x_lo)
-        return float(slope * (t - x_lo) + values[i])
+        return i, t - x_lo, grid[i + 1] - x_lo

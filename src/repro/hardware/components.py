@@ -12,12 +12,14 @@ Only the behaviour the paper's fault census exercises is modelled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+import math
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.hardware.vendors import VendorSpec
+from repro.sim.rng import Uniforms
 from repro.state.codec import History
 from repro.state.protocol import check_version, parsing
 
@@ -54,6 +56,23 @@ class Cpu:
         return self.spec.cpu_temp_c(intake_c, host_power_w, self.power_w)
 
 
+def _quiet_below(count: int, p: float) -> float:
+    """Served doubles at or below this make ``binomial(count, p)`` return 0.
+
+    In numpy's inversion regime (``p <= 0.5`` and ``count * p <= 30``)
+    ``Generator.binomial`` draws one double ``U`` and returns 0 when
+    ``U <= (1 - p) ** count``, computed as ``exp(count * log(1 - p))``.
+    The bound sits a relative 1e-9 below that, so a last-bit difference
+    between this ``math`` and numpy's C library cannot flip the answer: a
+    double in the sliver between goes to ``binomial`` itself.  Outside
+    the regime (BTPE draws several doubles) the bound is -1, below every
+    double.
+    """
+    if p <= 0.5 and p * count <= 30.0:
+        return math.exp(count * math.log(1.0 - p)) * (1.0 - 1e-9)
+    return -1.0
+
+
 @dataclass
 class MemoryFaultRecord:
     """One uncorrected (or, on ECC machines, corrected) memory fault."""
@@ -76,7 +95,9 @@ class MemoryBank:
     spec:
         The vendor spec (size and ECC flag).
     rng:
-        Fault draw stream for this bank.
+        Fault draw stream for this bank, served (a host passes
+        ``streams.uniforms("memory")``) or raw (a standalone bank serves it
+        itself).  No other code may draw from it.
     fault_ratio:
         Probability of a fault per page operation.  Defaults to the paper's
         estimate of one in 570 million.
@@ -85,14 +106,17 @@ class MemoryBank:
     def __init__(
         self,
         spec: VendorSpec,
-        rng: np.random.Generator,
+        rng: Union[np.random.Generator, Uniforms],
         fault_ratio: float = PAPER_PAGE_FAULT_RATIO,
     ) -> None:
         if fault_ratio < 0 or fault_ratio >= 1:
             raise ValueError("fault_ratio must be in [0, 1)")
         self.spec = spec
         self.fault_ratio = fault_ratio
-        self._rng = rng
+        self._rng = rng if isinstance(rng, Uniforms) else Uniforms(rng)
+        #: ``(count, fault_ratio)`` of the last quiet-draw bound computed.
+        self._quiet_key: Optional[tuple] = None
+        self._quiet_bound = -1.0
         self.page_ops_total = 0
         self.faults = _FAULTS.store()  # MemoryFaultRecord rows
 
@@ -110,18 +134,34 @@ class MemoryBank:
         still record faults (as corrected) so the ablation benchmark can
         compare; non-ECC banks return them to the caller, which propagates
         the corruption into the archive block being processed.
+
+        The draws are those of ``rng.binomial(count, fault_ratio)`` and,
+        per fault, ``rng.integers(0, count)`` on the raw stream.  Almost
+        every call draws no fault, so the bank first reads the one served
+        double that ``binomial`` would consume (:func:`_quiet_below`) and
+        returns 0 when it is below the quiet bound; otherwise it gives the
+        double back and calls ``binomial`` on the generator.
         """
         if count < 0:
             raise ValueError("page-op count cannot be negative")
         self.page_ops_total += count
-        if count == 0 or self.fault_ratio == 0.0:
+        p = self.fault_ratio
+        if count == 0 or p == 0.0:
             return 0
-        n_faults = int(self._rng.binomial(count, self.fault_ratio))
+        coins = self._rng
+        if self._quiet_key != (count, p):
+            self._quiet_key = (count, p)
+            self._quiet_bound = _quiet_below(count, p)
+        if coins.random() <= self._quiet_bound:
+            return 0
+        coins.give_back()
+        rng = coins.generator()
+        n_faults = int(rng.binomial(count, p))
         if n_faults == 0:
             return 0
         corrected = self.spec.ecc_memory
         for _ in range(n_faults):
-            page = int(self._rng.integers(0, max(1, count)))
+            page = int(rng.integers(0, max(1, count)))
             self.faults.append(time, page, corrected)
         return 0 if corrected else n_faults
 

@@ -9,7 +9,9 @@ Every fault family in the paper gets a hazard-rate model:
   the paper reports (one bad host, its twin and the rest clean).
 - :class:`MemoryFaultModel` -- parameters for page-op bit flips (the
   mechanics live in :class:`repro.hardware.components.MemoryBank`).
-- :func:`hazard_probability` -- the shared exponential-hazard arithmetic.
+- :func:`hazard_probability` -- the shared exponential-hazard arithmetic,
+  and :class:`HazardMemo`, which keeps its last answer for the components
+  that ask for the same nominal rate every tick.
 
 Temperature dependence follows the classic 10-degree doubling rule above a
 reference case temperature, and -- deliberately -- *no* cold penalty: the
@@ -39,6 +41,32 @@ def hazard_probability(rate_per_hour: float, dt_s: float) -> float:
     if dt_s < 0:
         raise ValueError("dt cannot be negative")
     return 1.0 - math.exp(-rate_per_hour * dt_s / 3600.0)
+
+
+class HazardMemo:
+    """:func:`hazard_probability` that keeps its last ``(rate, dt) -> p``.
+
+    A drive, a host, a sensor chip or a switch asks for the same nominal
+    rate over the same tick almost every time; the rate moves only when a
+    case runs hot, a model is swapped or a restore changes a frailty or a
+    switch's rate.  The memo is keyed on the two values themselves, so any
+    such change is a fresh computation.
+    """
+
+    __slots__ = ("_rate", "_dt_s", "_p")
+
+    def __init__(self) -> None:
+        self._rate: Optional[float] = None
+        self._dt_s: Optional[float] = None
+        self._p = 0.0
+
+    def probability(self, rate_per_hour: float, dt_s: float) -> float:
+        """``hazard_probability(rate_per_hour, dt_s)``, reusing the last answer."""
+        if rate_per_hour == self._rate and dt_s == self._dt_s:
+            return self._p
+        p = hazard_probability(rate_per_hour, dt_s)
+        self._rate, self._dt_s, self._p = rate_per_hour, dt_s, p
+        return p
 
 
 class FaultKind(enum.Enum):
@@ -100,12 +128,16 @@ class TransientFaultModel:
         """Per-host lemon factor: log-normal with median 1."""
         return float(rng.lognormal(mean=0.0, sigma=self.frailty_sigma))
 
+    def nominal_rate(self, defective_series: bool, frailty: float) -> float:
+        """One host's rate where neither the heat nor the cold factor applies."""
+        rate = self.defective_rate_per_hour if defective_series else self.base_rate_per_hour
+        return rate * frailty
+
     def rate_per_hour(
         self, defective_series: bool, frailty: float, case_temp_c: float, intake_temp_c: float
     ) -> float:
         """Instantaneous hazard for one host."""
-        rate = self.defective_rate_per_hour if defective_series else self.base_rate_per_hour
-        rate *= frailty
+        rate = self.nominal_rate(defective_series, frailty)
         if case_temp_c > self.temp_reference_c:
             rate *= 2.0 ** ((case_temp_c - self.temp_reference_c) / self.temp_doubling_c)
         if intake_temp_c < 0.0:

@@ -25,6 +25,7 @@ from repro.hardware.faults import (
     FaultEvent,
     FaultKind,
     FaultLog,
+    HazardMemo,
     TransientFaultModel,
     hazard_probability,
 )
@@ -109,15 +110,18 @@ class Host:
         self.frailty = self.transient_model.draw_frailty(self._streams.stream("frailty"))
 
         self.cpu = Cpu(spec)
-        self.memory = MemoryBank(spec, self._streams.stream("memory"), memory_fault_ratio)
+        self.memory = MemoryBank(
+            spec, self._streams.uniforms("memory"), memory_fault_ratio
+        )
         self.psu = PowerSupply()
         self.sensor = SensorChip(self._streams.stream("sensor"))
-        # The disk and transient coins are scalar uniforms, served in
-        # blocks; the sensor stream also draws read noise, so it stays raw.
+        # The disk, transient and page-op coins are scalar uniforms, served
+        # in blocks; the sensor stream also draws read noise, so it stays raw.
         self.storage = StorageSubsystem(
             self.hostname, spec, self._streams.uniforms("storage")
         )
         self._fault_rng = self._streams.uniforms("transient")
+        self._transient_hazard = HazardMemo()
         self.bus = bus
 
         self.state = HostState.STAGED
@@ -346,8 +350,12 @@ class Host:
 
         The disk coins come from the host's served ``storage`` stream and
         the water and transient coins from its served ``transient``
-        stream.  The name is kept from the retired array-backed fleet
-        tick that also called it.
+        stream.  While neither the heat nor the cold factor applies
+        (case at or below ``temp_reference_c``, and intake not below
+        zero or a cold multiplier of 1), the transient rate is
+        :meth:`TransientFaultModel.nominal_rate` and its probability
+        comes from a :class:`HazardMemo`.  The name is kept from the retired
+        array-backed fleet tick that also called it.
         """
         if dt_s < 0:
             raise ValueError("dt must be non-negative")
@@ -357,8 +365,7 @@ class Host:
             if sensor.state is SensorState.ERRATIC and self.bus is not None:
                 self.bus.publish(SensorLatched(time=time, host_id=self.host_id))
         storage = self.storage
-        storage.tick(dt_s, case, time)
-        if not storage.operational:
+        if storage.tick(dt_s, case, time) and not storage.operational:
             self._fail(time, fault_log, FaultKind.DISK, "storage array lost")
             return
         coin = self._fault_rng
@@ -370,10 +377,17 @@ class Host:
                     f"{precip:.1f} mm/h reaching the case",
                 )
                 return
-        rate = self.transient_model.rate_per_hour(
-            self.spec.defective_series, self.frailty, case, intake
-        )
-        if coin.random() < hazard_probability(rate, dt_s):
+        model = self.transient_model
+        defective = self.spec.defective_series
+        if case <= model.temp_reference_c and (
+            intake >= 0.0 or model.cold_multiplier == 1.0
+        ):
+            rate = model.nominal_rate(defective, self.frailty)
+            p_fail = self._transient_hazard.probability(rate, dt_s)
+        else:
+            rate = model.rate_per_hour(defective, self.frailty, case, intake)
+            p_fail = hazard_probability(rate, dt_s)
+        if coin.random() < p_fail:
             self._fail(time, fault_log, FaultKind.TRANSIENT_SYSTEM, "")
 
     def _fail(self, time: float, fault_log: Optional[FaultLog], kind: FaultKind, detail: str) -> None:

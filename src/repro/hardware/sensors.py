@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.hardware.faults import hazard_probability
+from repro.hardware.faults import HazardMemo
 from repro.state.codec import History
 from repro.state.protocol import check_version, parsing
 
@@ -99,6 +99,7 @@ class SensorChip:
         self.cold_exposure_s = 0.0
         self.history = _HISTORY.store()  # SensorReading rows
         self.latch_time: Optional[float] = None
+        self._latch_hazard = HazardMemo()
 
     def __repr__(self) -> str:
         return (
@@ -121,7 +122,7 @@ class SensorChip:
             return
         if die_temp_c < self.latch_threshold_c:
             self.cold_exposure_s += dt_s
-            p = hazard_probability(self.latch_rate_per_hour, dt_s)
+            p = self._latch_hazard.probability(self.latch_rate_per_hour, dt_s)
             if self._rng.random() < p:
                 self.state = SensorState.ERRATIC
                 self.latch_time = time

@@ -14,7 +14,7 @@ import abc
 import enum
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.hardware.faults import hazard_probability
+from repro.hardware.faults import HazardMemo, hazard_probability
 from repro.hardware.smart import ATTR_POWER_ON_HOURS, ATTR_TEMPERATURE, SmartTable
 from repro.hardware.vendors import DiskLayout, VendorSpec
 from repro.sim.rng import UniformSource
@@ -23,10 +23,14 @@ from repro.state.protocol import StateError, check_version, parsing
 _STATE_VERSION = 1
 
 
+#: Case air above which the drive hazard rises.
+_HEAT_REFERENCE_C = 45.0
+
+
 def _heat_factor(case_temp_c: float) -> float:
     """Drive hazard multiplier: doubling every 15 degC above 45 degC case air."""
-    if case_temp_c > 45.0:
-        return 2.0 ** ((case_temp_c - 45.0) / 15.0)
+    if case_temp_c > _HEAT_REFERENCE_C:
+        return 2.0 ** ((case_temp_c - _HEAT_REFERENCE_C) / 15.0)
     return 1.0
 
 
@@ -214,6 +218,7 @@ class StorageSubsystem:
         ]
         self.arrays: List[RaidArray] = self._build_arrays(host_label)
         self._rng = rng
+        self._nominal = HazardMemo()
         # Each drive with the two S.M.A.R.T. rows a tick writes (a restore
         # assigns into the same row objects).
         self._tick_rows = [
@@ -257,7 +262,7 @@ class StorageSubsystem:
         """Any array running without full redundancy."""
         return any(a.degraded for a in self.arrays)
 
-    def tick(self, dt_s: float, case_temp_c: float, time: float) -> None:
+    def tick(self, dt_s: float, case_temp_c: float, time: float) -> bool:
         """Advance ``dt_s`` seconds of running time on every healthy drive.
 
         Each healthy drive, in member order, accrues S.M.A.R.T. power-on
@@ -266,22 +271,38 @@ class StorageSubsystem:
         its base rate with a mild heat penalty (doubling every 15 degC of
         case air above 45 degC).  All drives share the host's case air, so
         the probability is computed once per tick, and again only for a
-        drive whose base rate differs.  A failed drive neither ages nor
-        draws.
+        drive whose base rate differs; at or below 45 degC the penalty is
+        exactly 1 and the probability comes from a :class:`HazardMemo`.
+        A failed drive neither ages nor draws.
+
+        Returns whether any drive is not healthy after the tick (failed
+        now or before), the only case in which :attr:`operational` can be
+        false.
         """
-        heat = _heat_factor(case_temp_c)
+        hot = case_temp_c > _HEAT_REFERENCE_C
+        hours = dt_s / 3600.0
         drive_temp = case_temp_c + 4.0
         rng = self._rng
         rate = p_fail = None
+        lost = False
         for disk, power_on, temperature in self._tick_rows:
             if disk.state is DiskState.HEALTHY:
                 if disk._rate_per_hour != rate:
                     rate = disk._rate_per_hour
-                    p_fail = hazard_probability(rate * heat, dt_s)
-                power_on.raw += dt_s / 3600.0
+                    if hot:
+                        p_fail = hazard_probability(
+                            rate * _heat_factor(case_temp_c), dt_s
+                        )
+                    else:
+                        p_fail = self._nominal.probability(rate, dt_s)
+                power_on.raw += hours
                 temperature.raw = drive_temp
                 if rng.random() < p_fail:
                     disk.fail(time)
+                    lost = True
+            else:
+                lost = True
+        return lost
 
     def run_long_self_tests(self, time: float) -> bool:
         """Run the long test on every drive; True iff all pass."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, List, Optional, Set
 
-from repro.hardware.faults import hazard_probability
+from repro.hardware.faults import HazardMemo, hazard_probability
 from repro.sim.rng import UniformSource
 from repro.state.protocol import check_version, parsing
 
@@ -72,6 +72,7 @@ class NetworkSwitch:
             1.0 / defect_mean_life_hours if inherent_defect else 1.0 / healthy_mtbf_hours
         )
         self._ports: Set[str] = set()
+        self._hazard = HazardMemo()
 
     def __repr__(self) -> str:
         defect = " defective" if self.inherent_defect else ""
@@ -113,7 +114,7 @@ class NetworkSwitch:
         if not self.operational:
             return
         self.powered_hours += dt_s / 3600.0
-        if self._rng.random() < hazard_probability(self._rate_per_hour, dt_s):
+        if self._rng.random() < self._hazard.probability(self._rate_per_hour, dt_s):
             self.fail(time)
 
     def fail(self, time: float) -> None:

@@ -11,11 +11,13 @@ Streams are derived with :class:`numpy.random.SeedSequence` keyed by a
 stable hash of the stream name, so stream identity depends only on the
 ``(master seed, name)`` pair, never on creation order.
 
-A stream drawn only by scalar ``random()`` calls -- the per-tick hazard
-coins -- can be *served* instead (:meth:`RngStreams.uniforms`): its
-draws come from a small block the generator fills in place, which is the
-same sequence of values, and a snapshot reports the position of the last
-draw served, so checkpoints do not change.
+A stream drawn mostly by scalar ``random()`` calls -- the per-tick hazard
+coins, the page-op fault draws -- can be *served* instead
+(:meth:`RngStreams.uniforms`): its draws come from a small block the
+generator fills in place, which is the same sequence of values, and a
+snapshot reports the position of the last draw served, so checkpoints do
+not change.  A rare draw of another kind gives the served double back
+and takes the generator at that position (:meth:`Uniforms.generator`).
 """
 
 from __future__ import annotations
@@ -96,10 +98,11 @@ class RngStreams:
         """Return the block-served uniforms for ``name``, creating them on
         first use.
 
-        For a stream drawn only by scalar ``random()`` calls: the values
+        For a stream drawn mostly by scalar ``random()`` calls: the values
         are exactly those :meth:`stream` would give, at a fraction of the
         per-call cost.  A name already handed out by :meth:`stream` is
-        refused, so the two never interleave draws on one stream.
+        refused, so the two never interleave draws on one stream; other
+        draws go through :meth:`Uniforms.generator`.
         """
         served = self._served.get(name)
         if served is None:
@@ -204,7 +207,10 @@ class Uniforms:
     a block ahead of the draws served; :meth:`position` rewinds that
     exactly, because one PCG64 double is one step of the generator and
     ``PCG64.advance(k)`` steps ``k`` draws from the state the block
-    started at.
+    started at.  A double leaves PCG64's buffered half-word
+    (``has_uint32``/``uinteger``, filled by 32-bit draws such as a small
+    ``integers`` range) alone, so the rewound state carries the block
+    start's; ``advance`` itself clears them.
     """
 
     __slots__ = ("_generator", "_block", "_view", "_next", "_start")
@@ -233,10 +239,32 @@ class Uniforms:
         """The generator state just after the last draw served."""
         if self._start is None:
             return self._generator.bit_generator.state
+        start = self._start
         rewound = np.random.PCG64(0)
-        rewound.state = self._start
+        rewound.state = start
         rewound.advance(self._next)
-        return rewound.state
+        state = rewound.state
+        state["has_uint32"] = start["has_uint32"]
+        state["uinteger"] = start["uinteger"]
+        return state
+
+    def give_back(self) -> None:
+        """Un-serve the last draw: the next :meth:`random` returns it again.
+
+        Valid only right after a :meth:`random` call.
+        """
+        self._next -= 1
+
+    def generator(self) -> np.random.Generator:
+        """The generator, set just after the last draw served.
+
+        Drops the buffered block, so draws made on the generator directly
+        (a ``binomial``, an ``integers``) follow the served ones in the
+        stream, and the next :meth:`random` follows them.
+        """
+        if self._start is not None:
+            self.seek(self.position())
+        return self._generator
 
     def seek(self, state: Dict[str, Any]) -> None:
         """Set the stream to ``state`` and drop every buffered draw."""

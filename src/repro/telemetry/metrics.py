@@ -34,6 +34,13 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
+def _object(value: Any, what: str) -> Dict[str, Any]:
+    """``value`` if it is a JSON object, else :class:`ValueError`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _prom_name(name: str) -> str:
     """Sanitise a dotted metric name into a Prometheus-legal one."""
     return _PROM_NAME_RE.sub("_", name)
@@ -243,15 +250,28 @@ class MetricsRegistry:
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_json_dict` output."""
+        """Rebuild a registry from :meth:`to_json_dict` output.
+
+        Input of the wrong shape (a list where an object belongs, a
+        bucket count per bound missing) raises :class:`ValueError`, so a
+        cache reader can treat it like any other malformed entry.
+        """
         registry = cls()
-        for name, value in data.get("counters", {}).items():
+        data = _object(data, "metrics")
+        for name, value in _object(data.get("counters", {}), "counters").items():
             registry.counter(name).inc(int(value))
-        for name, value in data.get("gauges", {}).items():
+        for name, value in _object(data.get("gauges", {}), "gauges").items():
             registry.gauge(name).set(float(value))
-        for name, payload in data.get("histograms", {}).items():
+        for name, payload in _object(data.get("histograms", {}), "histograms").items():
+            payload = _object(payload, f"histogram {name!r}")
             hist = registry.histogram(name, bounds=payload["bounds"])
-            hist.bucket_counts = [int(c) for c in payload["bucket_counts"]]
+            counts = [int(c) for c in payload["bucket_counts"]]
+            if len(counts) != len(hist.bucket_counts):
+                raise ValueError(
+                    f"histogram {name!r}: {len(counts)} bucket counts for "
+                    f"{len(hist.bounds)} bounds"
+                )
+            hist.bucket_counts = counts
             hist.sum = float(payload["sum"])
             hist.count = int(payload["count"])
         return registry

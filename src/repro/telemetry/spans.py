@@ -153,8 +153,13 @@ class SpanTracer:
 
         Fire counts are the deterministic part; the wall-second fields
         restore as recorded (a zero-count label's ``min_s`` comes back as
-        +inf, matching a fresh :class:`SpanStats`).
+        +inf, matching a fresh :class:`SpanStats`).  A non-object where
+        the table or a label's entry belongs raises :class:`ValueError`.
         """
+        if not isinstance(data, dict) or not all(
+            isinstance(payload, dict) for payload in data.values()
+        ):
+            raise ValueError("spans: expected an object of per-label objects")
         self._spans = {}
         for label, payload in data.items():
             stats = SpanStats(label)

@@ -4,9 +4,12 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.climate.generator import WeatherGenerator, WeatherSample, solar_elevation_deg
 from repro.climate.profiles import HELSINKI_2010
+from repro.climate.psychro import relative_humidity_from_dewpoint
 from repro.sim.clock import DAY, HOUR, SimClock
 from repro.sim.rng import RngStreams
 
@@ -125,6 +128,60 @@ class TestQueries:
                 time=0.0, temp_c=0.0, dewpoint_c=5.0, rh_percent=100.0,
                 wind_ms=1.0, solar_wm2=0.0, cloud_fraction=0.5,
             )
+
+
+#: ``WeatherSample`` fields and the generator series each one reads.
+_SAMPLED = [
+    ("temp_c", "_temp"),
+    ("dewpoint_c", "_dewpoint"),
+    ("wind_ms", "_wind"),
+    ("solar_wm2", "_solar"),
+    ("cloud_fraction", "_cloud"),
+    ("precip_mm_h", "_precip"),
+]
+
+
+class TestSampleInterpolation:
+    """``sample`` finds the hourly bracket once for all six series; each
+    field must be bit-identical to ``np.interp`` and to the scalar
+    ``_interp`` path, and RH must follow from the two it is computed from."""
+
+    def _check(self, weather, t):
+        sample = weather.sample(t)
+        for field, series in _SAMPLED:
+            values = getattr(weather, series)
+            got = getattr(sample, field)
+            assert type(got) is float
+            assert got == float(np.interp(np.array([t]), weather._grid_t, values)[0])
+            assert got == weather._interp(t, values)
+        assert sample.rh_percent == float(
+            relative_humidity_from_dewpoint(sample.temp_c, sample.dewpoint_c)
+        )
+
+    @given(frac=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_random_times(self, weather, frac):
+        t = weather.start_time + frac * (weather.end_time - weather.start_time)
+        self._check(weather, t)
+
+    def test_grid_points_and_span_ends(self, weather):
+        grid = weather._grid_t
+        rng = np.random.default_rng(1)
+        for i in [0, 1, len(grid) - 2, len(grid) - 1, *rng.integers(0, len(grid), 50)]:
+            self._check(weather, float(grid[i]))
+        for t in (
+            weather.start_time - 5e-7,
+            np.nextafter(weather.start_time, np.inf),
+            np.nextafter(weather.end_time, -np.inf),
+            weather.end_time + 5e-7,
+        ):
+            self._check(weather, float(t))
+
+    @pytest.mark.parametrize("offset", [-1.0, 1.0, -DAY, DAY])
+    def test_out_of_span_raises(self, weather, offset):
+        edge = weather.start_time if offset < 0 else weather.end_time
+        with pytest.raises(ValueError, match="outside generated span"):
+            weather.sample(edge + offset)
 
 
 class TestSolarElevation:

@@ -90,6 +90,21 @@ class TestEviction:
         assert record is None
         assert evicted
 
+    @pytest.mark.parametrize("part", ["metrics", "spans"])
+    def test_list_valued_telemetry_is_quarantined(self, tmp_path, part):
+        cache = str(tmp_path / "runs")
+        sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache, telemetry=True)
+        spec = RunSpec(config=ExperimentConfig(seed=7), until=UNTIL, telemetry=True)
+        path = _cache_path(cache, spec)
+        data = json.load(open(path, encoding="utf-8"))
+        data["telemetry"][part] = []
+        json.dump(data, open(path, "w", encoding="utf-8"))
+        again = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache, telemetry=True)
+        assert (again.cache_hits, again.cache_misses) == (0, 1)
+        assert again.cache_evictions == 1
+        assert again.runner_telemetry.counter("runner.cache_evictions").value == 1
+        assert os.path.exists(path + ".corrupt")
+
     def test_missing_entry_is_not_an_eviction(self, tmp_path):
         spec = RunSpec(config=ExperimentConfig(seed=7), until=UNTIL)
         record, evicted = _load_cached(str(tmp_path), spec, RUN_RECORD_CODEC)

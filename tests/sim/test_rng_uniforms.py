@@ -4,8 +4,9 @@ A served stream must be indistinguishable from a raw generator making
 the same scalar ``random()`` calls: the same values, the same snapshot
 positions wherever a capture falls (block boundaries included), and the
 same tail after a restore, also one that lands mid-block.  The served
-path rests on two facts of numpy's PCG64, checked here directly so that
-a numpy release that changes either fails by name.
+path rests on two facts of numpy's PCG64, and the served page-op coins
+(``MemoryBank``) on one of its ``binomial``, checked here directly so
+that a numpy release that changes any of them fails by name.
 """
 
 import numpy as np
@@ -45,6 +46,20 @@ class TestNumpyContract:
         advanced.state = np.random.default_rng(3).bit_generator.state
         advanced.advance(k)
         assert advanced.state == drawn.bit_generator.state
+
+    @pytest.mark.parametrize("n, p", [(130_000, 1 / 570e6), (400, 0.02), (60, 0.5)])
+    def test_binomial_inversion_returns_zero_from_one_double(self, n, p):
+        # With p <= 0.5 and n * p <= 30, binomial(n, p) reads one double U
+        # and returns 0 exactly when U <= exp(n * log(1 - p)).
+        quiet = np.exp(n * np.log(1.0 - p))
+        for seed in range(200):
+            drawn, doubles = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = doubles.random()
+            if drawn.binomial(n, p) == 0:
+                assert u <= quiet
+                assert drawn.bit_generator.state == doubles.bit_generator.state
+            else:
+                assert u > quiet
 
 
 class TestServedDraws:

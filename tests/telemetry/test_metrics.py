@@ -120,6 +120,22 @@ class TestExposition:
         clone = MetricsRegistry.from_json_dict(registry.to_json_dict())
         assert clone.to_json_dict() == registry.to_json_dict()
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            {"counters": []},
+            {"gauges": [["g", 1.0]]},
+            {"histograms": []},
+            {"histograms": {"h": [1.0]}},
+            {"histograms": {"h": {"bounds": [1.0], "bucket_counts": [0], "sum": 0.0, "count": 0}}},
+        ],
+        ids=["top", "counters", "gauges", "histograms", "histogram", "bucket-count"],
+    )
+    def test_wrong_shapes_raise_value_error(self, data):
+        with pytest.raises(ValueError):
+            MetricsRegistry.from_json_dict(data)
+
     def test_prometheus_text_families(self):
         registry = MetricsRegistry()
         registry.counter("monitoring.rounds").inc(324)
