@@ -128,16 +128,12 @@ class TransientFaultModel:
         """Per-host lemon factor: log-normal with median 1."""
         return float(rng.lognormal(mean=0.0, sigma=self.frailty_sigma))
 
-    def nominal_rate(self, defective_series: bool, frailty: float) -> float:
-        """One host's rate where neither the heat nor the cold factor applies."""
-        rate = self.defective_rate_per_hour if defective_series else self.base_rate_per_hour
-        return rate * frailty
-
     def rate_per_hour(
         self, defective_series: bool, frailty: float, case_temp_c: float, intake_temp_c: float
     ) -> float:
         """Instantaneous hazard for one host."""
-        rate = self.nominal_rate(defective_series, frailty)
+        rate = self.defective_rate_per_hour if defective_series else self.base_rate_per_hour
+        rate *= frailty
         if case_temp_c > self.temp_reference_c:
             rate *= 2.0 ** ((case_temp_c - self.temp_reference_c) / self.temp_doubling_c)
         if intake_temp_c < 0.0:

@@ -350,12 +350,10 @@ class Host:
 
         The disk coins come from the host's served ``storage`` stream and
         the water and transient coins from its served ``transient``
-        stream.  While neither the heat nor the cold factor applies
-        (case at or below ``temp_reference_c``, and intake not below
-        zero or a cold multiplier of 1), the transient rate is
-        :meth:`TransientFaultModel.nominal_rate` and its probability
-        comes from a :class:`HazardMemo`.  The name is kept from the retired
-        array-backed fleet tick that also called it.
+        stream.  The transient probability comes from a
+        :class:`HazardMemo`, which answers again without arithmetic while
+        the rate stays put.  The name is kept from the retired array-backed
+        fleet tick that also called it.
         """
         if dt_s < 0:
             raise ValueError("dt must be non-negative")
@@ -377,17 +375,10 @@ class Host:
                     f"{precip:.1f} mm/h reaching the case",
                 )
                 return
-        model = self.transient_model
-        defective = self.spec.defective_series
-        if case <= model.temp_reference_c and (
-            intake >= 0.0 or model.cold_multiplier == 1.0
-        ):
-            rate = model.nominal_rate(defective, self.frailty)
-            p_fail = self._transient_hazard.probability(rate, dt_s)
-        else:
-            rate = model.rate_per_hour(defective, self.frailty, case, intake)
-            p_fail = hazard_probability(rate, dt_s)
-        if coin.random() < p_fail:
+        rate = self.transient_model.rate_per_hour(
+            self.spec.defective_series, self.frailty, case, intake
+        )
+        if coin.random() < self._transient_hazard.probability(rate, dt_s):
             self._fail(time, fault_log, FaultKind.TRANSIENT_SYSTEM, "")
 
     def _fail(self, time: float, fault_log: Optional[FaultLog], kind: FaultKind, detail: str) -> None:

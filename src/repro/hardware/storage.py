@@ -14,7 +14,7 @@ import abc
 import enum
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.hardware.faults import HazardMemo, hazard_probability
+from repro.hardware.faults import HazardMemo
 from repro.hardware.smart import ATTR_POWER_ON_HOURS, ATTR_TEMPERATURE, SmartTable
 from repro.hardware.vendors import DiskLayout, VendorSpec
 from repro.sim.rng import UniformSource
@@ -23,14 +23,10 @@ from repro.state.protocol import StateError, check_version, parsing
 _STATE_VERSION = 1
 
 
-#: Case air above which the drive hazard rises.
-_HEAT_REFERENCE_C = 45.0
-
-
 def _heat_factor(case_temp_c: float) -> float:
     """Drive hazard multiplier: doubling every 15 degC above 45 degC case air."""
-    if case_temp_c > _HEAT_REFERENCE_C:
-        return 2.0 ** ((case_temp_c - _HEAT_REFERENCE_C) / 15.0)
+    if case_temp_c > 45.0:
+        return 2.0 ** ((case_temp_c - 45.0) / 15.0)
     return 1.0
 
 
@@ -218,7 +214,7 @@ class StorageSubsystem:
         ]
         self.arrays: List[RaidArray] = self._build_arrays(host_label)
         self._rng = rng
-        self._nominal = HazardMemo()
+        self._hazard = HazardMemo()
         # Each drive with the two S.M.A.R.T. rows a tick writes (a restore
         # assigns into the same row objects).
         self._tick_rows = [
@@ -250,12 +246,7 @@ class StorageSubsystem:
     @property
     def operational(self) -> bool:
         """All arrays still serving data."""
-        # Asked after every host tick; with every drive healthy (the
-        # common case) no array can be down.
-        for disk in self.disks:
-            if disk.state is not DiskState.HEALTHY:
-                return all(a.operational for a in self.arrays)
-        return True
+        return all(a.operational for a in self.arrays)
 
     @property
     def degraded(self) -> bool:
@@ -271,15 +262,15 @@ class StorageSubsystem:
         its base rate with a mild heat penalty (doubling every 15 degC of
         case air above 45 degC).  All drives share the host's case air, so
         the probability is computed once per tick, and again only for a
-        drive whose base rate differs; at or below 45 degC the penalty is
-        exactly 1 and the probability comes from a :class:`HazardMemo`.
-        A failed drive neither ages nor draws.
+        drive whose base rate differs, through a :class:`HazardMemo` that
+        answers again without arithmetic while the case stays cool.  A
+        failed drive neither ages nor draws.
 
         Returns whether any drive is not healthy after the tick (failed
         now or before), the only case in which :attr:`operational` can be
         false.
         """
-        hot = case_temp_c > _HEAT_REFERENCE_C
+        heat = _heat_factor(case_temp_c)
         hours = dt_s / 3600.0
         drive_temp = case_temp_c + 4.0
         rng = self._rng
@@ -289,12 +280,7 @@ class StorageSubsystem:
             if disk.state is DiskState.HEALTHY:
                 if disk._rate_per_hour != rate:
                     rate = disk._rate_per_hour
-                    if hot:
-                        p_fail = hazard_probability(
-                            rate * _heat_factor(case_temp_c), dt_s
-                        )
-                    else:
-                        p_fail = self._nominal.probability(rate, dt_s)
+                    p_fail = self._hazard.probability(rate * heat, dt_s)
                 power_on.raw += hours
                 temperature.raw = drive_temp
                 if rng.random() < p_fail:
