@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional
 from repro.climate.generator import WeatherGenerator
 from repro.hardware.faults import FaultEvent, FaultKind, FaultLog
 from repro.hardware.host import Host, HostState
-from repro.hardware.switch import NetworkSwitch
+from repro.hardware.switch import NetworkSwitch, SwitchState
 from repro.hardware.vendors import vendor
 from repro.core.config import ExperimentConfig, HostPlan
 from repro.sim.engine import PeriodicTask, Simulator
@@ -285,28 +285,29 @@ class Fleet:
     def _tick(self) -> None:
         now = self.sim.now
         dt = self.config.tick_interval_s
-        # 1. Heat budgets: each enclosure dissipates its hosts' average draw.
-        loads: Dict[int, float] = {}
-        for enclosure in self.enclosures:
-            loads[id(enclosure)] = 0.0
+        # 1. Heat budgets: each enclosure dissipates its hosts' average draw,
+        # summed in ``hosts`` order; a host outside ``enclosures`` adds nowhere.
+        loads = dict.fromkeys(self.enclosures, 0.0)
+        running = HostState.RUNNING
         for host in self.hosts.values():
             enclosure = host.enclosure
-            if enclosure is not None and host.state is HostState.RUNNING:
-                key = id(enclosure)
-                if key in loads:
-                    loads[key] += host.duty_power_w
-        for enclosure in self.enclosures:
-            enclosure.set_it_load(loads[id(enclosure)])
+            if enclosure in loads and host.state is running:
+                loads[enclosure] += host.duty_power_w
+        for enclosure, load in loads.items():
+            enclosure.set_it_load(load)
             enclosure.advance(now)
         # 2. Running hosts age, sensors chill, hazards strike.
         fault_log = self.fault_log
         for host in self._tick_order:
-            if host.state is HostState.RUNNING:
+            if host.state is running:
                 host.tick(dt, now, fault_log)
         # 3. Switches age; new deaths get logged once.
         for switch in self._powered_switches:
             switch.tick(dt, now)
-            if not switch.operational and switch.name not in self._switch_failures_logged:
+            if (
+                switch.state is not SwitchState.OK
+                and switch.name not in self._switch_failures_logged
+            ):
                 self._switch_failures_logged.add(switch.name)
                 died_at = switch.failed_at if switch.failed_at is not None else now
                 if self.bus is not None:

@@ -31,11 +31,12 @@ PAPER_PAGE_FAULT_RATIO = 1.0 / 570e6
 
 
 class Cpu:
-    """CPU package: a power draw and a temperature.
+    """CPU package: whether it is busy.
 
-    The temperature model is the stacked-rise form used throughout the
-    reproduction: intake air + case rise + package rise, each proportional
-    to the relevant power.
+    Its power draw and die temperature follow from ``busy`` and the spec;
+    :meth:`VendorSpec.cpu_temp_c` holds the stacked-rise model (intake air
+    + case rise + package rise, each proportional to the relevant power),
+    and ``Host`` evaluates it.
     """
 
     def __init__(self, spec: VendorSpec) -> None:
@@ -45,15 +46,6 @@ class Cpu:
     def __repr__(self) -> str:
         state = "busy" if self.busy else "idle"
         return f"Cpu(vendor={self.spec.vendor_id}, {state})"
-
-    @property
-    def power_w(self) -> float:
-        """Current package power draw."""
-        return self.spec.cpu_active_power_w if self.busy else self.spec.cpu_idle_power_w
-
-    def temperature_c(self, intake_c: float, host_power_w: float) -> float:
-        """Die temperature given intake air and total host power."""
-        return self.spec.cpu_temp_c(intake_c, host_power_w, self.power_w)
 
 
 def _quiet_below(count: int, p: float) -> float:

@@ -256,7 +256,7 @@ class Host:
     @property
     def power_w(self) -> float:
         """Instantaneous wall draw (0 when down)."""
-        if not self.running:
+        if self.state is not HostState.RUNNING:
             return 0.0
         return self.spec.active_power_w if self.cpu.busy else self.spec.idle_power_w
 
@@ -278,8 +278,24 @@ class Host:
         return self.spec.case_temp_c(self.intake_temp_c(), self.power_w)
 
     def cpu_temp_c(self) -> float:
-        """True die temperature (what a healthy sensor would report)."""
-        return self.cpu.temperature_c(self.intake_temp_c(), self.power_w)
+        """True die temperature (what a healthy sensor would report).
+
+        The collector reads this on every poll, so it is computed here in
+        one frame, with the expression of :meth:`tick` and the value of
+        ``spec.cpu_temp_c(self.intake_temp_c(), self.power_w, cpu_power)``.
+        """
+        enclosure = self.enclosure
+        if enclosure is None:
+            raise RuntimeError(f"{self.hostname} has no enclosure")
+        spec = self.spec
+        if self.cpu.busy:
+            host_power, cpu_power = spec.active_power_w, spec.cpu_active_power_w
+        else:
+            host_power, cpu_power = spec.idle_power_w, spec.cpu_idle_power_w
+        if self.state is not HostState.RUNNING:
+            host_power = 0.0
+        case = enclosure.intake_temp_c + spec.case_rise_k_per_w * host_power
+        return case + spec.cpu_theta_k_per_w * cpu_power
 
     def sensor_poll(self, time: float) -> Optional[float]:
         """Poll the lm-sensors chip (the 20-minute collection round); ``None`` off the bus."""

@@ -111,7 +111,7 @@ class NetworkSwitch:
 
     def tick(self, dt_s: float, time: float) -> None:
         """Accrue powered-on time; defective units may die."""
-        if not self.operational:
+        if self.state is not SwitchState.OK:
             return
         self.powered_hours += dt_s / 3600.0
         if self._rng.random() < self._hazard.probability(self._rate_per_hour, dt_s):

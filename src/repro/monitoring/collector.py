@@ -46,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware.host import Host
+from repro.hardware.host import Host, HostState
 from repro.hardware.switch import NetworkSwitch
 from repro.monitoring.health import HealthPolicy, HealthTracker, HostHealthState
 from repro.monitoring.records import SensorRecord
@@ -362,7 +362,7 @@ class MonitoringHost:
                     unreachable, degraded,
                 )
                 continue
-            if not host.running:
+            if host.state is not HostState.RUNNING:
                 self._observe_failure(
                     time, host_id, HostHealthState.DOWN, path, host, down, degraded
                 )

@@ -76,7 +76,8 @@ class Telemetry:
 
         Mirrors :meth:`span` so call sites that only count -- like the
         sweep runner's retry/timeout/eviction tallies -- don't need to
-        reach through ``metrics``.
+        reach through ``metrics``.  It is for writers: to read a count
+        without creating it, use ``metrics.counter_value(name)``.
         """
         return self.metrics.counter(name, help)
 

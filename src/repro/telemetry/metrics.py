@@ -142,8 +142,10 @@ class MetricsRegistry:
     --------
     >>> reg = MetricsRegistry()
     >>> reg.counter("monitoring.rounds").inc()
-    >>> reg.counter("monitoring.rounds").value
+    >>> reg.counter_value("monitoring.rounds")
     1
+    >>> reg.counter_value("monitoring.retries")
+    0
     """
 
     def __init__(self) -> None:
@@ -189,6 +191,16 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Introspection (sorted, so every export is deterministic)
     # ------------------------------------------------------------------
+    def counter_value(self, name: str) -> int:
+        """The value of the counter called ``name``, 0 when it is absent.
+
+        A read for tests and reports: unlike :meth:`counter`, it never
+        creates the counter, so reading leaves the registry (and every
+        equality and canonical JSON built on it) as it was.
+        """
+        counter = self._counters.get(name)
+        return 0 if counter is None else counter.value
+
     def counters(self) -> Iterator[Counter]:
         return iter(sorted(self._counters.values(), key=lambda c: c.name))
 

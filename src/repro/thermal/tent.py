@@ -90,6 +90,20 @@ class TentEnvelope:
         ("door_half_open", 1.8),
     )
 
+    def __post_init__(self) -> None:
+        # The flags are frozen, so the still-air products are priced once
+        # per instance (``replace`` builds a new one and prices it again).
+        ua = self.base_ua_w_per_k
+        for flag, factor in self._UA_FACTORS:
+            if getattr(self, flag):
+                ua *= factor
+        ach = self.base_ach
+        for flag, factor in self._ACH_FACTORS:
+            if getattr(self, flag):
+                ach *= factor
+        object.__setattr__(self, "_still_ua", ua)
+        object.__setattr__(self, "_still_ach", ach)
+
     def with_modification(self, mod: Modification) -> "TentEnvelope":
         """A copy with one modification applied (idempotent)."""
         flag = {
@@ -103,19 +117,11 @@ class TentEnvelope:
 
     def ua_w_per_k(self, wind_ms: float) -> float:
         """Envelope conductance at the given wind speed."""
-        ua = self.base_ua_w_per_k
-        for flag, factor in self._UA_FACTORS:
-            if getattr(self, flag):
-                ua *= factor
-        return ua * (1.0 + self.wind_ua_coefficient * max(0.0, wind_ms))
+        return self._still_ua * (1.0 + self.wind_ua_coefficient * max(0.0, wind_ms))
 
     def air_changes_per_hour(self, wind_ms: float) -> float:
         """Ventilation rate at the given wind speed."""
-        ach = self.base_ach
-        for flag, factor in self._ACH_FACTORS:
-            if getattr(self, flag):
-                ach *= factor
-        return ach * (1.0 + 0.15 * max(0.0, wind_ms))
+        return self._still_ach * (1.0 + 0.15 * max(0.0, wind_ms))
 
     def solar_gain_w(self, irradiance_wm2: float) -> float:
         """Heat input from sunlight on the fabric."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.hardware.faults import FaultEvent, FaultKind, FaultLog
-from repro.hardware.host import Host
+from repro.hardware.host import Host, HostState
 from repro.sim.clock import MINUTE
 from repro.sim.engine import Simulator
 from repro.sim.events import EventBus, WrongHash
@@ -247,10 +247,12 @@ class ArchiverProcess:
         #: The pending quiet step (see :meth:`Simulator.schedule_quiet`).
         self._pending: Optional[list] = None
         self._restore_next: Optional[List[float]] = None
+        #: The step as one bound method, made once: each phase queues it.
+        self._step_fn = self._step
         # "some fuzz is added to the starting phase: each host sleeps for
         # 0 to 119 seconds before commencing the archival process."
         fuzz = float(self._rng.integers(0, START_FUZZ_MAX_S + 1))
-        self._sleep(fuzz)
+        self._pending = sim.schedule_quiet(sim.now + fuzz, self._step_fn)
 
     def __repr__(self) -> str:
         return f"ArchiverProcess({self.host.hostname}, alive={self.alive})"
@@ -264,33 +266,36 @@ class ArchiverProcess:
         self.host.cpu.busy = False
 
     # ------------------------------------------------------------------
-    def _sleep(self, delay_s: float) -> None:
-        self._pending = self.sim.schedule_quiet(self.sim.now + delay_s, self._step)
-
     def _step(self) -> None:
         if not self.alive:
             self._pending = None
             return
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         host = self.host
         if self._phase == "cycle-start":
             self._cycle_start = now
-            if host.running:
+            if host.state is HostState.RUNNING:
                 host.cpu.busy = True
                 self._phase = "burst"
-                self._sleep(self.burst_duration_s)
+                self._pending = sim.schedule_quiet(
+                    now + self.burst_duration_s, self._step_fn
+                )
             else:
-                self._sleep(CYCLE_PERIOD_S)
+                self._pending = sim.schedule_quiet(now + CYCLE_PERIOD_S, self._step_fn)
             return
         # burst phase: the tar+bzip2+md5sum run just ended.  The burst may
         # have ended with the host failed mid-cycle; such a run produces no
         # result (the monitoring host simply finds no new md5sum).
-        if host.running:
+        if host.state is HostState.RUNNING:
             self._complete_cycle(now)
         host.cpu.busy = False
-        remainder = CYCLE_PERIOD_S - (now - self._cycle_start)
         self._phase = "cycle-start"
-        self._sleep(max(0.0, remainder))
+        # Sleep out the cycle remainder, positive because the constructor
+        # holds the burst shorter than the period.
+        self._pending = sim.schedule_quiet(
+            now + (CYCLE_PERIOD_S - (now - self._cycle_start)), self._step_fn
+        )
 
     def _complete_cycle(self, time: float) -> None:
         model = self.model
@@ -371,4 +376,4 @@ class ArchiverProcess:
         pending, self._restore_next = self._restore_next, None
         if pending is not None:
             time, seq, tie = pending
-            self._pending = sim.schedule_quiet(time, self._step, position=(seq, tie))
+            self._pending = sim.schedule_quiet(time, self._step_fn, position=(seq, tie))

@@ -1,6 +1,8 @@
 """Tests for fleet construction and the tick loop."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.climate.generator import WeatherGenerator
 from repro.core.config import ExperimentConfig
@@ -10,6 +12,7 @@ from repro.hardware.host import HostState
 from repro.sim.clock import HOUR, SimClock
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+from repro.thermal.enclosure import OutdoorAmbient
 
 
 @pytest.fixture
@@ -147,3 +150,45 @@ class TestInstallAndTick:
         sim.run_until(start + 10 * HOUR)
         events = fleet.fault_log.of_kind(FaultKind.SWITCH)
         assert len([e for e in events if e.detail == "tent-sw1"]) == 1
+
+
+class TestTickLoads:
+    """The tick's heat budgets: per enclosure, the duty draws of its running
+    hosts summed in ``fleet.hosts`` order, and nothing for an enclosure the
+    fleet does not own."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_loads_are_a_hosts_order_sum(self, data):
+        config = ExperimentConfig(seed=7)
+        sim = Simulator()
+        streams = RngStreams(config.seed)
+        weather = WeatherGenerator(config.climate, streams, sim.clock)
+        fleet = Fleet(sim, config, streams, weather, FaultLog())
+        start = sim.clock.to_seconds(config.test_start)
+        sim.run_until(start)
+        outside = OutdoorAmbient("outside", weather)
+        places = list(fleet.enclosures) + [outside]
+        draws = st.floats(min_value=0.1, max_value=400.0)
+        for host in fleet.hosts.values():
+            host.duty_power_w = data.draw(draws)
+            where = data.draw(st.sampled_from([None] + places))
+            if where is None:
+                continue
+            host.install(where, start)
+            if data.draw(st.booleans()):
+                host.move_to(data.draw(st.sampled_from(places)), start)
+            if data.draw(st.booleans()):
+                host.power_down(start)
+        expected = {}
+        for enclosure in fleet.enclosures:
+            total = 0.0
+            for host in fleet.hosts.values():
+                if host.enclosure is enclosure and host.state is HostState.RUNNING:
+                    total += host.duty_power_w
+            expected[enclosure.name] = total
+        fleet._tick()
+        assert {e.name: e.it_load_w for e in fleet.enclosures} == expected
+        assert outside.it_load_w == 0.0

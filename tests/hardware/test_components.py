@@ -13,16 +13,13 @@ def rng():
 
 class TestCpu:
     def test_idle_and_busy_power(self):
-        cpu = Cpu(VENDOR_A)
-        assert cpu.power_w == VENDOR_A.cpu_idle_power_w
-        cpu.busy = True
-        assert cpu.power_w == VENDOR_A.cpu_active_power_w
+        assert not Cpu(VENDOR_A).busy
+        assert VENDOR_A.cpu_active_power_w > VENDOR_A.cpu_idle_power_w
 
     def test_temperature_rises_when_busy(self):
-        cpu = Cpu(VENDOR_A)
-        idle_temp = cpu.temperature_c(0.0, 70.0)
-        cpu.busy = True
-        assert cpu.temperature_c(0.0, 70.0) > idle_temp
+        idle_temp = VENDOR_A.cpu_temp_c(0.0, 70.0, VENDOR_A.cpu_idle_power_w)
+        busy_temp = VENDOR_A.cpu_temp_c(0.0, 70.0, VENDOR_A.cpu_active_power_w)
+        assert busy_temp > idle_temp
 
 
 class TestMemoryBankNonEcc:

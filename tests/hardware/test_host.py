@@ -1,12 +1,16 @@
 """Tests for the composite Host model."""
 
+import types
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.climate.generator import WeatherGenerator
 from repro.climate.profiles import HELSINKI_2010
 from repro.hardware.faults import FaultKind, FaultLog, TransientFaultModel
 from repro.hardware.host import Host, HostState
-from repro.hardware.vendors import VENDOR_A, VENDOR_B, VENDOR_C
+from repro.hardware.vendors import VENDOR_A, VENDOR_B, VENDOR_C, VENDORS
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngStreams
 from repro.thermal.enclosure import BasementMachineRoom
@@ -116,6 +120,34 @@ class TestThermal:
         reading = host.sensor_poll(time=10.0)
         assert reading == pytest.approx(host.cpu_temp_c(), abs=2.0)
         assert host.sensor.history[-1].cpu_temp_c == reading
+
+
+class TestOneFrameReads:
+    """``cpu_temp_c()`` and ``power_w`` skip the component chain; they must
+    still equal it to the last bit."""
+
+    HOSTS = [make_host(host_id=i + 1, spec=spec) for i, spec in enumerate(VENDORS.values())]
+
+    @given(intake=st.floats(min_value=-60.0, max_value=80.0))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_vendor_spec_chain(self, intake):
+        for host in self.HOSTS:
+            spec = host.spec
+            host.enclosure = types.SimpleNamespace(intake_temp_c=intake)
+            for state in HostState:
+                for busy in (False, True):
+                    host.state = state
+                    host.cpu.busy = busy
+                    power = 0.0
+                    if state is HostState.RUNNING:
+                        power = spec.active_power_w if busy else spec.idle_power_w
+                    cpu_power = spec.cpu_active_power_w if busy else spec.cpu_idle_power_w
+                    assert host.power_w == power
+                    assert host.cpu_temp_c() == spec.cpu_temp_c(intake, power, cpu_power)
+
+    def test_die_temperature_requires_enclosure(self):
+        with pytest.raises(RuntimeError):
+            make_host().cpu_temp_c()
 
 
 class TestTick:

@@ -48,7 +48,7 @@ class TestEviction:
         again = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache)
         assert (again.cache_hits, again.cache_misses) == (0, 1)
         assert again.cache_evictions == 1
-        assert again.runner_telemetry.counter("runner.cache_evictions").value == 1
+        assert again.runner_telemetry.metrics.counter_value("runner.cache_evictions") == 1
         assert os.path.exists(path + ".corrupt")
         # The recomputed record replaced the poisoned entry for good.
         third = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache)
@@ -102,7 +102,7 @@ class TestEviction:
         again = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache, telemetry=True)
         assert (again.cache_hits, again.cache_misses) == (0, 1)
         assert again.cache_evictions == 1
-        assert again.runner_telemetry.counter("runner.cache_evictions").value == 1
+        assert again.runner_telemetry.metrics.counter_value("runner.cache_evictions") == 1
         assert os.path.exists(path + ".corrupt")
 
     def test_missing_entry_is_not_an_eviction(self, tmp_path):
@@ -134,7 +134,7 @@ class TestStoreHygiene:
         result = sweep_records([7], until=UNTIL, jobs=1, cache_dir=cache)
         assert len(result.records) == 1
         assert result.failures == ()
-        assert result.runner_telemetry.counter("runner.cache_store_failures").value == 1
+        assert result.runner_telemetry.metrics.counter_value("runner.cache_store_failures") == 1
         _no_tmp_files(cache)
 
     def test_successful_store_round_trips(self, tmp_path):
@@ -226,7 +226,7 @@ class TestEarlierLayoutEntries:
         )
         assert (result.cache_hits, result.cache_misses) == (0, 1)
         assert result.cache_evictions == 1
-        assert result.runner_telemetry.counter("runner.cache_evictions").value == 1
+        assert result.runner_telemetry.metrics.counter_value("runner.cache_evictions") == 1
         assert os.path.exists(path + ".corrupt")
         assert result.records[0].telemetry.spans.counts()["runner.run"] == 1
         again = sweep_records(

@@ -71,9 +71,9 @@ class TestRetry:
         )
         hub = result.runner_telemetry
         assert hub is not None
-        assert hub.counter("runner.retries").value == result.retries == 1
-        assert hub.counter("runner.failures").value == 0
-        assert hub.counter("runner.cache_misses").value == 1
+        assert hub.metrics.counter_value("runner.retries") == result.retries == 1
+        assert hub.metrics.counter_value("runner.failures") == 0
+        assert hub.metrics.counter_value("runner.cache_misses") == 1
 
 
 class TestDegradation:
@@ -137,7 +137,7 @@ class TestTimeout:
         assert result.failures == ()
         assert result.timeouts == 1
         assert result.retries == 1
-        assert result.runner_telemetry.counter("runner.timeouts").value == 1
+        assert result.runner_telemetry.metrics.counter_value("runner.timeouts") == 1
         assert _canonical(result) == _canonical(baseline)
 
     def test_timeout_exhaustion_reports_timed_out_failure(self):

@@ -102,7 +102,7 @@ class TestSerialResume:
         assert result.ok
         hub = result.runner_telemetry
         assert hub is not None
-        assert hub.counter("runner.checkpoint_resumes").value == 1
+        assert hub.metrics.counter_value("runner.checkpoint_resumes") == 1
 
     def test_checkpoints_cleaned_up_after_success(self, tmp_path):
         result = sweep_records(

@@ -15,6 +15,7 @@ from repro.runner.records import (
     record_from_json_dict,
     record_from_results,
 )
+from repro.telemetry import Telemetry
 
 UNTIL = dt.datetime(2010, 2, 21)
 
@@ -87,3 +88,19 @@ class TestRunRecord:
         inside = next(s for s in record.series if s.name == "inside_temperature_raw")
         assert inside.points == 0
         assert inside.minimum is None
+
+
+class TestCounterReads:
+    def test_reading_an_absent_counter_leaves_a_record_unchanged(self, tiny_record):
+        record, _ = tiny_record
+        hub = Telemetry()
+        hub.metrics.counter("runner.runs").inc(2)
+        traced = dataclasses.replace(record, telemetry=hub)
+        copy = record_from_json_dict(json.loads(json.dumps(traced.to_json_dict())))
+        assert copy == traced
+        canonical = traced.canonical_json()
+        assert traced.telemetry.metrics.counter_value("runner.retries") == 0
+        assert copy.telemetry.metrics.counter_value("runner.runs") == 2
+        assert copy.telemetry == traced.telemetry
+        assert copy == traced
+        assert traced.canonical_json() == copy.canonical_json() == canonical

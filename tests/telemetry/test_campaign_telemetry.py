@@ -59,11 +59,11 @@ class TestMonitoringMetrics:
         results, telemetry, _ = telemetry_run
         rounds = results.monitoring.rounds
         metrics = telemetry.metrics
-        assert metrics.counter("monitoring.rounds").value == len(rounds)
-        assert metrics.counter("monitoring.hosts_collected").value == sum(
+        assert metrics.counter_value("monitoring.rounds") == len(rounds)
+        assert metrics.counter_value("monitoring.hosts_collected") == sum(
             len(r.collected_host_ids) for r in rounds
         )
-        assert metrics.counter("monitoring.sensor_anomalies").value == sum(
+        assert metrics.counter_value("monitoring.sensor_anomalies") == sum(
             len(r.sensor_anomaly_host_ids) for r in rounds
         )
 
@@ -92,7 +92,7 @@ class TestRunGauges:
     def test_bus_tallies_copied_to_counters(self, telemetry_run):
         results, telemetry, _ = telemetry_run
         for name, count in results.bus.counts.items():
-            assert telemetry.metrics.counter(f"bus.events.{name}").value == count
+            assert telemetry.metrics.counter_value(f"bus.events.{name}") == count
 
 
 class TestRunLogSink:

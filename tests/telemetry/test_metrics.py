@@ -74,7 +74,7 @@ class TestRegistry:
         registry.counter("a").inc(3)
         registry.histogram("h", bounds=(1.0,)).observe(0.5)
         clone = pickle.loads(pickle.dumps(registry))
-        assert clone.counter("a").value == 3
+        assert clone.counter_value("a") == 3
         assert clone.histogram("h").count == 1
 
 
@@ -88,7 +88,7 @@ class TestMerge:
         a.histogram("h", bounds=(1.0,)).observe(0.5)
         b.histogram("h", bounds=(1.0,)).observe(2.0)
         a.merge(b)
-        assert a.counter("c").value == 5
+        assert a.counter_value("c") == 5
         assert a.gauge("g").value == 7.0
         assert a.histogram("h").bucket_counts == [1, 1]
         assert a.histogram("h").sum == pytest.approx(2.5)
@@ -98,7 +98,7 @@ class TestMerge:
         b.counter("only-b").inc(9)
         b.gauge("g").set(-3.0)
         a.merge(b)
-        assert a.counter("only-b").value == 9
+        assert a.counter_value("only-b") == 9
         # A gauge new to the target keeps its value even when negative
         # (max against a default 0.0 would be wrong).
         assert a.gauge("g").value == -3.0

@@ -104,7 +104,7 @@ class TestSnapshot:
         copy = Telemetry.from_state_dict(hub.state_dict())
         hub.metrics.counter("c").inc()
         hub.spans.record("engine.tick", 1.0)
-        assert copy.metrics.counter("c").value == 2
+        assert copy.metrics.counter_value("c") == 2
         assert copy.spans.stats("engine.tick").count == 1
         assert copy.spans.stats("engine.tick").total_s == pytest.approx(0.25)
 
@@ -156,7 +156,7 @@ class TestSnapshot:
         merged, higher = self.make_hub(), self.make_hub()
         higher.metrics.gauge("g").set(9.0)
         merged.merge(higher)
-        assert merged.metrics.counter("c").value == 4
+        assert merged.metrics.counter_value("c") == 4
         assert merged.spans.stats("engine.tick").count == 2
         assert merged.spans.stats("engine.tick").total_s == pytest.approx(0.5)
         assert merged.metrics.gauge("g").value == 9.0
@@ -196,5 +196,5 @@ class TestTelemetryHub:
         b.metrics.counter("c").inc()
         b.spans.record("x", 1.0)
         a.merge(b)
-        assert a.metrics.counter("c").value == 2
+        assert a.metrics.counter_value("c") == 2
         assert a.spans.stats("x").count == 1

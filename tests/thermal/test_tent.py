@@ -1,6 +1,12 @@
 """Tests for the tent heat balance and its modifications."""
 
+import dataclasses
+import itertools
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.climate.generator import WeatherGenerator
 from repro.climate.profiles import HELSINKI_2010
@@ -71,6 +77,71 @@ class TestEnvelopeParameters:
 
     def test_negative_irradiance_clipped(self):
         assert TentEnvelope().solar_gain_w(-100.0) == 0.0
+
+
+FLAGS = (
+    "reflective_foil",
+    "inner_tent_removed",
+    "bottom_tarp_removed",
+    "fan_installed",
+    "door_half_open",
+)
+
+
+def per_flag_ua(envelope, wind_ms):
+    """Conductance priced flag by flag, as on every tick before."""
+    ua = envelope.base_ua_w_per_k
+    for flag, factor in envelope._UA_FACTORS:
+        if getattr(envelope, flag):
+            ua *= factor
+    return ua * (1.0 + envelope.wind_ua_coefficient * max(0.0, wind_ms))
+
+
+def per_flag_ach(envelope, wind_ms):
+    """Ventilation priced flag by flag, as on every tick before."""
+    ach = envelope.base_ach
+    for flag, factor in envelope._ACH_FACTORS:
+        if getattr(envelope, flag):
+            ach *= factor
+    return ach * (1.0 + 0.15 * max(0.0, wind_ms))
+
+
+class TestStillAirProducts:
+    """The envelope prices its flag products once; every read must equal
+    the per-flag loop to the last bit."""
+
+    @given(
+        wind=st.floats(min_value=-5.0, max_value=40.0),
+        base_ua=st.sampled_from([20.0]) | st.floats(min_value=1.0, max_value=100.0),
+        base_ach=st.sampled_from([2.5]) | st.floats(min_value=0.1, max_value=20.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equal_the_per_flag_loop_for_every_flag_set(self, wind, base_ua, base_ach):
+        for bits in itertools.product((False, True), repeat=len(FLAGS)):
+            envelope = TentEnvelope(
+                base_ua_w_per_k=base_ua, base_ach=base_ach, **dict(zip(FLAGS, bits))
+            )
+            assert envelope.ua_w_per_k(wind) == per_flag_ua(envelope, wind)
+            assert envelope.air_changes_per_hour(wind) == per_flag_ach(envelope, wind)
+
+    def test_replaced_envelope_gets_fresh_products(self):
+        base = TentEnvelope()
+        wind = 2.5
+        for changed in (
+            base.with_modification(Modification.FAN_INSTALLED),
+            dataclasses.replace(base, inner_tent_removed=True, door_half_open=True),
+            dataclasses.replace(base, base_ua_w_per_k=33.0, base_ach=4.0),
+        ):
+            assert changed.ua_w_per_k(wind) == per_flag_ua(changed, wind)
+            assert changed.air_changes_per_hour(wind) == per_flag_ach(changed, wind)
+            assert changed.ua_w_per_k(wind) != base.ua_w_per_k(wind)
+            assert changed.air_changes_per_hour(wind) != base.air_changes_per_hour(wind)
+        assert base.ua_w_per_k(wind) == per_flag_ua(base, wind)
+
+    def test_products_leave_equality_and_pickling_alone(self):
+        envelope = TentEnvelope(fan_installed=True)
+        assert envelope == TentEnvelope(fan_installed=True)
+        assert pickle.loads(pickle.dumps(envelope)) == envelope
 
 
 class TestTentThermal:

@@ -26,14 +26,30 @@ TICK_S = 300.0
 ROUND_S = 1200.0
 
 
+class EventQueue:
+    """A view of ``sim`` that queues each quiet step as an engine event."""
+
+    def __init__(self, sim, key):
+        self._sim = sim
+        self._key = key
+
+    @property
+    def now(self):
+        return self._sim.now
+
+    def schedule_quiet(self, time, fn):
+        if not self._sim.registered(self._key):
+            self._sim.register(self._key, fn)
+        self._sim.schedule_at_key(time, self._key)
+        return [time, None, None, fn]
+
+
 class EventDrivenArchiver(ArchiverProcess):
     """The archiver as it ran before: one engine event per phase change."""
 
-    def _sleep(self, delay_s):
-        key = f"reference.archiver.{self.host.host_id}"
-        if not self.sim.registered(key):
-            self.sim.register(key, self._step)
-        self.sim.schedule_key(delay_s, key)
+    def __init__(self, sim, host, *args, **kwargs):
+        queue = EventQueue(sim, f"reference.archiver.{host.host_id}")
+        super().__init__(queue, host, *args, **kwargs)
 
 
 def seed_with_fuzz(fuzz):
